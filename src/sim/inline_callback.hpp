@@ -2,10 +2,9 @@
 //
 // std::function costs the kernel a heap allocation per scheduled event the
 // moment a capture outgrows its (implementation-defined, typically 16-byte)
-// internal buffer — which every storage-system callback does: the common
-// shapes are [this], [&system, &sched, &trace, i] (28 bytes) and a pair of
-// shared_ptrs plus an index (40 bytes). InlineCallback sizes its buffer so
-// all of those stay inline:
+// internal buffer — which the kernel's busiest storage-system callbacks
+// do: the trace replay's arrival cursor is 32 bytes and the batch tick 40.
+// InlineCallback sizes its buffer so those stay inline:
 //
 //   * 48 bytes of aligned inline storage + one ops pointer = 64 bytes, one
 //     cache line per slot-pool entry;

@@ -269,33 +269,49 @@ void Simulator::fire_top() {
   fn_at(s).consume();
 }
 
-bool Simulator::step() {
+void Simulator::fire_lane() {
+  const SimTime t = std::bit_cast<SimTime>(lane_bits_);
+  // schedule_arrival rejects the past, and heap events only fire ahead of
+  // the lane when strictly earlier, so the clock cannot have passed it.
+  EAS_ASSERT_MSG(t >= now_, "arrival would move the clock backwards: "
+                                << t << " < " << now_);
+  now_ = t;
+  ++fired_;
+  lane_bits_ = kNoPendingBits;
+  Callback& cb = lane_[lane_slot_];
+  lane_slot_ ^= 1u;  // a re-arm from inside cb fills the other buffer
+  cb.consume();
+}
+
+bool Simulator::fire_next(std::uint64_t until_bits) {
   if (has_staged()) fold_staged();
-  if (live() == 0) return false;
-  fire_top();
+  const std::uint64_t heap_bits =
+      live() != 0 ? ent(0).time_bits : kNoPendingBits;
+  // `<=`: the lane wins a time tie against every heap event.
+  if (lane_bits_ <= heap_bits) {
+    if (lane_bits_ > until_bits) return false;
+    fire_lane();
+  } else {
+    if (heap_bits > until_bits) return false;
+    fire_top();
+  }
   return true;
 }
 
+bool Simulator::step() { return fire_next(time_to_bits(kTimeInfinity)); }
+
 std::uint64_t Simulator::run() {
+  const std::uint64_t all = time_to_bits(kTimeInfinity);
   std::uint64_t n = 0;
-  while (true) {
-    if (has_staged()) fold_staged();
-    if (live() == 0) break;
-    fire_top();
-    ++n;
-  }
+  while (fire_next(all)) ++n;
   return n;
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
   EAS_REQUIRE_MSG(until >= now_, "run_until target in the past");
+  const std::uint64_t until_bits = time_to_bits(until);
   std::uint64_t n = 0;
-  while (true) {
-    if (has_staged()) fold_staged();
-    if (live() == 0 || ent(0).time() > until) break;
-    fire_top();
-    ++n;
-  }
+  while (fire_next(until_bits)) ++n;
   now_ = until;
   return n;
 }

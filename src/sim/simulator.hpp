@@ -21,9 +21,13 @@
 //    tombstones, and next_event_time() is genuinely const;
 //  * new events are appended to the heap array as an unordered staged
 //    suffix and folded in only when something needs to pop or remove —
-//    burst scheduling (trace replay, batch schedulers) pays one O(n) Floyd
+//    burst scheduling (batch schedulers, event bursts) pays one O(n) Floyd
 //    heapify instead of n sift-ups. Order is unaffected: every pop still
-//    follows the unique (time, seq) total order.
+//    follows the unique (time, seq) total order;
+//  * trace replay goes through the arrival lane (schedule_arrival): one
+//    pending arrival held beside the heap, re-armed by its own callback, so
+//    the heap holds O(disks + in-flight) events instead of one per trace
+//    record. The lane fires before any heap event at equal time.
 #pragma once
 
 #include <bit>
@@ -124,6 +128,32 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Arms the arrival lane: `fn` fires at absolute time `when` (>= now()).
+  /// The lane holds at most one pending event, stored beside the heap rather
+  /// than in it, and a trace replay re-arms it from inside its own callback
+  /// for the next record. At equal time the lane fires before every heap
+  /// event — the order the replay would get by pre-scheduling one event per
+  /// record up front, whose sequence numbers would all precede anything
+  /// scheduled later. The lane event cannot be cancelled.
+  template <typename F>
+  void schedule_arrival(SimTime when, F&& fn) {
+    EAS_REQUIRE_MSG(std::isfinite(when), "arrival time must be finite");
+    EAS_REQUIRE_MSG(when >= now_, "cannot schedule an arrival in the past: when="
+                                      << when << " now=" << now_);
+    EAS_REQUIRE_MSG(lane_bits_ == kNoPendingBits,
+                    "arrival lane already holds a pending event");
+    if constexpr (requires { static_cast<bool>(fn); }) {
+      EAS_REQUIRE_MSG(static_cast<bool>(fn), "null arrival callback");
+    }
+    Callback& cb = lane_[lane_slot_];
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      cb = std::forward<F>(fn);
+    } else {
+      cb.emplace(std::forward<F>(fn));
+    }
+    lane_bits_ = time_to_bits(when);
+  }
+
   /// Cancels a pending event in O(log n): the heap entry is removed in place
   /// and the slot recycled — no tombstones. Returns true if the event was
   /// still pending (i.e. this call prevented it from firing). Safe to call
@@ -133,13 +163,15 @@ class Simulator {
   /// True if the event is scheduled and not yet fired/cancelled.
   bool pending(EventHandle h) const;
 
-  /// Number of events waiting to fire.
-  std::size_t pending_count() const { return live(); }
+  /// Number of events waiting to fire, the arrival lane's included.
+  std::size_t pending_count() const {
+    return live() + (lane_bits_ != kNoPendingBits ? 1u : 0u);
+  }
 
   /// Physical size of the ready queue (heap-ordered prefix plus staged
-  /// suffix). Always equals pending_count(): cancellation removes entries
-  /// in place, so there is no tombstone growth for it to diverge by.
-  /// Exposed so tests can pin that property down.
+  /// suffix). Equals pending_count() minus the arrival lane's event:
+  /// cancellation removes entries in place, so there is no tombstone growth
+  /// for it to diverge by. Exposed so tests can pin that property down.
   std::size_t queue_depth() const { return live(); }
 
   /// Runs until the queue drains. Returns the number of events fired.
@@ -154,10 +186,11 @@ class Simulator {
 
   /// Time of the next pending event, or kTimeInfinity. Const in letter and
   /// spirit: the tombstone-free heap means there is nothing to lazily clean,
-  /// and the staging lane tracks its minimum time incrementally, so even
+  /// and the staged suffix tracks its minimum time incrementally, so even
   /// staged events are answered without a flush.
   SimTime next_event_time() const {
-    std::uint64_t bits = staged_min_bits_;
+    std::uint64_t bits = staged_min_bits_ < lane_bits_ ? staged_min_bits_
+                                                        : lane_bits_;
     if (heaped_ != 0 && ent(0).time_bits < bits) bits = ent(0).time_bits;
     return bits == kNoPendingBits ? kTimeInfinity
                                   : std::bit_cast<SimTime>(bits);
@@ -265,9 +298,9 @@ class Simulator {
     return *std::launder(reinterpret_cast<Callback*>(slot_storage(s)));
   }
 
-  /// staged_min_bits_ sentinel: larger (as ordered time bits) than any
-  /// finite event time, so an empty staged suffix never wins the next-event
-  /// compare.
+  /// Sentinel for staged_min_bits_ and lane_bits_: larger (as ordered time
+  /// bits) than any finite event time, so an empty staged suffix or lane
+  /// never wins the next-event compare.
   static constexpr std::uint64_t kNoPendingBits = ~std::uint64_t{0};
 
   /// The heap array is stored with kHeapPad dummy entries in front and
@@ -325,6 +358,12 @@ class Simulator {
   std::uint32_t sink_hole(std::uint32_t pos);
   /// Pops the minimum and fires it (clock advance + callback invocation).
   void fire_top();
+  /// Fires the arrival lane's event and leaves the lane free to re-arm.
+  void fire_lane();
+  /// Fires the next event — the lane's on a time tie — if its time is at
+  /// most `until_bits` (ordered time bits). Returns false otherwise,
+  /// including when nothing is pending.
+  bool fire_next(std::uint64_t until_bits);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -351,6 +390,14 @@ class Simulator {
   /// O(1) and const even with staged entries.
   std::uint32_t heaped_ = 0;
   std::uint64_t staged_min_bits_ = kNoPendingBits;
+  /// Arrival lane: the pending arrival's time as ordered bits
+  /// (kNoPendingBits when the lane is free) and its callback. The callback
+  /// is double-buffered: fire_lane flips lane_slot_ before invoking, so a
+  /// callback that re-arms the lane constructs the next arrival in the
+  /// other buffer instead of over the callable still running.
+  std::uint64_t lane_bits_ = kNoPendingBits;
+  std::uint32_t lane_slot_ = 0;
+  Callback lane_[2];
   obs::TraceRecorder* recorder_ = nullptr;
 };
 

@@ -837,7 +837,7 @@ class System final : public core::SystemView {
   /// a primary victim is shed outright — both its copies leave the queues
   /// and the request is dropped, counted, and traced.
   void shed_victim(RequestId victim, DiskId k) {
-    const bool removed = disks_[k]->remove_pending(victim);
+    [[maybe_unused]] const bool removed = disks_[k]->remove_pending(victim);
     EAS_ASSERT_MSG(removed, "shed victim vanished from the queue");
     const RequestId base = victim & ~kHedgeBit;
     auto vit = inflight_.find(base);
@@ -1413,6 +1413,76 @@ disk::Request make_request(RequestId id, const trace::TraceRecord& rec) {
   return r;
 }
 
+/// Event that replays a trace through the kernel's arrival lane. Firing
+/// record i re-arms the lane for record i+1, then announces record i and
+/// hands it to the driver's `on_arrival`. Four pointer-sized fields, so it
+/// lives inline in the lane's callback buffer.
+template <typename OnArrival>
+struct ArrivalCursor {
+  System* system;
+  const trace::Trace* trace;
+  OnArrival* on_arrival;
+  std::size_t i;
+
+  void operator()() const {
+    if (i + 1 < trace->size()) {
+      system->simulator().schedule_arrival(
+          (*trace)[i + 1].time, ArrivalCursor{system, trace, on_arrival, i + 1});
+    }
+    const disk::Request r = make_request(i, (*trace)[i]);
+    system->note_arrival(r);
+    (*on_arrival)(r);
+  }
+};
+
+/// Streams `trace` into `system` one record at a time: only the next
+/// arrival is ever pending, so the event heap holds O(disks + in-flight)
+/// events, not one per record. The lane's equal-time priority gives exactly
+/// the order of one pre-scheduled event per record. `on_arrival` is called
+/// with each request after note_arrival and must outlive the run.
+template <typename OnArrival>
+void stream_arrivals(System& system, const trace::Trace& trace,
+                     OnArrival& on_arrival) {
+  if (trace.empty()) return;
+  system.simulator().schedule_arrival(
+      trace[0].time, ArrivalCursor<OnArrival>{&system, &trace, &on_arrival, 0});
+}
+
+/// run_batch's tick: assigns the requests that arrived since the last tick,
+/// then re-arms itself while records remain to arrive or wait. A plain
+/// struct over run-local state, stored inline in its event slot.
+struct BatchTick {
+  System* system;
+  core::BatchScheduler* sched;
+  double interval;
+  std::vector<disk::Request>* pending;
+  const std::size_t* remaining;
+
+  void operator()() const {
+    if (!pending->empty()) {
+      std::vector<disk::Request> batch;
+      batch.swap(*pending);
+      system->note_batch(batch.size());
+      const std::vector<DiskId> assignment = sched->assign(batch, *system);
+      EAS_ENSURE_MSG(assignment.size() == batch.size(),
+                     "batch scheduler returned " << assignment.size()
+                                                 << " picks for "
+                                                 << batch.size() << " requests");
+      for (std::size_t b = 0; b < batch.size(); ++b) {
+        system->route(batch[b], assignment[b]);
+      }
+    }
+    if (*remaining > 0 || !pending->empty()) {
+      system->simulator().schedule_in(interval, *this);
+    }
+  }
+};
+
+// Both re-arm once per record or tick; a heap fallback there would cost an
+// allocation each time.
+static_assert(sizeof(ArrivalCursor<void>) <= sim::InlineCallback::kInlineSize);
+static_assert(sizeof(BatchTick) <= sim::InlineCallback::kInlineSize);
+
 }  // namespace
 
 RunResult run_online(const SystemConfig& config,
@@ -1420,15 +1490,11 @@ RunResult run_online(const SystemConfig& config,
                      const trace::Trace& trace, core::OnlineScheduler& sched,
                      power::PowerPolicy& policy) {
   System system(config, placement, policy);
-  auto& sim = system.simulator();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sim.schedule_at(trace[i].time, [&system, &sched, &trace, i] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      if (system.cache_absorb(r)) return;
-      system.route(r, sched.pick(r, system));
-    });
-  }
+  auto on_arrival = [&system, &sched](const disk::Request& r) {
+    if (system.cache_absorb(r)) return;
+    system.route(r, sched.pick(r, system));
+  };
+  stream_arrivals(system, trace, on_arrival);
   system.start(trace.end_time());
   return system.finish(sched.name());
 }
@@ -1438,56 +1504,27 @@ RunResult run_batch(const SystemConfig& config,
                     const trace::Trace& trace, core::BatchScheduler& sched,
                     power::PowerPolicy& policy) {
   System system(config, placement, policy);
-  auto& sim = system.simulator();
   const double interval = sched.batch_interval_seconds();
   EAS_REQUIRE(interval > 0.0);
 
   // Arrivals accumulate in `pending`; a tick chain drains them. The chain
   // keeps running while arrivals remain so an empty interval cannot strand
   // later requests.
-  auto pending = std::make_shared<std::vector<disk::Request>>();
-  auto remaining = std::make_shared<std::size_t>(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sim.schedule_at(trace[i].time, [pending, remaining, &system, &trace, i] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      --*remaining;
-      // The cache sits in front of the batch queue: absorbed requests
-      // complete at DRAM latency instead of waiting for the next tick.
-      if (system.cache_absorb(r)) return;
-      pending->push_back(r);
-    });
-  }
-
-  // std::function must be copyable, hence the shared recursive thunk. It
-  // re-arms itself through a weak self-reference: capturing `tick` by value
-  // would make the function own itself and leak the whole chain. The owning
-  // pointer outlives the run (the simulation completes inside system.start()
-  // below), so the lock always succeeds while events can still fire.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [pending, remaining,
-           self = std::weak_ptr<std::function<void()>>(tick), interval,
-           &system, &sched, &sim] {
-    if (!pending->empty()) {
-      std::vector<disk::Request> batch;
-      batch.swap(*pending);
-      system.note_batch(batch.size());
-      const std::vector<DiskId> assignment = sched.assign(batch, system);
-      EAS_ENSURE_MSG(assignment.size() == batch.size(),
-                    "batch scheduler returned " << assignment.size()
-                                                << " picks for "
-                                                << batch.size() << " requests");
-      for (std::size_t b = 0; b < batch.size(); ++b) {
-        system.route(batch[b], assignment[b]);
-      }
-    }
-    if (*remaining > 0 || !pending->empty()) {
-      const auto t = self.lock();
-      EAS_ASSERT_MSG(t != nullptr, "batch tick outlived its owner");
-      sim.schedule_in(interval, *t);
-    }
+  std::vector<disk::Request> pending;
+  std::size_t remaining = trace.size();
+  auto on_arrival = [&system, &pending, &remaining](const disk::Request& r) {
+    --remaining;
+    // The cache sits in front of the batch queue: absorbed requests
+    // complete at DRAM latency instead of waiting for the next tick.
+    if (system.cache_absorb(r)) return;
+    pending.push_back(r);
   };
-  if (!trace.empty()) sim.schedule_at(trace.start_time() + interval, *tick);
+  stream_arrivals(system, trace, on_arrival);
+  if (!trace.empty()) {
+    system.simulator().schedule_at(
+        trace.start_time() + interval,
+        BatchTick{&system, &sched, interval, &pending, &remaining});
+  }
 
   system.start(trace.end_time());
   return system.finish(sched.name());
@@ -1502,16 +1539,11 @@ RunResult run_offline(const SystemConfig& config,
   power::OraclePolicy policy(
       assignment.arrivals_by_disk(trace, placement.num_disks()));
   System system(config, placement, policy);
-  auto& sim = system.simulator();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const DiskId k = assignment.disk_of_request[i];
-    sim.schedule_at(trace[i].time, [&system, &trace, i, k] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      if (system.cache_absorb(r)) return;
-      system.route(r, k);
-    });
-  }
+  auto on_arrival = [&system, &assignment](const disk::Request& r) {
+    if (system.cache_absorb(r)) return;
+    system.route(r, assignment.disk_of_request[r.id]);
+  };
+  stream_arrivals(system, trace, on_arrival);
   system.start(trace.end_time());
   return system.finish(scheduler_name);
 }
@@ -1547,25 +1579,21 @@ RunResult run_online_mixed(const SystemConfig& config,
   EAS_REQUIRE_MSG(!config.reliability.enabled,
                   "write-offload runs do not support the reliability tier");
   System system(config, placement, policy);
-  auto& sim = system.simulator();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sim.schedule_at(trace[i].time, [&system, &sched, &offloader, &trace, i] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      if (!trace[i].is_read) {
-        system.dispatch_unchecked(r, offloader.route_write(r, system));
-        return;
-      }
-      // A freshly written block may live away from placement until
-      // reclaimed; such reads bypass the scheduler (there is exactly one
-      // valid location).
-      if (const auto diverted = offloader.read_override(r.data, system)) {
-        system.dispatch_unchecked(r, *diverted);
-        return;
-      }
-      system.dispatch(r, sched.pick(r, system));
-    });
-  }
+  auto on_arrival = [&system, &sched, &offloader](const disk::Request& r) {
+    if (!r.is_read) {
+      system.dispatch_unchecked(r, offloader.route_write(r, system));
+      return;
+    }
+    // A freshly written block may live away from placement until
+    // reclaimed; such reads bypass the scheduler (there is exactly one
+    // valid location).
+    if (const auto diverted = offloader.read_override(r.data, system)) {
+      system.dispatch_unchecked(r, *diverted);
+      return;
+    }
+    system.dispatch(r, sched.pick(r, system));
+  };
+  stream_arrivals(system, trace, on_arrival);
   system.start(trace.end_time());
   RunResult result = system.finish(sched.name() + "+write-offload");
   result.write_offload_enabled = true;

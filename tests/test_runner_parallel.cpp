@@ -13,10 +13,12 @@
 #include "core/basic_schedulers.hpp"
 #include "core/cost_scheduler.hpp"
 #include "core/mwis_scheduler.hpp"
+#include "core/write_offload.hpp"
 #include "core/wsc_scheduler.hpp"
 #include "power/fixed_threshold.hpp"
 #include "runner/sinks.hpp"
 #include "runner/sweep.hpp"
+#include "trace/synthetic.hpp"
 #include "util/check.hpp"
 
 namespace eas {
@@ -129,6 +131,105 @@ TEST(KernelGolden, SlotPoolKernelMatchesPreRewriteResults) {
   EXPECT_EQ(heuristic.total_spin_ups(), 181u);
   EXPECT_EQ(heuristic.requests_waited_spinup, 301u);
   EXPECT_EQ(heuristic.response_times.mean(), 1.3938358852147847);
+}
+
+/// FNV-1a over the full result JSON (per-disk stats included) and the bits
+/// of every sorted response sample: one value that moves if any counter,
+/// joule or latency of the run does.
+std::uint64_t fingerprint(const storage::RunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const std::string json = r.to_json(true);
+  mix(json.data(), json.size());
+  for (const double v : r.response_times.sorted()) mix(&v, sizeof v);
+  return h;
+}
+
+// The remaining entry points, recorded before arrivals moved from one
+// pre-scheduled event per record to the kernel's arrival lane: the offline
+// oracle driver, the batch and online drivers under every tier at once, and
+// the write-offload driver. Each must reproduce its pre-streaming result bit
+// for bit.
+TEST(KernelGolden, OfflineMwisMatchesPreStreamingResults) {
+  const auto p = small_params();
+  const auto trace = runner::make_shared_workload(p);
+  const auto placement = runner::make_shared_placement(p);
+  const auto mwis = run_cell(runner::SchedulerRegistry::global(), "mwis", p,
+                             *trace, *placement);
+  EXPECT_EQ(mwis.total_energy(), 88237.874986428898);
+  EXPECT_EQ(mwis.total_spin_ups(), 103u);
+  EXPECT_EQ(mwis.response_times.mean(), 0.34079870249986505);
+  EXPECT_EQ(fingerprint(mwis), 10416622678774624696ULL);
+}
+
+TEST(KernelGolden, AllTiersWithDiskFailureMatchPreStreamingResults) {
+  trace::SyntheticTraceConfig tc = trace::financial_like_config(1);
+  tc.num_requests = kRequests;
+  tc.write_fraction = 0.3;
+  const trace::Trace trace = trace::make_synthetic_trace(tc);
+  // The trace spans ~44 s: disk 7 fails a quarter of the way in and is
+  // back (and rebuilding) at the halfway mark, so the run sees failover,
+  // rebuild and repair.
+  cache::CacheConfig cc;
+  cc.policy = cache::CachePolicy::kLru;
+  cc.capacity_blocks = 256;
+  cc.dirty_capacity_blocks = 64;
+  reliability::ReliabilityConfig rc;
+  rc.deadline_seconds = 5.0;
+  rc.max_attempts = 3;
+  rc.hedge_delay_seconds = 0.5;
+  rc.max_queue_depth = 16;
+  const auto p = runner::ExperimentBuilder(small_params())
+                     .workload(runner::Workload::kFinancial)
+                     .cache(cc)
+                     .reliability(rc)
+                     .fail_disk_at(7, 11.0, 11.0)
+                     .build();
+  const auto placement = runner::make_shared_placement(p);
+  const auto& reg = runner::SchedulerRegistry::global();
+
+  const auto heuristic = run_cell(reg, "heuristic", p, trace, *placement);
+  EXPECT_EQ(heuristic.total_energy(), 816527.1406194336);
+  EXPECT_EQ(heuristic.total_spin_ups(), 489u);
+  EXPECT_EQ(heuristic.fault_stats.failovers, 16u);
+  EXPECT_EQ(heuristic.reliability_stats.hedges_issued, 361u);
+  EXPECT_EQ(heuristic.cache_stats.writes_buffered, 565u);
+  EXPECT_EQ(fingerprint(heuristic), 14995365288922374418ULL);
+
+  const auto wsc = run_cell(reg, "wsc", p, trace, *placement);
+  EXPECT_EQ(wsc.total_energy(), 822996.47716261423);
+  EXPECT_EQ(wsc.total_spin_ups(), 493u);
+  EXPECT_EQ(wsc.fault_stats.failovers, 15u);
+  EXPECT_EQ(wsc.reliability_stats.hedges_issued, 364u);
+  EXPECT_EQ(fingerprint(wsc), 10740754269308316428ULL);
+}
+
+TEST(KernelGolden, WriteOffloadMatchesPreStreamingResults) {
+  const auto p = small_params();
+  trace::SyntheticTraceConfig tc = trace::cello_like_config(p.trace_seed);
+  tc.num_requests = kRequests;
+  tc.write_fraction = 0.3;
+  const trace::Trace trace = trace::make_synthetic_trace(tc);
+  const auto placement = runner::make_placement(p);
+  core::CostFunctionScheduler sched(p.cost);
+  power::FixedThresholdPolicy policy;
+  core::WriteOffloadOptions opts;
+  opts.enabled = true;
+  opts.cost = p.cost;
+  core::WriteOffloadManager offloader(opts);
+  const auto r = storage::run_online_mixed(runner::system_config_for(p),
+                                           placement, trace, sched, policy,
+                                           offloader);
+  EXPECT_EQ(r.total_energy(), 119652.85445100725);
+  EXPECT_EQ(r.total_spin_ups(), 162u);
+  EXPECT_EQ(r.write_offload_stats.writes_diverted, 96u);
+  EXPECT_EQ(fingerprint(r), 9216418568620372620ULL);
 }
 
 TEST(SweepRunnerParallel, SharedInputsAreCachedAcrossCells) {

@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -167,6 +170,229 @@ TEST(Simulator, EventsFiredAccumulates) {
   for (int i = 5; i < 8; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_fired(), 8u);
+}
+
+// --- arrival lane ------------------------------------------------------------
+
+TEST(ArrivalLane, BeatsEqualTimeHeapEventScheduledEarlier) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(5.0, [&] { order.push_back('h'); });
+  sim.schedule_arrival(5.0, [&] { order.push_back('a'); });
+  EXPECT_EQ(sim.pending_count(), 2u);
+  EXPECT_EQ(sim.queue_depth(), 1u);  // the lane is not in the heap
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<char>{'a', 'h'}));
+  EXPECT_EQ(sim.events_fired(), 2u);
+}
+
+TEST(ArrivalLane, StrictlyEarlierHeapEventFiresFirst) {
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_arrival(5.0, [&] { order.push_back('a'); });
+  sim.schedule_at(4.0, [&] { order.push_back('h'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'h', 'a'}));
+}
+
+TEST(ArrivalLane, RearmsFromInsideItsOwnCallback) {
+  Simulator sim;
+  const std::vector<double> times = {1.0, 1.0, 2.0, 3.0, 3.0};
+  std::vector<double> seen;
+  struct Step {
+    Simulator* sim;
+    const std::vector<double>* times;
+    std::vector<double>* seen;
+    std::size_t i;
+    void operator()() const {
+      seen->push_back(sim->now());
+      // Heap events scheduled at the arrival's own time must still lose to
+      // the next arrival at that time.
+      sim->schedule_in(0.0, [s = seen] { s->push_back(-1.0); });
+      if (i + 1 < times->size()) {
+        sim->schedule_arrival((*times)[i + 1], Step{sim, times, seen, i + 1});
+      }
+    }
+  };
+  sim.schedule_arrival(times[0], Step{&sim, &times, &seen, 0});
+  EXPECT_EQ(sim.run(), 10u);
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 1.0, -1.0, -1.0, 2.0, -1.0, 3.0,
+                                       3.0, -1.0, -1.0}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(ArrivalLane, RunUntilStopsBeforeLaterLaneEventAndLeavesItPending) {
+  Simulator sim;
+  bool lane_fired = false;
+  sim.schedule_at(2.0, [] {});
+  sim.schedule_arrival(10.0, [&] { lane_fired = true; });
+  EXPECT_EQ(sim.run_until(5.0), 1u);
+  EXPECT_FALSE(lane_fired);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 10.0);
+  EXPECT_EQ(sim.run_until(10.0), 1u);  // the bound is inclusive
+  EXPECT_TRUE(lane_fired);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(ArrivalLane, StepAndNextEventTimeSeeTheLane) {
+  Simulator sim;
+  const Simulator& csim = sim;
+  std::vector<char> order;
+  sim.schedule_at(4.0, [&] { order.push_back('h'); });
+  sim.schedule_arrival(3.0, [&] { order.push_back('a'); });
+  EXPECT_DOUBLE_EQ(csim.next_event_time(), 3.0);
+  EXPECT_TRUE(sim.step());
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_DOUBLE_EQ(csim.next_event_time(), 4.0);
+  EXPECT_TRUE(sim.step());
+  EXPECT_FALSE(sim.step());
+  EXPECT_DOUBLE_EQ(csim.next_event_time(), kTimeInfinity);
+  EXPECT_EQ(order, (std::vector<char>{'a', 'h'}));
+  EXPECT_EQ(sim.events_fired(), 2u);
+}
+
+TEST(ArrivalLane, RejectsABusyLane) {
+  Simulator sim;
+  sim.schedule_arrival(1.0, [] {});
+  EXPECT_THROW(sim.schedule_arrival(2.0, [] {}), InvariantError);
+  sim.run();
+  sim.schedule_arrival(2.0, [] {});  // free again once fired
+  EXPECT_EQ(sim.run(), 1u);
+}
+
+TEST(ArrivalLane, RejectsATimeInThePast) {
+  Simulator sim;
+  sim.schedule_at(10.0, [] {});
+  sim.run();
+  EXPECT_THROW(sim.schedule_arrival(5.0, [] {}), InvariantError);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(ArrivalLane, RejectsNonFiniteTimeAndNullCallback) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_arrival(kTimeInfinity, [] {}), InvariantError);
+  EXPECT_THROW(sim.schedule_arrival(std::nan(""), [] {}), InvariantError);
+  EXPECT_THROW(sim.schedule_arrival(1.0, Simulator::Callback{}),
+               InvariantError);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+// --- differential: streamed vs pre-scheduled arrivals ------------------------
+//
+// A seeded event program: a sorted arrival list on a coarse time grid (so
+// many arrivals share a timestamp), and handlers that schedule heap events
+// (zero delays included, to tie with the arrival that spawned them) and
+// cancel earlier ones. Every action is a pure function of (seed, event
+// identity), so two runs that fire the same events in the same order make
+// the same choices. Run once with every arrival pre-scheduled through
+// schedule_at before anything else — the order the lane must reproduce —
+// and once streamed through the lane; the firing logs must be identical.
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+class EventProgram {
+ public:
+  struct Fired {
+    bool arrival;
+    std::uint64_t id;
+    double time;
+    bool operator==(const Fired&) const = default;
+  };
+
+  explicit EventProgram(std::uint64_t seed) : seed_(seed) {
+    const std::size_t n = 1 + splitmix(seed) % 60;
+    for (std::size_t i = 0; i < n; ++i) {
+      arrivals_.push_back(0.25 * static_cast<double>(
+                                     splitmix(seed ^ (0x100 + i)) % 16));
+    }
+    std::stable_sort(arrivals_.begin(), arrivals_.end());
+  }
+
+  std::vector<Fired> run(bool streamed) {
+    Simulator sim;
+    sim_ = &sim;
+    log_.clear();
+    handles_.clear();
+    if (streamed) {
+      sim.schedule_arrival(arrivals_[0], Cursor{this, 0});
+    } else {
+      for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+        sim.schedule_at(arrivals_[i], [this, i] { on_arrival(i); });
+      }
+    }
+    // Odd seeds advance in run_until slices first, so the lane's boundary
+    // handling is exercised as well as run()'s.
+    if (seed_ % 2 == 1) {
+      for (double until = 0.5; until < 4.0; until += 0.75) sim.run_until(until);
+    }
+    sim.run();
+    sim_ = nullptr;
+    return log_;
+  }
+
+ private:
+  struct Cursor {
+    EventProgram* p;
+    std::size_t i;
+    void operator()() const {
+      if (i + 1 < p->arrivals_.size()) {
+        p->sim_->schedule_arrival(p->arrivals_[i + 1], Cursor{p, i + 1});
+      }
+      p->on_arrival(i);
+    }
+  };
+
+  void on_arrival(std::size_t i) {
+    log_.push_back({true, i, sim_->now()});
+    act(splitmix(seed_ ^ (0xa000 + i)));
+  }
+
+  void on_heap(std::uint64_t id) {
+    log_.push_back({false, id, sim_->now()});
+    act(splitmix(seed_ ^ (0xb000000 + id)));
+  }
+
+  /// Spawns 0-3 heap events at delays {0, 0.25, 0.5, 0.75} and sometimes
+  /// cancels an earlier one, all decided by the bits of `k`.
+  void act(std::uint64_t k) {
+    const std::uint64_t spawn = k % 4;
+    for (std::uint64_t j = 0; j < spawn && handles_.size() < 400; ++j) {
+      const std::uint64_t id = handles_.size();
+      const double delay = 0.25 * static_cast<double>((k >> (8 + 2 * j)) % 4);
+      handles_.push_back(sim_->schedule_in(delay, [this, id] { on_heap(id); }));
+    }
+    if ((k >> 20) % 3 == 0 && !handles_.empty()) {
+      sim_->cancel(handles_[(k >> 24) % handles_.size()]);
+    }
+  }
+
+  std::uint64_t seed_;
+  std::vector<double> arrivals_;
+  Simulator* sim_ = nullptr;
+  std::vector<EventHandle> handles_;
+  std::vector<Fired> log_;
+};
+
+TEST(ArrivalLane, StreamedFiringMatchesPreScheduledOn600Programs) {
+  std::size_t ties = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    EventProgram program(seed);
+    const auto pre = program.run(false);
+    const auto streamed = program.run(true);
+    ASSERT_EQ(pre, streamed) << "program seed " << seed;
+    for (std::size_t i = 1; i < pre.size(); ++i) {
+      ties += pre[i].time == pre[i - 1].time ? 1 : 0;
+    }
+  }
+  EXPECT_GT(ties, 10000u);  // the programs really are tie-heavy
 }
 
 }  // namespace

@@ -90,6 +90,41 @@ TEST(SimulatorAllocation, SteadyStateScheduleCancelIsAllocationFree) {
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
+TEST(SimulatorAllocation, WarmArrivalLaneCycleIsAllocationFree) {
+  // Trace replay's shape: each arrival re-arms the lane for the next one
+  // and schedules a heap event (a disk completion stand-in). Once the slot
+  // pool is warm, a whole replay allocates nothing — the lane's cursor is
+  // built in place in its double-buffered callback storage.
+  Simulator sim;
+  double acc = 0.0;
+  struct Arrival {
+    Simulator* sim;
+    double* acc;
+    int i;
+    int n;
+    void operator()() const {
+      if (i + 1 < n) {
+        sim->schedule_arrival(sim->now() + 1e-3 * ((i + 1) % 3),
+                              Arrival{sim, acc, i + 1, n});
+      }
+      sim->schedule_in(5e-3, [a = acc, v = i] { *a += v; });
+    }
+  };
+  const auto replay = [&] {
+    sim.schedule_arrival(sim.now(), Arrival{&sim, &acc, 0, 4096});
+    sim.run();
+  };
+  replay();  // warm-up: grows the slot pool and heap to their high-water mark
+
+  const std::uint64_t fired_before = sim.events_fired();
+  const std::uint64_t n = allocations_during([&] {
+    for (int round = 0; round < 50; ++round) replay();
+  });
+  EXPECT_EQ(n, 0u) << "lane re-arm/fire cycles allocated";
+  EXPECT_EQ(sim.events_fired() - fired_before, 50u * 4096u * 2u);
+  EXPECT_NE(acc, 0.0);
+}
+
 TEST(SimulatorAllocation, TracingCompiledInButOffAddsNoAllocations) {
   // The observability hooks ride the simulator as a nullable pointer; with
   // no recorder attached (the default) every EAS_OBS site is one untaken

@@ -2,6 +2,8 @@
 // system under each scheduling model and power policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/basic_schedulers.hpp"
 #include "core/cost_scheduler.hpp"
 #include "core/mwis_scheduler.hpp"
@@ -9,6 +11,7 @@
 #include "core/wsc_scheduler.hpp"
 #include "paper_example.hpp"
 #include "power/fixed_threshold.hpp"
+#include "runner/experiment.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/synthetic.hpp"
 
@@ -256,6 +259,70 @@ TEST(EnergyAwareVsOblivious, HeuristicBeatsRandomWithReplication) {
       storage::run_online(cfg, placement, trace, heuristic, p2);
 
   EXPECT_LT(r_heur.total_energy(), r_random.total_energy());
+}
+
+// --- event heap bound ---------------------------------------------------------
+//
+// Arrivals stream through the kernel's arrival lane, so the simulator holds
+// only disk, timer and tier events — never one per trace record. A policy
+// wrapper samples pending_count() at every idle/activity notification (the
+// points where the run is busiest) and forwards to the real 2CPM policy.
+
+class PendingSampler final : public power::PowerPolicy {
+ public:
+  std::string name() const override { return inner_.name(); }
+  void on_run_start(sim::Simulator& sim,
+                    const std::vector<disk::Disk*>& disks) override {
+    sample(sim);
+    inner_.on_run_start(sim, disks);
+  }
+  void on_disk_idle(sim::Simulator& sim, disk::Disk& d) override {
+    sample(sim);
+    inner_.on_disk_idle(sim, d);
+  }
+  void on_disk_activity(sim::Simulator& sim, disk::Disk& d) override {
+    sample(sim);
+    inner_.on_disk_activity(sim, d);
+  }
+  std::size_t max_pending() const { return max_pending_; }
+  std::uint64_t samples() const { return samples_; }
+
+ private:
+  void sample(const sim::Simulator& sim) {
+    max_pending_ = std::max(max_pending_, sim.pending_count());
+    ++samples_;
+  }
+  power::FixedThresholdPolicy inner_;
+  std::size_t max_pending_ = 0;
+  std::uint64_t samples_ = 0;
+};
+
+TEST(EventHeapBound, PendingEventsScaleWithDisksNotTraceLength) {
+  const auto p = runner::ExperimentBuilder(runner::Workload::kCello)
+                     .requests(100000)
+                     .build();
+  const auto trace = runner::make_workload(p.workload, p.trace_seed,
+                                           p.num_requests);
+  const auto placement = runner::make_placement(p);
+  const auto config = runner::system_config_for(p);
+  // Per disk at most a service completion, a power transition and a
+  // spin-down timer are pending; plus the one arrival in the lane.
+  const std::size_t bound = 3 * std::size_t{p.num_disks} + 1;
+
+  PendingSampler online_policy;
+  core::CostFunctionScheduler online(p.cost);
+  const auto r = storage::run_online(config, placement, trace, online,
+                                     online_policy);
+  EXPECT_EQ(r.total_requests, trace.size());
+  EXPECT_GT(online_policy.samples(), trace.size());
+  EXPECT_LE(online_policy.max_pending(), bound);
+
+  PendingSampler batch_policy;
+  core::WscBatchScheduler batch(p.batch_interval, p.cost);
+  const auto rb = storage::run_batch(config, placement, trace, batch,
+                                     batch_policy);
+  EXPECT_EQ(rb.total_requests, trace.size());
+  EXPECT_LE(batch_policy.max_pending(), bound);
 }
 
 }  // namespace
