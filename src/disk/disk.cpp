@@ -146,7 +146,8 @@ void Disk::submit(const Request& r) {
   queue_.push_back(Pending{r, disk_was_down});
   EAS_OBS(sim_.recorder(),
           request_event(sim_.now(), obs::Ev::kQueue, r.id, id_,
-                        static_cast<std::uint32_t>(queued_requests())));
+                        static_cast<std::uint32_t>(queued_requests()),
+                        static_cast<std::uint16_t>(r.kind)));
 
   switch (state_) {
     case DiskState::Idle:
@@ -177,9 +178,9 @@ std::vector<Request> Disk::take_pending() {
   return drained;
 }
 
-bool Disk::remove_pending(RequestId id) {
+bool Disk::remove_pending(RequestId id, RequestKind kind) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->request.id == id) {
+    if (it->request.id == id && it->request.kind == kind) {
       queue_.erase(it);
       // Mirror take_pending(): if the removed entry was the only reason to
       // bounce back from an in-flight spin-down, drop the wake.
@@ -190,11 +191,11 @@ bool Disk::remove_pending(RequestId id) {
   return false;
 }
 
-RequestId Disk::oldest_queued_read() const {
+const Request* Disk::oldest_queued_read() const {
   for (const Pending& p : queue_) {
-    if (p.request.is_read && !p.request.internal) return p.request.id;
+    if (p.request.is_read && !is_internal(p.request.kind)) return &p.request;
   }
-  return kInvalidRequest;
+  return nullptr;
 }
 
 void Disk::spin_up() {
@@ -255,8 +256,9 @@ void Disk::start_service() {
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
   in_service_ = true;
   current_started_ = sim_.now();
-  EAS_OBS(sim_.recorder(), request_event(sim_.now(), obs::Ev::kServiceBegin,
-                                         current_.id, id_));
+  EAS_OBS(sim_.recorder(),
+          request_event(sim_.now(), obs::Ev::kServiceBegin, current_.id, id_,
+                        0, static_cast<std::uint16_t>(current_.kind)));
   double service;
   if (perf_.use_position_model) {
     const unsigned target = cylinder_of(current_.data, perf_.num_cylinders);
@@ -274,8 +276,9 @@ void Disk::complete_service() {
   EAS_CHECK(in_service_);
   in_service_ = false;
   ++stats_.requests_served;
-  EAS_OBS(sim_.recorder(), request_event(sim_.now(), obs::Ev::kServiceEnd,
-                                         current_.id, id_));
+  EAS_OBS(sim_.recorder(),
+          request_event(sim_.now(), obs::Ev::kServiceEnd, current_.id, id_, 0,
+                        static_cast<std::uint16_t>(current_.kind)));
 
   Completion c;
   c.request = current_;

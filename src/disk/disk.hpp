@@ -98,15 +98,17 @@ class Disk {
   std::vector<Request> take_pending();
 
   /// Reliability path: removes the first queued (not yet in service) request
-  /// with this id. Returns false when no queued entry matches — the request
-  /// is in service (it will complete regardless; the head already moved) or
-  /// was never here. Queue order of the survivors is preserved.
-  bool remove_pending(RequestId id);
+  /// with this id and kind — a primary and its hedge copy share an id and
+  /// may share a queue. Returns false when no queued entry matches — the
+  /// request is in service (it will complete regardless; the head already
+  /// moved) or was never here. Queue order of the survivors is preserved.
+  bool remove_pending(RequestId id, RequestKind kind);
 
-  /// Reliability path: id of the oldest queued foreground read (FCFS order —
-  /// front of the queue first), or kInvalidRequest when no queued entry is a
-  /// non-internal read. The in-service request is never a candidate.
-  RequestId oldest_queued_read() const;
+  /// Reliability path: the oldest queued foreground or hedge read (FCFS
+  /// order — front of the queue first), or null when there is none. The
+  /// in-service request is never a candidate. The pointer is invalidated by
+  /// the next queue mutation.
+  const Request* oldest_queued_read() const;
 
   /// Power-policy entry point: begin spinning down. Only legal from Idle;
   /// calling in any other state is an invariant violation (policies must

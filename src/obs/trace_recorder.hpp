@@ -59,11 +59,11 @@ const char* to_string(Cat c);
 
 enum class Ev : std::uint8_t {
   kArrive = 0,        ///< request entered the system       id=req  a=data
-  kQueue = 1,         ///< request queued at a disk         id=req  a=disk b=depth
-  kDispatch = 2,      ///< scheduler routed request         id=req  a=disk
-  kServiceBegin = 3,  ///< head movement + transfer start   id=req  a=disk
-  kServiceEnd = 4,    ///< transfer done                    id=req  a=disk
-  kComplete = 5,      ///< completion seen by the system    id=req  a=disk
+  kQueue = 1,         ///< request queued at a disk         id=req  a=disk b=depth c=kind
+  kDispatch = 2,      ///< scheduler routed request         id=req  a=disk c=kind
+  kServiceBegin = 3,  ///< head movement + transfer start   id=req  a=disk c=kind
+  kServiceEnd = 4,    ///< transfer done                    id=req  a=disk c=kind
+  kComplete = 5,      ///< completion seen by the system    id=req  a=disk c=kind
   kPowerTransition = 6,  ///< disk changed state            id=disk b=from c=to
   kBatchFormed = 7,   ///< WSC batch assigned               id=seq  a=size
   kRebuildRead = 8,   ///< internal source read issued      id=target a=data b=src
@@ -155,9 +155,12 @@ class TraceRecorder {
   }
 
   // Named helpers for the instrumentation sites (all inline, hot).
+  /// `kind` is the raw disk::RequestKind: 0 for foreground requests, so a
+  /// run without tiers records the same bytes it always did. Request ids
+  /// are unique only within a kind.
   void request_event(double t, Ev ev, std::uint64_t req, std::uint64_t disk,
-                     std::uint32_t depth = 0) {
-    record(t, ev, req, disk, depth);
+                     std::uint32_t depth = 0, std::uint16_t kind = 0) {
+    record(t, ev, req, disk, depth, kind);
   }
   void power_transition(double t, std::uint32_t disk, std::uint32_t from,
                         std::uint32_t to) {

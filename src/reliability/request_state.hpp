@@ -43,15 +43,6 @@ struct RequestState {
   /// True while a backoff wait is scheduled; the hedge path skips hedging a
   /// request that is between attempts (nothing is in flight to hedge).
   bool retry_scheduled = false;
-
-  /// Cancels any pending timers. Idempotent: stale handles are rejected by
-  /// the simulator's generation check.
-  void cancel_timers(sim::Simulator& sim) {
-    sim.cancel(deadline);
-    sim.cancel(hedge_timer);
-    deadline = {};
-    hedge_timer = {};
-  }
 };
 
 }  // namespace eas::reliability

@@ -207,12 +207,14 @@ class System final : public core::SystemView {
     if (config_.obs.metrics) {
       metrics_ = std::make_shared<obs::MetricRegistry>();
       // Registered up front in one fixed order so the registry's JSON (and
-      // any merge across sweep cells) is schema-stable.
-      m_completed_ = metrics_->counter("requests_completed");
-      m_waited_ = metrics_->counter("requests_waited_spinup");
-      m_failovers_ = metrics_->counter("failovers");
-      m_unavailable_ = metrics_->counter("unavailable_requests");
-      m_batches_ = metrics_->counter("batches_formed");
+      // any merge across sweep cells) is schema-stable. Counters are
+      // published from the run's own tallies at finish(); only summaries
+      // and histograms are fed while the run is live.
+      metrics_->counter("requests_completed");
+      metrics_->counter("requests_waited_spinup");
+      metrics_->counter("failovers");
+      metrics_->counter("unavailable_requests");
+      metrics_->counter("batches_formed");
       m_batch_size_ = metrics_->summary("batch_size");
       m_queue_depth_ = metrics_->summary("queue_depth");
       m_response_ = metrics_->histogram("response_seconds", 1e-4, 100.0, 10);
@@ -227,11 +229,11 @@ class System final : public core::SystemView {
       // Cache metrics come after the fixed prelude and only exist for
       // cache-enabled runs, so the cache-off registry stays schema-stable.
       if (config_.cache.enabled) {
-        m_cache_hits_ = metrics_->counter("cache_hits");
-        m_cache_misses_ = metrics_->counter("cache_misses");
-        m_writes_buffered_ = metrics_->counter("cache_writes_buffered");
-        m_destage_batches_ = metrics_->counter("destage_batches");
-        m_destaged_blocks_ = metrics_->counter("destaged_blocks");
+        metrics_->counter("cache_hits");
+        metrics_->counter("cache_misses");
+        metrics_->counter("cache_writes_buffered");
+        metrics_->counter("destage_batches");
+        metrics_->counter("destaged_blocks");
         m_dirty_occupancy_ = metrics_->summary("dirty_occupancy");
         metrics_->gauge("cache_hit_ratio");
         metrics_->gauge("cache_memory_energy_joules");
@@ -239,12 +241,12 @@ class System final : public core::SystemView {
       // Reliability metrics follow the same enabled-only rule, after the
       // cache block, so existing registries stay schema-stable.
       if (config_.reliability.enabled) {
-        m_deadline_misses_ = metrics_->counter("deadline_misses");
-        m_retries_ = metrics_->counter("retries");
-        m_hedges_issued_ = metrics_->counter("hedges_issued");
-        m_hedge_wins_ = metrics_->counter("hedge_wins");
-        m_shed_ = metrics_->counter("shed_requests");
-        m_abandoned_ = metrics_->counter("abandoned_requests");
+        metrics_->counter("deadline_misses");
+        metrics_->counter("retries");
+        metrics_->counter("hedges_issued");
+        metrics_->counter("hedge_wins");
+        metrics_->counter("shed_requests");
+        metrics_->counter("abandoned_requests");
       }
     }
     if (config_.cache.enabled) {
@@ -367,8 +369,7 @@ class System final : public core::SystemView {
     EAS_OBS(sim_.recorder(),
             batch_formed(sim_.now(), batch_seq_, size));
     ++batch_seq_;
-    if (metrics_ != nullptr) {
-      ++*m_batches_;
+    if (m_batch_size_ != nullptr) {
       m_batch_size_->add(static_cast<double>(size));
     }
   }
@@ -407,16 +408,14 @@ class System final : public core::SystemView {
       const DiskId alt = view_->first_live(placement_, r.data);
       if (alt != kInvalidDisk) note_failover();
       k = alt;
-    } else if (k != kInvalidDisk && view_->degraded()) {
+    } else if (k != kInvalidDisk && view_->degraded() &&
+               first_replica(r.data, kInvalidDisk, [&](DiskId loc) {
+                 return !view_->replica_readable(r.data, loc);
+               }) != kInvalidDisk) {
       // The degraded-aware schedulers route around dead replicas before the
       // pick reaches us; that is still a failover event — the request was
       // served from a fault-shrunk candidate set.
-      for (const DiskId loc : placement_.locations(r.data)) {
-        if (!view_->replica_readable(r.data, loc)) {
-          note_failover();
-          break;
-        }
-      }
+      note_failover();
     }
     if (k == kInvalidDisk) {
       note_unavailable();
@@ -437,10 +436,6 @@ class System final : public core::SystemView {
       dispatch(r, k);
       return;
     }
-    // Foreground ids must leave the top three bits clear — the internal /
-    // destage / hedge tags live there.
-    EAS_REQUIRE_MSG((r.id & (kInternalBit | kDestageBit | kHedgeBit)) == 0,
-                    "foreground request id " << r.id << " collides with tags");
     auto [it, inserted] = inflight_.try_emplace(r.id, InFlight{r, {}});
     EAS_ASSERT_MSG(inserted, "duplicate foreground request id");
     attempt(r.id, it->second, k);
@@ -466,7 +461,8 @@ class System final : public core::SystemView {
                     "dispatch to failed disk " << k);
     r.dispatch_time = sim_.now();
     EAS_OBS(sim_.recorder(),
-            request_event(sim_.now(), obs::Ev::kDispatch, r.id, k));
+            request_event(sim_.now(), obs::Ev::kDispatch, r.id, k, 0,
+                          static_cast<std::uint16_t>(r.kind)));
     policy_.on_disk_activity(sim_, *disks_[k]);
     disks_[k]->submit(r);
     // Depth including the new request: the backlog this dispatch joined.
@@ -505,41 +501,12 @@ class System final : public core::SystemView {
           config_.cache.memory_energy_joules(horizon);
       r.cache_enabled = true;
       r.cache_stats = cache_stats_;
-      if (metrics_ != nullptr) {
-        *metrics_->gauge("cache_hit_ratio") = cache_stats_.hit_ratio();
-        *metrics_->gauge("cache_memory_energy_joules") =
-            cache_stats_.memory_energy_joules;
-      }
     }
     if (config_.reliability.enabled) {
       r.reliability_enabled = true;
       r.reliability_stats = rel_stats_;
     }
-    if (metrics_ != nullptr) {
-      // End-of-run aggregates: per-disk state-time summaries and the energy
-      // gauges. Disks are folded in id order, so the Welford state is a pure
-      // function of the run.
-      std::uint64_t ups = 0;
-      std::uint64_t downs = 0;
-      for (int s = 0; s < disk::kNumDiskStates; ++s) {
-        stats::SummaryStats* per_state = metrics_->summary(
-            std::string("disk_seconds_") +
-            disk::to_string(static_cast<disk::DiskState>(s)));
-        for (const auto& ds : r.disk_stats) {
-          per_state->add(ds.seconds_in_state[s]);
-        }
-      }
-      for (const auto& ds : r.disk_stats) {
-        ups += ds.spin_ups;
-        downs += ds.spin_downs;
-      }
-      *metrics_->counter("spin_ups") = ups;
-      *metrics_->counter("spin_downs") = downs;
-      *metrics_->gauge("total_energy_joules") = r.total_energy();
-      *metrics_->gauge("energy_per_request_joules") =
-          completed_ > 0 ? r.total_energy() / static_cast<double>(completed_)
-                         : 0.0;
-    }
+    if (metrics_ != nullptr) publish_metrics(r);
     r.trace_recorder = recorder_;
     r.metrics = metrics_;
     return r;
@@ -560,30 +527,80 @@ class System final : public core::SystemView {
     bool writing = false;      ///< current item's phase
   };
 
-  static constexpr RequestId kInternalBit = RequestId{1} << 63;
-  /// Distinguishes destage writes from rebuild traffic inside the internal
-  /// id space; both carry the target disk in bits [32,62). The target field
-  /// is exactly 30 bits wide so it can never bleed into kDestageBit.
-  static constexpr RequestId kDestageBit = RequestId{1} << 62;
-  /// Tags the hedge copy of a foreground read. Hedge copies are *not*
-  /// internal (their completion is a real foreground completion), so this
-  /// bit only ever appears with kInternalBit clear and cannot collide with
-  /// the internal target field, which occupies bits [32,62) of internal ids
-  /// only. Foreground ids are trace indices, far below bit 61.
-  static constexpr RequestId kHedgeBit = RequestId{1} << 61;
-  static constexpr RequestId kTargetMask = (RequestId{1} << 30) - 1;
-  static RequestId internal_id(DiskId target, std::uint32_t epoch) {
-    EAS_REQUIRE((target & ~kTargetMask) == 0);
-    return kInternalBit | (static_cast<RequestId>(target) << 32) | epoch;
+  /// End-of-run metrics: every counter is published from the tally the run
+  /// already keeps (so each fact has one home), then the per-disk
+  /// state-time summaries and the energy gauges. Disks are folded in id
+  /// order, so the Welford state is a pure function of the run.
+  void publish_metrics(const RunResult& r) {
+    const auto set = [this](const char* name, std::uint64_t value) {
+      *metrics_->counter(name) = value;
+    };
+    set("requests_completed", completed_);
+    set("requests_waited_spinup", waited_spinup_);
+    set("batches_formed", batch_seq_);
+    set("spin_ups", r.total_spin_ups());
+    set("spin_downs", r.total_spin_downs());
+    if (r.faults_enabled) {
+      set("failovers", r.fault_stats.failovers);
+      set("unavailable_requests", r.fault_stats.unavailable_requests);
+    }
+    if (r.cache_enabled) {
+      const cache::CacheStats& cs = r.cache_stats;
+      set("cache_hits", cs.hits_clean + cs.hits_dirty);
+      set("cache_misses", cs.misses);
+      set("cache_writes_buffered", cs.writes_buffered);
+      set("destage_batches", cs.destage_batches);
+      set("destaged_blocks", cs.destaged_blocks);
+      *metrics_->gauge("cache_hit_ratio") = cs.hit_ratio();
+      *metrics_->gauge("cache_memory_energy_joules") = cs.memory_energy_joules;
+    }
+    if (r.reliability_enabled) {
+      const reliability::ReliabilityStats& rs = r.reliability_stats;
+      set("deadline_misses", rs.deadline_misses);
+      set("retries", rs.retries);
+      set("hedges_issued", rs.hedges_issued);
+      set("hedge_wins", rs.hedge_wins);
+      set("shed_requests", rs.shed);
+      set("abandoned_requests", rs.abandoned);
+    }
+    for (int s = 0; s < disk::kNumDiskStates; ++s) {
+      stats::SummaryStats* per_state = metrics_->summary(
+          std::string("disk_seconds_") +
+          disk::to_string(static_cast<disk::DiskState>(s)));
+      for (const auto& ds : r.disk_stats) {
+        per_state->add(ds.seconds_in_state[s]);
+      }
+    }
+    *metrics_->gauge("total_energy_joules") = r.total_energy();
+    *metrics_->gauge("energy_per_request_joules") =
+        completed_ > 0 ? r.total_energy() / static_cast<double>(completed_)
+                       : 0.0;
   }
-  static RequestId destage_id(DiskId target, std::uint32_t seq) {
-    EAS_REQUIRE((target & ~kTargetMask) == 0);
-    return kInternalBit | kDestageBit |
-           (static_cast<RequestId>(target) << 32) | seq;
+
+  // ---- replica selection ----
+
+  /// First replica location of `b`, in placement order, other than `skip`
+  /// that satisfies `ok`; kInvalidDisk when none does.
+  template <typename Ok>
+  DiskId first_replica(DataId b, DiskId skip, Ok ok) const {
+    for (const DiskId loc : placement_.locations(b)) {
+      if (loc != skip && ok(loc)) return loc;
+    }
+    return kInvalidDisk;
   }
-  static bool is_destage(RequestId id) { return (id & kDestageBit) != 0; }
-  static DiskId internal_target(RequestId id) {
-    return static_cast<DiskId>((id >> 32) & kTargetMask);
+  /// First replica of `b` other than `skip` whose copy can serve a read
+  /// (any replica, without a failure view).
+  DiskId first_readable(DataId b, DiskId skip) const {
+    return first_replica(b, skip, [this, b](DiskId k) {
+      return view_ == nullptr || view_->replica_readable(b, k);
+    });
+  }
+  /// First replica of `b` other than `skip` whose disk accepts I/O (any
+  /// replica, without a failure view).
+  DiskId first_accepting(DataId b, DiskId skip) const {
+    return first_replica(b, skip, [this](DiskId k) {
+      return view_ == nullptr || view_->accepts_io(k);
+    });
   }
 
   // ---- cache tier ----
@@ -594,7 +611,6 @@ class System final : public core::SystemView {
     // stale until destage), so it always serves — even degraded.
     if (wb_ != nullptr && wb_->contains(r.data)) {
       ++cache_stats_.hits_dirty;
-      if (m_cache_hits_ != nullptr) ++*m_cache_hits_;
       EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kCacheHit,
                                            r.id, r.data, /*dirty=*/1));
       complete_from_cache(r);
@@ -609,19 +625,16 @@ class System final : public core::SystemView {
         read_cache_->erase(r.data);
         ++cache_stats_.lost_copies_dropped;
         ++cache_stats_.misses;
-        if (m_cache_misses_ != nullptr) ++*m_cache_misses_;
         return false;
       }
       read_cache_->lookup(r.data);  // promote
       ++cache_stats_.hits_clean;
-      if (m_cache_hits_ != nullptr) ++*m_cache_hits_;
       EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kCacheHit,
                                            r.id, r.data, /*dirty=*/0));
       complete_from_cache(r);
       return true;
     }
     ++cache_stats_.misses;
-    if (m_cache_misses_ != nullptr) ++*m_cache_misses_;
     EAS_OBS(sim_.recorder(),
             cache_event(sim_.now(), obs::Ev::kCacheMiss, r.id, r.data));
     return false;
@@ -636,13 +649,7 @@ class System final : public core::SystemView {
     // Home = first replica location accepting I/O; deterministic, and the
     // destage lands on a disk that stores the block by construction. All
     // replicas dead => the write is unavailable (cache must not hide it).
-    DiskId home = kInvalidDisk;
-    for (const DiskId loc : placement_.locations(r.data)) {
-      if (view_ == nullptr || view_->accepts_io(loc)) {
-        home = loc;
-        break;
-      }
-    }
+    const DiskId home = first_accepting(r.data, kInvalidDisk);
     if (home == kInvalidDisk) {
       note_unavailable();
       return true;  // absorbed: there is no disk to route it to
@@ -655,7 +662,6 @@ class System final : public core::SystemView {
       return false;
     }
     ++cache_stats_.writes_buffered;
-    if (m_writes_buffered_ != nullptr) ++*m_writes_buffered_;
     if (m_dirty_occupancy_ != nullptr) {
       m_dirty_occupancy_->add(static_cast<double>(wb_->size()));
     }
@@ -664,20 +670,7 @@ class System final : public core::SystemView {
     // The buffered copy supersedes any clean cached one.
     if (read_cache_ != nullptr) read_cache_->erase(r.data);
     complete_from_cache(r);
-    if (fresh) {
-      // Deadline backstop for this admission. The admission time doubles as
-      // an incarnation token: if the block destages and is re-admitted, the
-      // stale event no-ops and the fresh admission armed its own.
-      const DataId b = r.data;
-      const double admit = sim_.now();
-      sim_.schedule_in(config_.cache.destage_deadline_seconds,
-                       [this, b, admit] {
-                         if (wb_ == nullptr || !wb_->is_pending(b)) return;
-                         if (wb_->buffered_at(b) != admit) return;
-                         destage_batch(wb_->home_of(b),
-                                       cache::DestageReason::kDeadline);
-                       });
-    }
+    if (fresh) arm_destage_deadline(r.data);
     // Opportunistic flush: the home disk is spinning with an empty queue,
     // so the write-back costs no extra spin-up.
     if (disks_[home]->state() == disk::DiskState::Idle &&
@@ -688,19 +681,34 @@ class System final : public core::SystemView {
     return true;
   }
 
+  /// Deadline backstop for block `b`, admitted to the buffer now. The
+  /// admission time doubles as an incarnation token: if the block destages
+  /// and is re-admitted, the stale event no-ops and the fresh admission
+  /// armed its own.
+  void arm_destage_deadline(DataId b) {
+    const double admit = sim_.now();
+    sim_.schedule_in(config_.cache.destage_deadline_seconds, [this, b, admit] {
+      if (wb_ == nullptr || !wb_->is_pending(b)) return;
+      if (wb_->buffered_at(b) != admit) return;
+      destage_batch(wb_->home_of(b), cache::DestageReason::kDeadline);
+    });
+  }
+
   /// Completes an absorbed request at DRAM latency: it never touches a
   /// disk, but it is a foreground completion like any other.
   void complete_from_cache(const disk::Request& r) {
     sim_.schedule_in(config_.cache.dram_latency_seconds, [this, r] {
       const double t = sim_.now();
       last_completion_ = std::max(last_completion_, t);
-      ++completed_;
-      responses_.add(t - r.arrival_time);
-      if (metrics_ != nullptr) {
-        ++*m_completed_;
-        m_response_->add(t - r.arrival_time);
-      }
+      count_completion(t - r.arrival_time);
     });
+  }
+
+  /// Tallies one foreground completion with its response time.
+  void count_completion(double response_seconds) {
+    ++completed_;
+    responses_.add(response_seconds);
+    if (m_response_ != nullptr) m_response_->add(response_seconds);
   }
 
   void insert_clean(DataId b) {
@@ -724,18 +732,16 @@ class System final : public core::SystemView {
     } else {
       ++cache_stats_.destage_forced;
     }
-    if (m_destage_batches_ != nullptr) ++*m_destage_batches_;
-    if (m_destaged_blocks_ != nullptr) *m_destaged_blocks_ += n;
     EAS_OBS(sim_.recorder(),
             cache_event(sim_.now(), obs::Ev::kDestageBegin, k, n,
                         static_cast<std::uint32_t>(reason)));
     for (const DataId b : destage_buf_) {
       disk::Request w;
-      w.id = destage_id(k, destage_seq_++);
+      w.id = destage_seq_++;
+      w.kind = disk::RequestKind::kDestage;
       w.data = b;
       w.size_bytes = config_.cache.block_bytes;
       w.arrival_time = sim_.now();
-      w.internal = true;
       w.is_read = false;
       dispatch_unchecked(w, k);
     }
@@ -784,22 +790,6 @@ class System final : public core::SystemView {
   };
   using InFlightMap = std::unordered_map<RequestId, InFlight>;
 
-  /// First live replica of `data`, preferring one != `avoid`; falls back to
-  /// `avoid` itself when it is the only live location. kInvalidDisk when no
-  /// live replica remains (only possible with a failure view).
-  DiskId pick_replica(DataId data, DiskId avoid) const {
-    DiskId fallback = kInvalidDisk;
-    for (const DiskId loc : placement_.locations(data)) {
-      if (view_ != nullptr && !view_->replica_readable(data, loc)) continue;
-      if (loc == avoid) {
-        fallback = loc;
-        continue;
-      }
-      return loc;
-    }
-    return fallback;
-  }
-
   /// Releases one planned-hedge pin on `k`. If that was the last pin and
   /// the disk sits idle with nothing queued, the power policy is re-kicked
   /// — it skipped arming its spin-down timer while the pin was up, and no
@@ -813,49 +803,66 @@ class System final : public core::SystemView {
     }
   }
 
-  /// Cancels timers, releases any planned-hedge pin, pulls a still-queued
-  /// hedge copy back from its disk (no-op when it already completed or its
-  /// disk drained), and erases the entry. Every path that retires a request
-  /// — completion, shed, abandonment — funnels through here, so no closed
-  /// request can leave a stray copy in a queue.
-  void close_entry(InFlightMap::iterator it) {
-    InFlight& f = it->second;
-    f.st.cancel_timers(sim_);
+  /// Stops request `id`'s hedge: cancels the hedge timer, releases the
+  /// planned-hedge pin, and pulls a still-queued hedge copy back from its
+  /// disk (no-op when it already completed or its disk drained).
+  void drop_hedge(RequestId id, InFlight& f) {
+    sim_.cancel(f.st.hedge_timer);
+    f.st.hedge_timer = {};
     if (f.st.hedge_planned != kInvalidDisk) {
       release_hedge_pin(f.st.hedge_planned);
       f.st.hedge_planned = kInvalidDisk;
     }
     if (f.st.hedge_disk != kInvalidDisk) {
-      disks_[f.st.hedge_disk]->remove_pending(it->first | kHedgeBit);
+      disks_[f.st.hedge_disk]->remove_pending(id, disk::RequestKind::kHedge);
       f.st.hedge_disk = kInvalidDisk;
     }
+  }
+
+  /// Cancels the deadline, drops the hedge and erases the entry. Every path
+  /// that retires a request — completion, shed, abandonment — funnels
+  /// through here, so no closed request can leave a stray copy in a queue.
+  void close_entry(InFlightMap::iterator it) {
+    sim_.cancel(it->second.st.deadline);
+    it->second.st.deadline = {};
+    drop_hedge(it->first, it->second);
     inflight_.erase(it);
+  }
+
+  /// Admission control dropped the request at disk `k`: counted, traced,
+  /// closed.
+  void shed(InFlightMap::iterator it, DiskId k) {
+    ++rel_stats_.shed;
+    EAS_OBS(sim_.recorder(),
+            reliability_event(sim_.now(), obs::Ev::kShed, it->first, k));
+    close_entry(it);
+  }
+
+  /// The attempt budget is spent, or no live replica is left: the request
+  /// is given up at disk `k`, counted, traced, closed.
+  void abandon(InFlightMap::iterator it, DiskId k) {
+    ++rel_stats_.abandoned;
+    EAS_OBS(sim_.recorder(),
+            reliability_event(sim_.now(), obs::Ev::kAbandon, it->first, k,
+                              it->second.st.attempts));
+    close_entry(it);
   }
 
   /// Admission-control eviction of one queued entry on disk `k` to make
   /// room. A hedge-copy victim just loses its copy (the primary races on);
   /// a primary victim is shed outright — both its copies leave the queues
   /// and the request is dropped, counted, and traced.
-  void shed_victim(RequestId victim, DiskId k) {
-    [[maybe_unused]] const bool removed = disks_[k]->remove_pending(victim);
+  void shed_victim(const disk::Request victim, DiskId k) {
+    [[maybe_unused]] const bool removed =
+        disks_[k]->remove_pending(victim.id, victim.kind);
     EAS_ASSERT_MSG(removed, "shed victim vanished from the queue");
-    const RequestId base = victim & ~kHedgeBit;
-    auto vit = inflight_.find(base);
+    auto vit = inflight_.find(victim.id);
     if (vit == inflight_.end()) return;
-    InFlight& vf = vit->second;
-    if ((victim & kHedgeBit) != 0) {
-      vf.st.hedge_disk = kInvalidDisk;
+    if (victim.kind == disk::RequestKind::kHedge) {
+      vit->second.st.hedge_disk = kInvalidDisk;
       return;
     }
-    if (vf.st.hedge_disk != kInvalidDisk) {
-      disks_[vf.st.hedge_disk]->remove_pending(base | kHedgeBit);
-      vf.st.hedge_disk = kInvalidDisk;
-    }
-    ++rel_stats_.shed;
-    if (m_shed_ != nullptr) ++*m_shed_;
-    EAS_OBS(sim_.recorder(),
-            reliability_event(sim_.now(), obs::Ev::kShed, base, k));
-    close_entry(vit);
+    shed(vit, k);
   }
 
   /// One dispatch attempt of the entry for `id` onto disk `k`: admission
@@ -873,18 +880,13 @@ class System final : public core::SystemView {
         // Write-through degradation: bounded queues never drop writes, the
         // overflow is admitted and counted so the operator sees it.
         ++rel_stats_.writes_degraded;
+      } else if (const disk::Request* victim =
+                     disks_[k]->oldest_queued_read()) {
+        shed_victim(*victim, k);
       } else {
-        const RequestId victim = disks_[k]->oldest_queued_read();
-        if (victim == kInvalidRequest) {
-          // The backlog is writes/in-service work: shed the incoming read.
-          ++rel_stats_.shed;
-          if (m_shed_ != nullptr) ++*m_shed_;
-          EAS_OBS(sim_.recorder(),
-                  reliability_event(sim_.now(), obs::Ev::kShed, id, k));
-          close_entry(inflight_.find(id));
-          return;
-        }
-        shed_victim(victim, k);
+        // The backlog is writes/in-service work: shed the incoming read.
+        shed(inflight_.find(id), k);
+        return;
       }
     }
     ++f.st.attempts;
@@ -913,15 +915,7 @@ class System final : public core::SystemView {
       f.st.hedge_planned = kInvalidDisk;
     }
     if (f.st.hedge_disk != kInvalidDisk) return;  // a copy is already racing
-    DiskId alt = kInvalidDisk;
-    for (const DiskId loc : placement_.locations(f.request.data)) {
-      if (loc == k) continue;
-      if (view_ != nullptr && !view_->replica_readable(f.request.data, loc)) {
-        continue;
-      }
-      alt = loc;
-      break;
-    }
+    const DiskId alt = first_readable(f.request.data, k);
     if (alt == kInvalidDisk) return;  // un-replicated (or all alternates dead)
     ++hedge_pins_[alt];
     f.st.hedge_planned = alt;
@@ -948,30 +942,23 @@ class System final : public core::SystemView {
       release_hedge_pin(target);
       return;
     }
+    // Dispatching to it this instant — or it died during the window, where
+    // no policy kick is needed either.
+    --hedge_pins_[target];
     if (view_ != nullptr && !view_->replica_readable(f.request.data, target)) {
-      --hedge_pins_[target];  // died during the window: no policy kick needed
-      target = kInvalidDisk;
-      for (const DiskId loc : placement_.locations(f.request.data)) {
-        if (loc == f.st.primary) continue;
-        if (!view_->replica_readable(f.request.data, loc)) continue;
-        target = loc;
-        break;
-      }
+      target = first_readable(f.request.data, f.st.primary);
       if (target == kInvalidDisk) return;  // no live alternate left
-    } else {
-      --hedge_pins_[target];  // dispatching to it this instant
     }
     const std::uint32_t cap = config_.reliability.max_queue_depth;
     if (cap > 0 && disks_[target]->queued_requests() >= cap) {
       return;  // full queue: skip the hedge rather than shed for a copy
     }
     ++rel_stats_.hedges_issued;
-    if (m_hedges_issued_ != nullptr) ++*m_hedges_issued_;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kHedgeIssue, id, target));
     f.st.hedge_disk = target;
     disk::Request copy = f.request;
-    copy.id = id | kHedgeBit;
+    copy.kind = disk::RequestKind::kHedge;
     dispatch(copy, target);
   }
 
@@ -985,28 +972,13 @@ class System final : public core::SystemView {
     InFlight& f = it->second;
     f.st.deadline = {};
     ++rel_stats_.deadline_misses;
-    if (m_deadline_misses_ != nullptr) ++*m_deadline_misses_;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kDeadlineMiss, id,
                               f.st.primary, f.st.attempts));
-    disks_[f.st.primary]->remove_pending(id);
-    sim_.cancel(f.st.hedge_timer);
-    f.st.hedge_timer = {};
-    if (f.st.hedge_planned != kInvalidDisk) {
-      release_hedge_pin(f.st.hedge_planned);
-      f.st.hedge_planned = kInvalidDisk;
-    }
-    if (f.st.hedge_disk != kInvalidDisk) {
-      disks_[f.st.hedge_disk]->remove_pending(id | kHedgeBit);
-      f.st.hedge_disk = kInvalidDisk;
-    }
+    disks_[f.st.primary]->remove_pending(id, disk::RequestKind::kForeground);
+    drop_hedge(id, f);
     if (f.st.attempts >= config_.reliability.max_attempts) {
-      ++rel_stats_.abandoned;
-      if (m_abandoned_ != nullptr) ++*m_abandoned_;
-      EAS_OBS(sim_.recorder(),
-              reliability_event(sim_.now(), obs::Ev::kAbandon, id,
-                                f.st.primary, f.st.attempts));
-      close_entry(it);
+      abandon(it, f.st.primary);
       return;
     }
     f.st.retry_scheduled = true;
@@ -1023,19 +995,18 @@ class System final : public core::SystemView {
     auto it = inflight_.find(id);
     if (it == inflight_.end()) return;  // a late completion won the race
     InFlight& f = it->second;
-    const DiskId pick = pick_replica(f.request.data, f.st.primary);
+    DiskId pick = first_readable(f.request.data, f.st.primary);
+    if (pick == kInvalidDisk &&
+        (view_ == nullptr ||
+         view_->replica_readable(f.request.data, f.st.primary))) {
+      pick = f.st.primary;  // the timed-out replica is the only live one
+    }
     if (pick == kInvalidDisk) {
-      if (view_ != nullptr) note_unavailable();
-      ++rel_stats_.abandoned;
-      if (m_abandoned_ != nullptr) ++*m_abandoned_;
-      EAS_OBS(sim_.recorder(),
-              reliability_event(sim_.now(), obs::Ev::kAbandon, id,
-                                f.st.primary, f.st.attempts));
-      close_entry(it);
+      note_unavailable();
+      abandon(it, f.st.primary);
       return;
     }
     ++rel_stats_.retries;
-    if (m_retries_ != nullptr) ++*m_retries_;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kRetry, id, pick,
                               f.st.attempts + 1));
@@ -1044,51 +1015,45 @@ class System final : public core::SystemView {
 
   fault::FaultStats& stats() { return injector_->stats(); }
 
-  void note_failover() {
-    ++stats().failovers;
-    if (m_failovers_ != nullptr) ++*m_failovers_;
-  }
-  void note_unavailable() {
-    ++stats().unavailable_requests;
-    if (m_unavailable_ != nullptr) ++*m_unavailable_;
-  }
+  void note_failover() { ++stats().failovers; }
+  void note_unavailable() { ++stats().unavailable_requests; }
 
   void on_completion(const disk::Completion& c) {
     last_completion_ = std::max(last_completion_, c.completion_time);
-    if (c.request.internal) {
-      on_internal_completion(c);
-      return;
+    switch (c.request.kind) {
+      case disk::RequestKind::kDestage:
+        on_destage_complete(c);
+        return;
+      case disk::RequestKind::kRebuild:
+        on_rebuild_complete(c);
+        return;
+      case disk::RequestKind::kForeground:
+      case disk::RequestKind::kHedge:
+        break;
     }
     if (config_.reliability.enabled) {
-      const RequestId base = c.request.id & ~kHedgeBit;
-      auto it = inflight_.find(base);
+      auto it = inflight_.find(c.request.id);
       if (it == inflight_.end()) {
         // Entry already closed: a shed/abandoned request's in-service copy
         // landing late, or the race's loser completing after the winner.
         // Not counted — the request's fate was already accounted.
         return;
       }
-      InFlight& f = it->second;
-      if ((c.request.id & kHedgeBit) != 0) {
+      if (c.request.kind == disk::RequestKind::kHedge) {
         ++rel_stats_.hedge_wins;
-        if (m_hedge_wins_ != nullptr) ++*m_hedge_wins_;
         EAS_OBS(sim_.recorder(), reliability_event(sim_.now(),
-                                                   obs::Ev::kHedgeWin, base,
-                                                   c.disk));
-        disks_[f.st.primary]->remove_pending(base);
+                                                   obs::Ev::kHedgeWin,
+                                                   c.request.id, c.disk));
+        disks_[it->second.st.primary]->remove_pending(
+            c.request.id, disk::RequestKind::kForeground);
       }
       close_entry(it);  // cancels timers, pulls back a racing hedge copy
     }
-    ++completed_;
     if (c.waited_for_spinup) ++waited_spinup_;
-    responses_.add(c.response_seconds());
-    EAS_OBS(sim_.recorder(), request_event(sim_.now(), obs::Ev::kComplete,
-                                           c.request.id, c.disk));
-    if (metrics_ != nullptr) {
-      ++*m_completed_;
-      if (c.waited_for_spinup) ++*m_waited_;
-      m_response_->add(c.response_seconds());
-    }
+    count_completion(c.response_seconds());
+    EAS_OBS(sim_.recorder(),
+            request_event(sim_.now(), obs::Ev::kComplete, c.request.id, c.disk,
+                          0, static_cast<std::uint16_t>(c.request.kind)));
     // Miss path populates the read cache: the block was just fetched from
     // disk and is the most-recently-used thing in the system.
     if (read_cache_ != nullptr && c.request.is_read) {
@@ -1107,57 +1072,50 @@ class System final : public core::SystemView {
       view_->set_rebuild_pin(sim_.now(), k, false);
     }
     for (const disk::Request& r : disks_[k]->take_pending()) {
-      if (r.internal) {
-        // Queued destage writes die with the disk; their blocks are still
-        // safe in the buffer and get re-homed by the drain below.
-        if (is_destage(r.id)) continue;
-        const DiskId target = internal_target(r.id);
-        if (target == k) continue;  // write onto the dying disk: dropped
-        // A rebuild's source read was queued here; retry from another
-        // surviving replica (or count the item lost).
-        if (auto rit = rebuilds_.find(target); rit != rebuilds_.end() &&
-                                               rit->second.epoch ==
-                                                   static_cast<std::uint32_t>(r.id)) {
-          rit->second.writing = false;
-          advance_rebuild(target);
-        }
-        continue;
+      switch (r.kind) {
+        case disk::RequestKind::kDestage:
+          // Queued destage writes die with the disk; their blocks are still
+          // safe in the buffer and get re-homed by the drain below.
+          continue;
+        case disk::RequestKind::kRebuild:
+          // A write onto the dying disk is dropped. A rebuild's source read
+          // queued here retries from another surviving replica (or counts
+          // the item lost).
+          if (r.target == k) continue;
+          if (auto rit = rebuilds_.find(r.target);
+              rit != rebuilds_.end() && rit->second.epoch == r.id) {
+            rit->second.writing = false;
+            advance_rebuild(r.target);
+          }
+          continue;
+        case disk::RequestKind::kForeground:
+        case disk::RequestKind::kHedge:
+          break;
       }
       if (config_.reliability.enabled) {
         // Failover shares the reliability attempt budget: re-dispatch goes
         // through attempt() so a request bouncing between a dying disk and
         // its deadline can never exceed max_attempts or double-dispatch.
-        const RequestId base = r.id & ~kHedgeBit;
-        auto fit = inflight_.find(base);
+        auto fit = inflight_.find(r.id);
         if (fit == inflight_.end()) continue;  // already closed elsewhere
         InFlight& f = fit->second;
-        if ((r.id & kHedgeBit) != 0) {
+        if (r.kind == disk::RequestKind::kHedge) {
           // The hedge copy died with the disk; the primary races on alone.
           f.st.hedge_disk = kInvalidDisk;
           continue;
         }
         if (f.st.attempts >= config_.reliability.max_attempts) {
-          ++rel_stats_.abandoned;
-          if (m_abandoned_ != nullptr) ++*m_abandoned_;
-          EAS_OBS(sim_.recorder(),
-                  reliability_event(sim_.now(), obs::Ev::kAbandon, base, k,
-                                    f.st.attempts));
-          close_entry(fit);
+          abandon(fit, k);
           continue;
         }
         const DiskId alt = view_->first_live(placement_, r.data);
         if (alt == kInvalidDisk) {
           note_unavailable();
-          ++rel_stats_.abandoned;
-          if (m_abandoned_ != nullptr) ++*m_abandoned_;
-          EAS_OBS(sim_.recorder(),
-                  reliability_event(sim_.now(), obs::Ev::kAbandon, base, k,
-                                    f.st.attempts));
-          close_entry(fit);
+          abandon(fit, k);
           continue;
         }
         note_failover();
-        attempt(base, f, alt);
+        attempt(r.id, f, alt);
         continue;
       }
       const DiskId alt = view_->first_live(placement_, r.data);
@@ -1175,34 +1133,19 @@ class System final : public core::SystemView {
     // cache never masks a lost block.
     if (wb_ != nullptr) {
       drain_buf_.clear();
-      if (wb_->drain(k, drain_buf_) > 0) {
-        for (const DataId b : drain_buf_) {
-          DiskId new_home = kInvalidDisk;
-          for (const DiskId loc : placement_.locations(b)) {
-            if (loc != k && view_->accepts_io(loc)) {
-              new_home = loc;
-              break;
-            }
-          }
-          if (new_home == kInvalidDisk) {
-            ++cache_stats_.dirty_lost;
-            note_unavailable();
-            continue;
-          }
-          const bool ok = wb_->put(b, new_home, sim_.now());
-          EAS_ENSURE_MSG(ok, "re-homed dirty block " << b
-                                                     << " no longer fits");
-          ++cache_stats_.dirty_redirected;
-          note_failover();
-          const double admit = sim_.now();
-          sim_.schedule_in(config_.cache.destage_deadline_seconds,
-                           [this, b, admit] {
-                             if (wb_ == nullptr || !wb_->is_pending(b)) return;
-                             if (wb_->buffered_at(b) != admit) return;
-                             destage_batch(wb_->home_of(b),
-                                           cache::DestageReason::kDeadline);
-                           });
+      wb_->drain(k, drain_buf_);
+      for (const DataId b : drain_buf_) {
+        const DiskId new_home = first_accepting(b, k);
+        if (new_home == kInvalidDisk) {
+          ++cache_stats_.dirty_lost;
+          note_unavailable();
+          continue;
         }
+        const bool ok = wb_->put(b, new_home, sim_.now());
+        EAS_ENSURE_MSG(ok, "re-homed dirty block " << b << " no longer fits");
+        ++cache_stats_.dirty_redirected;
+        note_failover();
+        arm_destage_deadline(b);
       }
     }
   }
@@ -1249,24 +1192,19 @@ class System final : public core::SystemView {
     RebuildState& st = it->second;
     while (st.next < st.items.size()) {
       const DataId b = st.items[st.next];
-      DiskId src = kInvalidDisk;
-      for (DiskId s : placement_.locations(b)) {
-        if (s != target && view_->replica_readable(b, s)) {
-          src = s;
-          break;
-        }
-      }
+      const DiskId src = first_readable(b, target);
       if (src == kInvalidDisk) {
         ++stats().rebuild_items_lost;
         ++st.next;
         continue;
       }
       disk::Request rr;
-      rr.id = internal_id(target, st.epoch);
+      rr.id = st.epoch;
+      rr.kind = disk::RequestKind::kRebuild;
+      rr.target = target;
       rr.data = b;
       rr.size_bytes = config_.fault.rebuild_bytes_per_item;
       rr.arrival_time = sim_.now();
-      rr.internal = true;
       st.writing = false;
       EAS_OBS(sim_.recorder(), rebuild_event(sim_.now(), obs::Ev::kRebuildRead,
                                              target, b, src));
@@ -1276,15 +1214,10 @@ class System final : public core::SystemView {
     finish_rebuild(target, st.scrub);
   }
 
-  void on_internal_completion(const disk::Completion& c) {
-    if (is_destage(c.request.id)) {
-      on_destage_complete(c);
-      return;
-    }
-    const DiskId target = internal_target(c.request.id);
+  void on_rebuild_complete(const disk::Completion& c) {
+    const DiskId target = c.request.target;
     auto it = rebuilds_.find(target);
-    if (it == rebuilds_.end() ||
-        it->second.epoch != static_cast<std::uint32_t>(c.request.id)) {
+    if (it == rebuilds_.end() || it->second.epoch != c.request.id) {
       return;  // rebuild was aborted while this transfer was in flight
     }
     RebuildState& st = it->second;
@@ -1349,7 +1282,7 @@ class System final : public core::SystemView {
   cache::CacheStats cache_stats_{};
   std::size_t high_blocks_ = 0;
   std::size_t low_blocks_ = 0;
-  std::uint32_t destage_seq_ = 0;
+  RequestId destage_seq_ = 0;
   std::vector<DataId> destage_buf_;
   std::vector<DataId> drain_buf_;
 
@@ -1364,28 +1297,20 @@ class System final : public core::SystemView {
   std::shared_ptr<obs::TraceRecorder> recorder_;
   std::shared_ptr<obs::MetricRegistry> metrics_;
   std::uint64_t batch_seq_ = 0;
-  /// Cached registry slots (registration returns stable pointers), so hot
-  /// paths never do a name lookup. All null when metrics are off.
-  std::uint64_t* m_completed_ = nullptr;
-  std::uint64_t* m_waited_ = nullptr;
-  std::uint64_t* m_failovers_ = nullptr;
-  std::uint64_t* m_unavailable_ = nullptr;
-  std::uint64_t* m_batches_ = nullptr;
+  /// The live-fed registry entries (registration returns stable pointers),
+  /// so hot paths never do a name lookup. Null when metrics are off or the
+  /// owning tier is disabled.
   stats::SummaryStats* m_batch_size_ = nullptr;
   stats::SummaryStats* m_queue_depth_ = nullptr;
   stats::Histogram* m_response_ = nullptr;
-  std::uint64_t* m_cache_hits_ = nullptr;
-  std::uint64_t* m_cache_misses_ = nullptr;
-  std::uint64_t* m_writes_buffered_ = nullptr;
-  std::uint64_t* m_destage_batches_ = nullptr;
-  std::uint64_t* m_destaged_blocks_ = nullptr;
   stats::SummaryStats* m_dirty_occupancy_ = nullptr;
 
   /// Reliability tier; retry_ null (and every hook a single branch) when the
   /// config leaves the tier disabled. inflight_ is only ever accessed by
   /// key (find/erase/try_emplace) — never iterated — so the unordered map's
-  /// traversal order cannot leak into results.
-  std::unordered_map<RequestId, InFlight> inflight_;
+  /// traversal order cannot leak into results. A primary and its hedge
+  /// copy share one entry under the primary's id.
+  InFlightMap inflight_;
   std::unique_ptr<reliability::RetryPolicy> retry_;
   reliability::ReliabilityStats rel_stats_{};
   /// Per-disk count of planned hedges whose timer is still running; the
@@ -1394,12 +1319,6 @@ class System final : public core::SystemView {
   /// Queue depth at which schedulers see the disk as backpressured;
   /// 0 disables both the watermark and the bounded queue entirely.
   std::size_t watermark_depth_ = 0;
-  std::uint64_t* m_deadline_misses_ = nullptr;
-  std::uint64_t* m_retries_ = nullptr;
-  std::uint64_t* m_hedges_issued_ = nullptr;
-  std::uint64_t* m_hedge_wins_ = nullptr;
-  std::uint64_t* m_shed_ = nullptr;
-  std::uint64_t* m_abandoned_ = nullptr;
 };
 
 disk::Request make_request(RequestId id, const trace::TraceRecord& rec) {

@@ -1,0 +1,25 @@
+// Allocation counting for the zero-allocation tests.
+//
+// A test binary that links alloc_counter.cpp has every replaceable global
+// allocation function (scalar and array, throwing and nothrow) replaced by
+// a counting malloc pass-through; the matching deletes are plain frees.
+// Only the binaries that pin an allocation-free promise link it, so the
+// rest of the suite keeps the standard allocator.
+#pragma once
+
+#include <cstdint>
+
+namespace eas::testing {
+
+/// Calls to any operator new since the program started.
+std::uint64_t allocations();
+
+/// Allocations observed while running `body`.
+template <typename Body>
+std::uint64_t allocations_during(Body&& body) {
+  const std::uint64_t before = allocations();
+  body();
+  return allocations() - before;
+}
+
+}  // namespace eas::testing

@@ -4,16 +4,13 @@
 // dirty-data redirect on disk death, and the cache-off bit-identity
 // contract).
 //
-// This binary also replaces global operator new with a counting shim (same
-// pattern as test_sim_alloc) to pin the zero-allocation steady-state lookup
-// promise literally.
+// This binary also links the counting operator new shim (alloc_counter.cpp)
+// to pin the zero-allocation steady-state lookup promise literally.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "cache/block_cache.hpp"
 #include "cache/cache.hpp"
 #include "cache/write_back.hpp"
@@ -25,21 +22,6 @@
 #include "sim/simulator.hpp"
 #include "storage/storage_system.hpp"
 #include "util/check.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace eas::cache {
 namespace {
@@ -253,13 +235,7 @@ TEST(BlockCacheFactory, MakesBothPolicies) {
 
 // ----------------------------------------------------- zero-alloc lookups
 
-/// Allocations observed while running `body`.
-template <typename Body>
-std::uint64_t allocations_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
+using testing::allocations_during;
 
 TEST(CacheAllocation, SteadyStateLookupsAreAllocationFree) {
   // Warm both caches to capacity, then hammer hits and resident-promotions:

@@ -248,8 +248,9 @@ TEST(Eascheck, RepositoryTreeIsClean) {
 }
 
 TEST(Eascheck, RepositoryDeterminismModeMatchesWrapperContract) {
-  // tools/lint_determinism.sh shells out to exactly this invocation and
-  // forwards the exit code; it must be green on the tree.
+  // CI's determinism-lint job (and tools/ci.sh's determinism stage) runs
+  // exactly this invocation and gates on its exit code; it must be green
+  // on the tree.
   const RunResult r = run_eascheck(std::string("--root ") + EAS_REPO_ROOT +
                                    " --rules determinism");
   EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -12,20 +12,17 @@
 // core::solve_gwmin against an in-test linear-scan replica of its
 // historical higher-index tie-break semantics.
 //
-// It also replaces global operator new with a counting shim (same pattern
-// as test_sim_alloc — the shim lives in this dedicated binary) to pin the
-// zero-allocation contract of warm-workspace solves.
+// It also links the counting operator new shim (alloc_counter.cpp) to pin
+// the zero-allocation contract of warm-workspace solves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/conflict_graph.hpp"
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
@@ -33,52 +30,10 @@
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// GCC's inliner pairs the shim's pass-through free() against allocations it
-// attributes to a non-malloc operator new and warns; the pairing is exact by
-// construction (every new here funnels through malloc).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-// The nothrow forms must funnel through the same malloc, or a
-// stable_sort temporary buffer (allocated nothrow) reaches the
-// pass-through free() from a foreign allocator — ASan flags the mismatch.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace eas {
 namespace {
 
-/// Allocations observed while running `body`.
-template <typename Body>
-std::uint64_t allocations_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
+using testing::allocations_during;
 
 enum class WeightMode {
   kContinuous,  // uniform doubles: ties essentially impossible

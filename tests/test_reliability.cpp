@@ -16,6 +16,7 @@
 #include "core/basic_schedulers.hpp"
 #include "core/cost_scheduler.hpp"
 #include "core/predictive_scheduler.hpp"
+#include "disk/disk.hpp"
 #include "paper_example.hpp"
 #include "power/fixed_threshold.hpp"
 #include "power/policy.hpp"
@@ -24,6 +25,7 @@
 #include "runner/emit.hpp"
 #include "runner/experiment.hpp"
 #include "runner/sweep.hpp"
+#include "sim/simulator.hpp"
 #include "storage/storage_system.hpp"
 #include "util/check.hpp"
 
@@ -422,6 +424,124 @@ TEST(TransientFault, ReliabilityRetriesShareTheAttemptBudgetWithFailover) {
   EXPECT_EQ(r.response_times.count(), r.total_requests);
   const auto again = run_static(cfg, transient_trace());
   EXPECT_EQ(r.to_json(true), again.to_json(true));
+}
+
+// ------------------------------- request kinds: primary + hedge, one queue
+
+// Kinds ride in the padding after `data`; tagging requests must not grow the
+// struct every queue entry and completion carries.
+static_assert(sizeof(disk::Request) <= 48);
+
+TEST(RequestKinds, DiskQueueMatchesOnIdAndKind) {
+  sim::Simulator sim;
+  disk::Disk d(0, sim, testing::example_power(), disk::DiskPerfParams{},
+               disk::DiskState::Idle);
+  disk::Request r;
+  r.id = 7;
+  r.data = 2;
+  d.submit(r);  // straight into service: never a queue candidate
+  r.kind = disk::RequestKind::kHedge;
+  d.submit(r);
+  r.kind = disk::RequestKind::kForeground;
+  d.submit(r);  // queue: [hedge 7, primary 7]
+  ASSERT_EQ(d.oldest_queued_read()->kind, disk::RequestKind::kHedge);
+  EXPECT_TRUE(d.remove_pending(7, disk::RequestKind::kForeground));
+  // The primary left; the older hedge copy with the same id stayed.
+  ASSERT_NE(d.oldest_queued_read(), nullptr);
+  EXPECT_EQ(d.oldest_queued_read()->kind, disk::RequestKind::kHedge);
+  EXPECT_FALSE(d.remove_pending(7, disk::RequestKind::kForeground));
+  EXPECT_TRUE(d.remove_pending(7, disk::RequestKind::kHedge));
+  EXPECT_EQ(d.oldest_queued_read(), nullptr);
+  sim.run();
+}
+
+/// Routes request i to picks[i]; the test owns every placement decision.
+class ScriptedScheduler final : public core::OnlineScheduler {
+ public:
+  explicit ScriptedScheduler(std::vector<DiskId> picks)
+      : picks_(std::move(picks)) {}
+  std::string name() const override { return "scripted"; }
+  DiskId pick(const disk::Request& r, const core::SystemView&) override {
+    return picks_.at(r.id);
+  }
+
+ private:
+  std::vector<DiskId> picks_;
+};
+
+/// Request 5 reads b3 (disks {0,1,3}) on disk 0 behind five writes; its
+/// hedge fires at 15 ms onto disk 1, where it queues behind five more
+/// writes. Disk 0 then dies at 20 ms: the drained primary fails over to
+/// disk 1, the first live replica, so disk 1's queue holds request 5 twice
+/// — hedge copy first, primary behind it. `late_reads` b2 reads arrive on
+/// disk 1 at 30 ms (unhedgeable: b2's other replica is disk 0), and one
+/// unrelated read on disk 2 at 2 s. Service takes ~9.9 ms per request.
+storage::RunResult run_primary_beside_hedge(std::uint32_t max_queue_depth,
+                                            int late_reads) {
+  std::vector<trace::TraceRecord> recs;
+  std::vector<DiskId> picks;
+  auto add = [&](double t, DataId data, bool is_read, DiskId k) {
+    trace::TraceRecord rec;
+    rec.time = t;
+    rec.data = data;
+    rec.is_read = is_read;
+    recs.push_back(rec);
+    picks.push_back(k);
+  };
+  for (int i = 0; i < 5; ++i) add(0.0, /*b2=*/1, false, 0);
+  add(0.0, /*b3=*/2, true, 0);
+  for (int i = 0; i < 5; ++i) add(0.0, /*b2=*/1, false, 1);
+  for (int i = 0; i < late_reads; ++i) add(0.03, /*b2=*/1, true, 1);
+  add(2.0, /*b4=*/3, true, 2);  // keeps the outage inside the trace horizon
+  storage::SystemConfig cfg = base_config();
+  fault::ScriptedFault f;
+  f.kind = fault::ScriptedFault::Kind::kTransient;
+  f.disk = 0;
+  f.time = 0.02;
+  f.duration = 1.0;
+  cfg.fault.script.push_back(f);
+  cfg.reliability.enabled = true;
+  cfg.reliability.hedge_delay_seconds = 0.015;
+  cfg.reliability.max_queue_depth = max_queue_depth;
+  ScriptedScheduler sched(std::move(picks));
+  power::AlwaysOnPolicy policy;
+  return storage::run_online(cfg, testing::example_placement(),
+                             trace::Trace(std::move(recs)), sched, policy);
+}
+
+std::uint64_t retired(const storage::RunResult& r) {
+  return r.total_requests + r.reliability_stats.shed +
+         r.reliability_stats.abandoned + r.fault_stats.unavailable_requests;
+}
+
+TEST(RequestKinds, HedgeWinRemovesThePrimaryQueuedBehindIt) {
+  const auto r = run_primary_beside_hedge(/*max_queue_depth=*/0, 0);
+  EXPECT_GT(r.fault_stats.failovers, 0u);
+  EXPECT_EQ(r.reliability_stats.hedges_issued, 1u);
+  // The hedge copy reaches the head of disk 1's queue first and wins; the
+  // primary queued behind it is pulled back, never served.
+  EXPECT_EQ(r.reliability_stats.hedge_wins, 1u);
+  EXPECT_EQ(r.total_requests, 12u);
+  EXPECT_EQ(retired(r), 12u);
+  std::uint64_t served = 0;  // one service per request: no copy ran twice
+  for (const auto& ds : r.disk_stats) served += ds.requests_served;
+  EXPECT_EQ(served, 12u);
+}
+
+TEST(RequestKinds, ShedTakesTheHedgeCopyAndThePrimaryCompletes) {
+  // Disk 1 is full when the second late read arrives: admission control
+  // sheds the oldest queued read — request 5's hedge copy — and the primary
+  // behind it still serves request 5.
+  const auto r = run_primary_beside_hedge(/*max_queue_depth=*/7, 2);
+  EXPECT_GT(r.fault_stats.failovers, 0u);
+  EXPECT_EQ(r.reliability_stats.hedges_issued, 1u);
+  EXPECT_EQ(r.reliability_stats.hedge_wins, 0u);
+  EXPECT_EQ(r.reliability_stats.shed, 0u);  // a hedge copy is not a request
+  EXPECT_EQ(r.total_requests, 14u);
+  EXPECT_EQ(retired(r), 14u);
+  std::uint64_t served = 0;  // one service per request: no copy ran twice
+  for (const auto& ds : r.disk_stats) served += ds.requests_served;
+  EXPECT_EQ(served, 14u);
 }
 
 TEST(ReliabilityRun, SurvivesAFixedThresholdPolicyWithHedging) {

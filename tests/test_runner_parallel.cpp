@@ -168,14 +168,18 @@ TEST(KernelGolden, OfflineMwisMatchesPreStreamingResults) {
   EXPECT_EQ(fingerprint(mwis), 10416622678774624696ULL);
 }
 
-TEST(KernelGolden, AllTiersWithDiskFailureMatchPreStreamingResults) {
+trace::Trace all_tiers_trace() {
   trace::SyntheticTraceConfig tc = trace::financial_like_config(1);
   tc.num_requests = kRequests;
   tc.write_fraction = 0.3;
-  const trace::Trace trace = trace::make_synthetic_trace(tc);
-  // The trace spans ~44 s: disk 7 fails a quarter of the way in and is
-  // back (and rebuilding) at the halfway mark, so the run sees failover,
-  // rebuild and repair.
+  return trace::make_synthetic_trace(tc);
+}
+
+/// Cache, reliability and a repaired disk failure on the financial trace.
+/// The trace spans ~44 s: disk 7 fails a quarter of the way in and is back
+/// (and rebuilding) at the halfway mark, so the run sees failover, rebuild
+/// and repair.
+runner::ExperimentBuilder all_tiers_builder() {
   cache::CacheConfig cc;
   cc.policy = cache::CachePolicy::kLru;
   cc.capacity_blocks = 256;
@@ -185,12 +189,17 @@ TEST(KernelGolden, AllTiersWithDiskFailureMatchPreStreamingResults) {
   rc.max_attempts = 3;
   rc.hedge_delay_seconds = 0.5;
   rc.max_queue_depth = 16;
-  const auto p = runner::ExperimentBuilder(small_params())
-                     .workload(runner::Workload::kFinancial)
-                     .cache(cc)
-                     .reliability(rc)
-                     .fail_disk_at(7, 11.0, 11.0)
-                     .build();
+  runner::ExperimentBuilder b(small_params());
+  b.workload(runner::Workload::kFinancial)
+      .cache(cc)
+      .reliability(rc)
+      .fail_disk_at(7, 11.0, 11.0);
+  return b;
+}
+
+TEST(KernelGolden, AllTiersWithDiskFailureMatchPreStreamingResults) {
+  const trace::Trace trace = all_tiers_trace();
+  const auto p = all_tiers_builder().build();
   const auto placement = runner::make_shared_placement(p);
   const auto& reg = runner::SchedulerRegistry::global();
 
@@ -208,6 +217,62 @@ TEST(KernelGolden, AllTiersWithDiskFailureMatchPreStreamingResults) {
   EXPECT_EQ(wsc.fault_stats.failovers, 15u);
   EXPECT_EQ(wsc.reliability_stats.hedges_issued, 364u);
   EXPECT_EQ(fingerprint(wsc), 10740754269308316428ULL);
+}
+
+const char* const kAllTiersMetricsGolden =
+    R"({"requests_completed":{"kind":"counter","value":1988},)"
+    R"("requests_waited_spinup":{"kind":"counter","value":195},)"
+    R"("failovers":{"kind":"counter","value":16},)"
+    R"("unavailable_requests":{"kind":"counter","value":0},)"
+    R"("batches_formed":{"kind":"counter","value":0},)"
+    R"("batch_size":{"kind":"summary","count":0},)"
+    R"("queue_depth":{"kind":"summary","count":2987,)"
+    R"("mean":1.870103783059925,"min":1,"max":24},)"
+    R"("response_seconds":{"kind":"histogram","total":1988,"bins":[[0,935],)"
+    R"([19,768],[20,1],[21,1],[29,1],[32,3],[34,2],[35,4],[37,36],[38,2],)"
+    R"([39,4],[40,1],[41,4],[42,4],[43,7],[44,13],[45,10],[46,18],[47,64],)"
+    R"([48,30],[49,42],[50,38]]},"spin_ups":{"kind":"counter","value":489},)"
+    R"("spin_downs":{"kind":"counter","value":489},)"
+    R"("total_energy_joules":{"kind":"gauge","value":816527.1406194336},)"
+    R"("energy_per_request_joules":{"kind":"gauge",)"
+    R"("value":410.72793793734087},)"
+    R"("disk_seconds_standby":{"kind":"summary","count":180,)"
+    R"("mean":3144.033342595073,"min":3.844469064659398,)"
+    R"("max":3318.3079449037837},"disk_seconds_spin-up":{"kind":"summary",)"
+    R"("count":180,"mean":27.16666666666668,"min":0,"max":370},)"
+    R"("disk_seconds_idle":{"kind":"summary","count":180,)"
+    R"("mean":133.25848322782338,"min":0,"max":3283.398518847155},)"
+    R"("disk_seconds_active":{"kind":"summary","count":180,)"
+    R"("mean":0.26611908088853914,"min":0,"max":16.06495699196895},)"
+    R"("disk_seconds_spin-down":{"kind":"summary","count":180,)"
+    R"("mean":13.58333333333334,"min":0,"max":185.00000000000006},)"
+    R"("cache_hits":{"kind":"counter","value":370},)"
+    R"("cache_misses":{"kind":"counter","value":1040},)"
+    R"("cache_writes_buffered":{"kind":"counter","value":565},)"
+    R"("destage_batches":{"kind":"counter","value":506},)"
+    R"("destaged_blocks":{"kind":"counter","value":543},)"
+    R"("dirty_occupancy":{"kind":"summary","count":1096,)"
+    R"("mean":17.054744525547424,"min":0,"max":64},)"
+    R"("cache_hit_ratio":{"kind":"gauge","value":0.2624113475177305},)"
+    R"("cache_memory_energy_joules":{"kind":"gauge",)"
+    R"("value":194.43210614670608},"deadline_misses":{"kind":"counter",)"
+    R"("value":222},"retries":{"kind":"counter","value":199},)"
+    R"("hedges_issued":{"kind":"counter","value":361},)"
+    R"("hedge_wins":{"kind":"counter","value":132},)"
+    R"("shed_requests":{"kind":"counter","value":12},)"
+    R"("abandoned_requests":{"kind":"counter","value":0}})";
+
+// The all-tiers heuristic cell's metric registry, recorded before the tier
+// counters moved from live increments to one publication at the end of the
+// run. Every counter, summary and histogram must come out byte-identical.
+TEST(KernelGolden, AllTiersMetricsJsonIsStable) {
+  const trace::Trace trace = all_tiers_trace();
+  const auto p = all_tiers_builder().metrics().build();
+  const auto placement = runner::make_shared_placement(p);
+  const auto r = run_cell(runner::SchedulerRegistry::global(), "heuristic", p,
+                          trace, *placement);
+  ASSERT_NE(r.metrics, nullptr);
+  EXPECT_EQ(r.metrics->to_json(), kAllTiersMetricsGolden);
 }
 
 TEST(KernelGolden, WriteOffloadMatchesPreStreamingResults) {

@@ -4,44 +4,20 @@
 // buffer; this binary replaces global operator new with a counting shim and
 // asserts the promise literally.
 //
-// The shim lives in this dedicated test binary so the rest of the suite is
-// unaffected. Counting is on the allocation side only: scalar and array new
-// both funnel through the counter, deletes are pass-through frees.
+// The shim (alloc_counter.cpp) is linked into this binary only, so the rest
+// of the suite is unaffected.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/simulator.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace eas::sim {
 namespace {
 
-/// Allocations observed while running `body` after the pool is warm.
-template <typename Body>
-std::uint64_t allocations_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
+using testing::allocations_during;
 
 TEST(SimulatorAllocation, SteadyStateScheduleFireIsAllocationFree) {
   Simulator sim;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full correctness gate, runnable locally or from CI:
 #
-#   1. determinism lint (eascheck --rules determinism via the wrapper;
-#      needs a compiler once to build the analyzer, nothing else)
+#   1. determinism lint (eascheck --rules determinism, built standalone
+#      from tools/eascheck: needs a compiler and cmake, nothing else)
 #   2. eascheck: all four scan engines (determinism, layering, hotpath,
 #      contracts) over the whole tree, findings written to
 #      build/eascheck-findings.txt for CI artifact upload
@@ -48,7 +48,13 @@ run_stage() { # run_stage <name> <cmd...>
   "$@"
 }
 
-stage_determinism() { tools/lint_determinism.sh; }
+# The analyzer builds on its own (no GTest, no project libraries), so this
+# stage is the cheap fast-fail gate.
+stage_determinism() {
+  cmake -S tools/eascheck -B build-eascheck -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-eascheck -j "$jobs"
+  ./build-eascheck/eascheck --root . --rules determinism
+}
 
 # Builds the analyzer inside the normal tree and gates on zero findings
 # across all four scan engines. The findings report survives as a build

@@ -1,6 +1,6 @@
 // eascheck — compiled static analyzer for the easched tree.
 //
-// Replaces the old grep lint (tools/lint_determinism.sh) with a token-accurate
+// Replaces the old grep determinism lint with a token-accurate
 // C++ scanner plus an include-layering enforcer and a clang-tidy driver. The
 // grep version could not see comments, strings or include edges: it flagged
 // `SimTime time()` declarations and prose mentioning rand(), and it could
