@@ -1,11 +1,14 @@
 // Micro-benchmarks: combinatorial kernels (set cover, GWMIN, conflict-graph
-// construction, Zipf sampling).
+// construction, offline refinement, Zipf sampling).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "core/conflict_graph.hpp"
+#include "core/mwis_scheduler.hpp"
+#include "core/refine.hpp"
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
@@ -150,6 +153,60 @@ void BM_SolveGwminConflict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveGwminConflict)->Arg(2000)->Arg(10000);
+
+struct RefineInput {
+  trace::Trace trace;
+  placement::PlacementMap placement;
+  core::OfflineAssignment seed;
+};
+
+/// A Cello-like trace on the §4.2 placement (180 disks, rf 3) and its
+/// unrefined horizon-4 seed of the given kind.
+RefineInput make_refine_input(core::MwisOptions::Seed kind, std::size_t n) {
+  trace::SyntheticTraceConfig tc = trace::cello_like_config(1);
+  tc.num_requests = n;
+  placement::ZipfPlacementConfig pc;
+  pc.num_data = 32768;
+  RefineInput in{trace::make_synthetic_trace(tc),
+                 placement::make_zipf_placement(pc), {}};
+  core::MwisOptions opts;
+  opts.graph.successor_horizon = 4;
+  opts.refine_passes = 0;  // the scheduler returns the unrefined seed
+  opts.seed = kind;
+  core::MwisOfflineScheduler sched(opts);
+  in.seed = sched.schedule(in.trace, in.placement, {});
+  return in;
+}
+
+/// One refinement call as the offline MWIS cell makes it (8 passes). The
+/// input is built once per (seed kind, size) and the seed copied into each
+/// iteration; the workspace stays warm across iterations, as the
+/// scheduler's does across its two calls.
+void BM_RefineOffline(benchmark::State& state, core::MwisOptions::Seed kind) {
+  static std::map<std::pair<int, std::int64_t>, RefineInput> cache;
+  const std::int64_t n = state.range(0);
+  const auto key = std::make_pair(static_cast<int>(kind), n);
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    const auto size = static_cast<std::size_t>(n);
+    it = cache.emplace(key, make_refine_input(kind, size)).first;
+  }
+  const RefineInput& in = it->second;
+  core::RefineWorkspace ws;
+  for (auto _ : state) {
+    core::OfflineAssignment a = in.seed;
+    benchmark::DoNotOptimize(core::refine_offline_assignment(
+        a, in.trace, in.placement, {}, 8, ws));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK_CAPTURE(BM_RefineOffline, solver,
+                  core::MwisOptions::Seed::kSolverOnly)
+    ->Arg(10000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_RefineOffline, pile, core::MwisOptions::Seed::kPileOnly)
+    ->Arg(10000)
+    ->Arg(100000);
 
 void BM_ZipfSample(benchmark::State& state) {
   util::ZipfSampler zipf(static_cast<std::size_t>(state.range(0)), 0.9);

@@ -82,6 +82,17 @@ void fill_buckets(const ConflictGraph& g, std::size_t num_requests,
 
 }  // namespace
 
+void list_requests_by_stored_disk(
+    const trace::Trace& trace, const placement::PlacementMap& placement,
+    std::vector<std::vector<std::uint32_t>>& lists) {
+  reset_nested(lists, placement.num_disks());
+  for (std::uint32_t i = 0; i < trace.size(); ++i) {
+    for (DiskId k : placement.locations(trace[i].data)) {
+      lists[k].push_back(i);  // trace is time-sorted, so lists are too
+    }
+  }
+}
+
 ConflictGraph build_conflict_graph(const trace::Trace& trace,
                                    const placement::PlacementMap& placement,
                                    const disk::DiskPowerParams& power,
@@ -98,14 +109,8 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
   EAS_REQUIRE_MSG(options.successor_horizon >= 1, "horizon must be >= 1");
   ConflictGraph g;
 
-  // Per-disk time-ordered lists of requests whose data lives there.
   auto& on_disk = ws.on_disk;
-  reset_nested(on_disk, placement.num_disks());
-  for (std::uint32_t i = 0; i < trace.size(); ++i) {
-    for (DiskId k : placement.locations(trace[i].data)) {
-      on_disk[k].push_back(i);  // trace is time-sorted, so lists are too
-    }
-  }
+  list_requests_by_stored_disk(trace, placement, on_disk);
 
   // Step 1: nodes for every in-window candidate pair within the horizon.
   // The node count is data-dependent, so the workspace remembers the last

@@ -75,6 +75,14 @@ struct ConflictGraph {
   graph::WeightedGraph to_weighted_graph() const;
 };
 
+/// Per-disk, time-ordered lists of the requests whose data each disk
+/// stores: lists[k] holds every request index i with k among
+/// placement.locations(trace[i].data), ascending. Reuses the inner
+/// lists' capacity.
+void list_requests_by_stored_disk(
+    const trace::Trace& trace, const placement::PlacementMap& placement,
+    std::vector<std::vector<std::uint32_t>>& lists);
+
 /// Reusable scratch for build_conflict_graph: a sweep builds one graph per
 /// cell, and the per-disk request lists, per-request node buckets, and CSR
 /// cursor array dominate its transient allocations. Keeping one workspace

@@ -9,11 +9,7 @@ namespace eas::core {
 double pairwise_energy_saving(double ti, double tj,
                               const disk::DiskPowerParams& p) {
   EAS_REQUIRE_MSG(tj >= ti, "successor precedes request: " << tj << " < " << ti);
-  const double dt = tj - ti;
-  if (dt >= p.saving_window_seconds()) return 0.0;
-  const double x =
-      p.transition_energy() + (p.breakeven_seconds() - dt) * p.idle_watts;
-  return std::max(0.0, x);
+  return PairwiseEnergy(p).saving(ti, tj);
 }
 
 double pairwise_energy_consumption(double ti, double tj,

@@ -8,6 +8,7 @@
 // cases of Lemma 1 collapse into the closed form implemented here.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "disk/disk.hpp"
@@ -31,6 +32,39 @@ double pairwise_energy_saving(double ti, double tj,
 /// arrives dt seconds later (the ceiling minus the saving).
 double pairwise_energy_consumption(double ti, double tj,
                                    const disk::DiskPowerParams& p);
+
+/// Eq. 3 and Lemma 1 with the power-model constants (window, E_up/down,
+/// T_B, P_I, ceiling) derived once instead of per call: the one home of
+/// the formula, so both free functions above return exactly what these
+/// members do. Loops that price many pairs under one model hold one.
+class PairwiseEnergy {
+ public:
+  explicit PairwiseEnergy(const disk::DiskPowerParams& p)
+      : window_(p.saving_window_seconds()),
+        transition_(p.transition_energy()),
+        breakeven_(p.breakeven_seconds()),
+        idle_(p.idle_watts),
+        ceiling_(p.max_request_energy()) {}
+
+  /// X(ti, tj); requires tj >= ti (tj = +inf means "no successor").
+  double saving(double ti, double tj) const {
+    const double dt = tj - ti;
+    if (dt >= window_) return 0.0;
+    return std::max(0.0, transition_ + (breakeven_ - dt) * idle_);
+  }
+
+  /// The ceiling minus the saving.
+  double consumption(double ti, double tj) const {
+    return ceiling_ - saving(ti, tj);
+  }
+
+ private:
+  double window_;
+  double transition_;
+  double breakeven_;
+  double idle_;
+  double ceiling_;
+};
 
 /// What a scheduler may know about one disk at decision time — exactly the
 /// §2.2 online information model: power state, queue depth and the time the

@@ -4,7 +4,6 @@
 
 #include "core/energy_model.hpp"
 #include "core/offline_eval.hpp"
-#include "core/refine.hpp"
 #include "util/check.hpp"
 
 namespace eas::core {
@@ -55,6 +54,52 @@ std::string MwisOfflineScheduler::name() const {
   return os.str();
 }
 
+OfflineAssignment MwisOfflineScheduler::select_opportunities(
+    const trace::Trace& trace, const placement::PlacementMap& placement,
+    const disk::DiskPowerParams& power) {
+  const ConflictGraph graph =
+      build_conflict_graph(trace, placement, power, options_.graph,
+                           graph_ws_);
+  last_nodes_ = graph.size();
+  last_edges_ = graph.num_edges();
+
+  std::vector<std::uint32_t>& selected = selected_;
+  selected.clear();
+  switch (options_.algorithm) {
+    case MwisOptions::Algorithm::kGwmin:
+      solve_gwmin(graph, /*use_gwmin2=*/false, gwmin_ws_, selected);
+      break;
+    case MwisOptions::Algorithm::kGwmin2:
+      solve_gwmin(graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
+      break;
+    case MwisOptions::Algorithm::kExact: {
+      const auto wg = graph.to_weighted_graph();
+      const auto sol = graph::exact_mwis(wg, options_.exact_vertex_limit);
+      selected.assign(sol.vertices.begin(), sol.vertices.end());
+      break;
+    }
+  }
+  // Verifies independence as a side effect.
+  last_saving_ = graph.selection_weight(selected);
+  last_selected_ = selected.size();
+
+  // Step 4: read the assignment off the selected opportunities.
+  OfflineAssignment seed;
+  seed.disk_of_request.assign(trace.size(), kInvalidDisk);
+  for (std::uint32_t v : selected) {
+    const SavingNode& n = graph.nodes[v];
+    for (std::uint32_t r : {n.i, n.j}) {
+      // Independence guarantees agreement: any two selected nodes sharing
+      // a request name the same disk (schedule-constraint).
+      EAS_CHECK_MSG(seed.disk_of_request[r] == kInvalidDisk ||
+                        seed.disk_of_request[r] == n.k,
+                    "conflicting assignment for request " << r);
+      seed.disk_of_request[r] = n.k;
+    }
+  }
+  return seed;
+}
+
 OfflineAssignment MwisOfflineScheduler::schedule(
     const trace::Trace& trace, const placement::PlacementMap& placement,
     const disk::DiskPowerParams& power) {
@@ -67,7 +112,7 @@ OfflineAssignment MwisOfflineScheduler::schedule(
   auto refine = [&](OfflineAssignment& a) {
     if (options_.refine_passes > 0) {
       refine_offline_assignment(a, trace, placement, power,
-                                options_.refine_passes);
+                                options_.refine_passes, refine_ws_);
     }
   };
 
@@ -75,45 +120,9 @@ OfflineAssignment MwisOfflineScheduler::schedule(
   OfflineAssignment solver_seed;
   const bool want_solver = options_.seed != MwisOptions::Seed::kPileOnly;
   if (want_solver) {
-    const ConflictGraph graph =
-        build_conflict_graph(trace, placement, power, options_.graph,
-                             graph_ws_);
-    last_nodes_ = graph.size();
-    last_edges_ = graph.num_edges();
-
-    std::vector<std::uint32_t>& selected = selected_;
-    selected.clear();
-    switch (options_.algorithm) {
-      case MwisOptions::Algorithm::kGwmin:
-        solve_gwmin(graph, /*use_gwmin2=*/false, gwmin_ws_, selected);
-        break;
-      case MwisOptions::Algorithm::kGwmin2:
-        solve_gwmin(graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
-        break;
-      case MwisOptions::Algorithm::kExact: {
-        const auto wg = graph.to_weighted_graph();
-        const auto sol = graph::exact_mwis(wg, options_.exact_vertex_limit);
-        selected.assign(sol.vertices.begin(), sol.vertices.end());
-        break;
-      }
-    }
-    // Verifies independence as a side effect.
-    last_saving_ = graph.selection_weight(selected);
-    last_selected_ = selected.size();
-
-    // Step 4: read the assignment off the selected opportunities.
-    solver_seed.disk_of_request.assign(trace.size(), kInvalidDisk);
-    for (std::uint32_t v : selected) {
-      const SavingNode& n = graph.nodes[v];
-      for (std::uint32_t r : {n.i, n.j}) {
-        // Independence guarantees agreement: any two selected nodes sharing
-        // a request name the same disk (schedule-constraint).
-        EAS_CHECK_MSG(solver_seed.disk_of_request[r] == kInvalidDisk ||
-                          solver_seed.disk_of_request[r] == n.k,
-                      "conflicting assignment for request " << r);
-        solver_seed.disk_of_request[r] = n.k;
-      }
-    }
+    // The conflict graph lives only inside this call, so it is freed
+    // before refinement allocates.
+    solver_seed = select_opportunities(trace, placement, power);
     densest_pile_fill(solver_seed, trace, placement, power);
     solver_seed.validate(trace, placement);
     refine(solver_seed);

@@ -15,6 +15,7 @@
 
 #include "core/conflict_graph.hpp"
 #include "core/offline_eval.hpp"
+#include "core/refine.hpp"
 #include "core/scheduler.hpp"
 
 namespace eas::core {
@@ -63,6 +64,13 @@ class MwisOfflineScheduler final : public OfflineScheduler {
   bool last_used_pile_seed() const { return last_used_pile_; }
 
  private:
+  /// Steps 1-4 up to the fallback: builds the conflict graph, solves MWIS
+  /// on it, and assigns the requests the selected nodes name (the rest stay
+  /// kInvalidDisk). The graph is freed on return.
+  OfflineAssignment select_opportunities(
+      const trace::Trace& trace, const placement::PlacementMap& placement,
+      const disk::DiskPowerParams& power);
+
   MwisOptions options_;
   double last_saving_ = 0.0;
   std::size_t last_nodes_ = 0;
@@ -75,6 +83,7 @@ class MwisOfflineScheduler final : public OfflineScheduler {
   GwminWorkspace gwmin_ws_;
   std::vector<std::uint32_t> selected_;
   OfflineEvalWorkspace eval_ws_;
+  RefineWorkspace refine_ws_;
 };
 
 }  // namespace eas::core

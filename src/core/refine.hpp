@@ -14,6 +14,9 @@
 // evaluate.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/scheduler.hpp"
 
 namespace eas::core {
@@ -23,6 +26,22 @@ struct RefineStats {
   std::size_t moves = 0;       ///< single-request relocations
   std::size_t pair_moves = 0;  ///< adjacent-pair relocations
   double energy_delta = 0.0;   ///< total (negative = improvement)
+};
+
+/// Reusable scratch for refine_offline_assignment. A Trace is stably
+/// time-sorted, so request-index order is (time, index) order and every
+/// per-disk list below is a plain sorted array of request indices.
+struct RefineWorkspace {
+  /// Requests currently assigned to each disk, ascending.
+  std::vector<std::vector<std::uint32_t>> on_disk;
+  /// Requests whose data each disk stores (assigned there or not),
+  /// ascending: the candidates a change on that disk can affect.
+  std::vector<std::vector<std::uint32_t>> stores;
+  /// pos[r]: r's index within on_disk[disk_of_request[r]].
+  std::vector<std::uint32_t> pos;
+  /// Per request, bit 0 / bit 1: its pair / single move must be
+  /// re-evaluated because something it reads changed since it last was.
+  std::vector<std::uint8_t> dirty;
 };
 
 /// Greedily reassigns requests to lower-energy replica locations, sweeping
@@ -37,5 +56,13 @@ RefineStats refine_offline_assignment(OfflineAssignment& assignment,
                                       const placement::PlacementMap& placement,
                                       const disk::DiskPowerParams& power,
                                       std::size_t max_passes = 3);
+
+/// As above, reusing `ws` buffers across calls.
+RefineStats refine_offline_assignment(OfflineAssignment& assignment,
+                                      const trace::Trace& trace,
+                                      const placement::PlacementMap& placement,
+                                      const disk::DiskPowerParams& power,
+                                      std::size_t max_passes,
+                                      RefineWorkspace& ws);
 
 }  // namespace eas::core

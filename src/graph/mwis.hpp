@@ -11,8 +11,8 @@
 //              instances.
 //
 // gwmin/gwmin2 select through an indexed 8-ary heap (indexed_heap.hpp) in
-// O((n+m) log n); `gwmin_reference`/`gwmin2_reference` retain the original
-// O(n·k) linear-scan greedies as executable specifications, and
+// O((n+m) log n). The original O(n·k) linear-scan greedies live in
+// tests/reference_solvers.cpp as executable specifications, and
 // tests/test_graph_diff.cpp proves the two produce *identical* vertex sets
 // (the heap's (score, lowest-index) tie-break replicates the scan exactly).
 //
@@ -123,7 +123,7 @@ struct MwisWorkspace {
 /// surviving vertices, add it, delete N[v]; repeat. Guarantees total weight
 /// >= sum_v w(v)/(d(v)+1). Heap-driven O((n+m) log n); selections
 /// (including score ties, broken toward the lowest vertex index) are
-/// identical to gwmin_reference.
+/// identical to the linear-scan specification in tests/.
 MwisSolution gwmin(const WeightedGraph& g);
 MwisSolution gwmin(const WeightedGraph& g, MwisWorkspace& ws);
 /// Out-parameter form: with a warmed workspace and a reused `out`, a solve
@@ -137,12 +137,6 @@ void gwmin(const WeightedGraph& g, MwisWorkspace& ws, MwisSolution& out);
 MwisSolution gwmin2(const WeightedGraph& g);
 MwisSolution gwmin2(const WeightedGraph& g, MwisWorkspace& ws);
 void gwmin2(const WeightedGraph& g, MwisWorkspace& ws, MwisSolution& out);
-
-/// The original linear-scan greedies, retained verbatim as the executable
-/// specification the heap solvers are differentially tested against
-/// (test_graph_diff). O(n·k): rescans every survivor per selection.
-MwisSolution gwmin_reference(const WeightedGraph& g);
-MwisSolution gwmin2_reference(const WeightedGraph& g);
 
 /// Exact MWIS via branch-and-bound (branch on max-degree vertex; bound by
 /// the remaining weight sum). Exponential worst case; `max_vertices` guards

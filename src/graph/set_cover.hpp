@@ -80,13 +80,6 @@ SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance);
 SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance,
                                            SetCoverWorkspace& ws);
 
-/// The original per-round linear scan, retained as the executable
-/// specification of the greedy order — min (ratio, -fresh, set index) each
-/// round — that the lazy-heap solver is differentially tested against
-/// (test_graph_diff). O(rounds · sets · set size).
-SetCoverSolution greedy_weighted_set_cover_reference(
-    const SetCoverInstance& instance);
-
 /// Exact minimum-weight cover by branch-and-bound (branching on the
 /// uncovered element with the fewest candidate sets). Returns nullopt if the
 /// instance is infeasible. Intended for small instances (tests, ablations);

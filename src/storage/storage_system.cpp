@@ -838,10 +838,15 @@ class System final : public core::SystemView {
     close_entry(it);
   }
 
-  /// The attempt budget is spent, or no live replica is left: the request
-  /// is given up at disk `k`, counted, traced, closed.
-  void abandon(InFlightMap::iterator it, DiskId k) {
-    ++rel_stats_.abandoned;
+  /// The request is given up at disk `k` — its attempt budget is spent, or
+  /// no live replica is left — and counted in exactly one bucket (abandoned
+  /// or unavailable), traced, closed.
+  void abandon(InFlightMap::iterator it, DiskId k, bool unavailable = false) {
+    if (unavailable) {
+      note_unavailable();
+    } else {
+      ++rel_stats_.abandoned;
+    }
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kAbandon, it->first, k,
                               it->second.st.attempts));
@@ -1002,8 +1007,7 @@ class System final : public core::SystemView {
       pick = f.st.primary;  // the timed-out replica is the only live one
     }
     if (pick == kInvalidDisk) {
-      note_unavailable();
-      abandon(it, f.st.primary);
+      abandon(it, f.st.primary, /*unavailable=*/true);
       return;
     }
     ++rel_stats_.retries;
@@ -1110,8 +1114,7 @@ class System final : public core::SystemView {
         }
         const DiskId alt = view_->first_live(placement_, r.data);
         if (alt == kInvalidDisk) {
-          note_unavailable();
-          abandon(fit, k);
+          abandon(fit, k, /*unavailable=*/true);
           continue;
         }
         note_failover();

@@ -1,0 +1,45 @@
+// Executable specifications of the library's optimised solvers.
+//
+// Each function here is the straightforward original implementation of an
+// algorithm the library ships in a faster form. They live in tests/ only:
+// the differential suites (test_graph_diff, test_refine_diff) run both
+// forms on seeded instances and require identical results, bit for bit,
+// because the sweep fingerprints and goldens pin the historical outputs.
+#pragma once
+
+#include <cstddef>
+
+#include "core/refine.hpp"
+#include "core/scheduler.hpp"
+#include "disk/params.hpp"
+#include "graph/mwis.hpp"
+#include "graph/set_cover.hpp"
+#include "placement/placement.hpp"
+#include "trace/trace.hpp"
+
+namespace eas::graph {
+
+/// GWMIN by full linear rescan per selection, O(n·k): first strictly-better
+/// score wins, so equal scores keep the lowest vertex index.
+MwisSolution gwmin_reference(const WeightedGraph& g);
+
+/// GWMIN2 by full linear rescan, same tie-break as gwmin_reference.
+MwisSolution gwmin2_reference(const WeightedGraph& g);
+
+/// Greedy weighted set cover by per-round linear scan: min (ratio, -fresh,
+/// set index) each round. O(rounds · sets · set size).
+SetCoverSolution greedy_weighted_set_cover_reference(
+    const SetCoverInstance& instance);
+
+}  // namespace eas::graph
+
+namespace eas::core {
+
+/// refine_offline_assignment over one std::set<(time, request)> per disk,
+/// every request evaluated on every pass.
+RefineStats refine_offline_assignment_reference(
+    OfflineAssignment& assignment, const trace::Trace& trace,
+    const placement::PlacementMap& placement,
+    const disk::DiskPowerParams& power, std::size_t max_passes = 3);
+
+}  // namespace eas::core

@@ -27,6 +27,7 @@
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
+#include "reference_solvers.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 

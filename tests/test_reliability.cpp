@@ -426,6 +426,54 @@ TEST(TransientFault, ReliabilityRetriesShareTheAttemptBudgetWithFailover) {
   EXPECT_EQ(r.to_json(true), again.to_json(true));
 }
 
+TEST(FailStop, NoReplicaGiveUpCountsUnavailableOnly) {
+  // rf=1: data 0 lives only on disk 0, which dies for good at t=0.04. The
+  // t=0 burst times out at 25 ms and retries at 55 ms, after the failure
+  // (the retry path); the t=0.03 burst is still queued when the disk dies
+  // (the failover drain). Neither finds a live replica. Each such request
+  // is unavailable, not also abandoned, so the four buckets sum to the
+  // trace length.
+  std::vector<trace::TraceRecord> recs;
+  for (double t : {0.0, 0.03}) {
+    for (int i = 0; i < 10; ++i) {
+      trace::TraceRecord r;
+      r.time = t;
+      r.data = 0;
+      recs.push_back(r);
+    }
+  }
+  trace::TraceRecord late;  // on disk 1: keeps the failure inside the horizon
+  late.time = 1.0;
+  late.data = 1;
+  recs.push_back(late);
+  const trace::Trace trace(std::move(recs));
+  storage::SystemConfig cfg = base_config();
+  fault::ScriptedFault f;
+  f.kind = fault::ScriptedFault::Kind::kFailStop;
+  f.disk = 0;
+  f.time = 0.04;
+  cfg.fault.script.push_back(f);
+  cfg.reliability.enabled = true;
+  cfg.reliability.deadline_seconds = 0.025;
+  cfg.reliability.max_attempts = 3;
+  cfg.reliability.backoff_base_seconds = 0.030;
+  cfg.reliability.backoff_cap_seconds = 0.030;
+  cfg.reliability.jitter_fraction = 0.0;
+  core::StaticScheduler sched;
+  power::AlwaysOnPolicy policy;
+  const auto r = storage::run_online(
+      cfg, placement::PlacementMap(2, {{0}, {1}}), trace, sched, policy);
+  EXPECT_EQ(r.fault_stats.disk_failures, 1u);
+  EXPECT_GT(r.reliability_stats.deadline_misses, 0u);  // the retry path ran
+  EXPECT_EQ(r.reliability_stats.retries, 0u);          // ...and gave up
+  EXPECT_EQ(r.fault_stats.unavailable_requests, 15u);
+  EXPECT_EQ(r.reliability_stats.abandoned, 0u);
+  EXPECT_EQ(r.total_requests + r.reliability_stats.shed +
+                r.reliability_stats.abandoned +
+                r.fault_stats.unavailable_requests,
+            trace.size());
+}
+
 // ------------------------------- request kinds: primary + hedge, one queue
 
 // Kinds ride in the padding after `data`; tagging requests must not grow the
