@@ -132,7 +132,7 @@ void BM_ConflictGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_ConflictGraphBuild)->Arg(2000)->Arg(10000);
+BENCHMARK(BM_ConflictGraphBuild)->Arg(2000)->Arg(10000)->Arg(100000);
 
 void BM_SolveGwminConflict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

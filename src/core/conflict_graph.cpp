@@ -20,48 +20,35 @@ double ConflictGraph::selection_weight(
     total += nodes[v].weight;
   }
   for (std::uint32_t v : selected) {
-    for (std::uint32_t u : neighbors(v)) {
+    for_each_neighbor(v, [&](std::uint32_t u) {
       EAS_REQUIRE_MSG(!in.marked(u),
                       "selection is not independent: " << v << " ~ " << u);
-    }
+    });
   }
   return total;
 }
 
 graph::WeightedGraph ConflictGraph::to_weighted_graph() const {
-  // Hand the existing CSR straight to the graph layer — no per-vertex
-  // vector round-trip, no re-insertion of m edges through a builder. The
-  // WeightedGraph constructor audits the structure in bulk under
-  // EASCHED_AUDIT.
+  // Rows are written in for_each_neighbor order straight into the CSR
+  // arrays the graph layer adopts; the WeightedGraph constructor audits the
+  // structure in bulk under EASCHED_AUDIT.
   std::vector<double> weights;
   weights.reserve(nodes.size());
   for (const auto& n : nodes) weights.push_back(n.weight);
-  return graph::WeightedGraph(std::move(weights), adj_offsets, adj_data);
+  std::vector<std::size_t> offsets(nodes.size() + 1, 0);
+  for (std::uint32_t v = 0; v < nodes.size(); ++v) {
+    offsets[v + 1] = offsets[v] + degrees[v];
+  }
+  std::vector<std::uint32_t> adj;
+  adj.reserve(offsets.back());
+  for (std::uint32_t v = 0; v < nodes.size(); ++v) {
+    for_each_neighbor(v, [&](std::uint32_t u) { adj.push_back(u); });
+  }
+  return graph::WeightedGraph(std::move(weights), std::move(offsets),
+                              std::move(adj));
 }
 
 namespace {
-
-/// Invokes `fn(u, v)` exactly once per conflicting node pair. Conflicts are
-/// found through per-request buckets; a pair sharing *both* endpoints (the
-/// same (i,j) on two disks) appears in two buckets and is emitted only from
-/// bucket i, so no hashed dedup is needed.
-template <typename Fn>
-void for_each_conflict(const ConflictGraph& g,
-                       const std::vector<std::vector<std::uint32_t>>& bucket,
-                       Fn fn) {
-  for (std::uint32_t r = 0; r < bucket.size(); ++r) {
-    const auto& members = bucket[r];
-    for (std::size_t a = 0; a < members.size(); ++a) {
-      const SavingNode& u = g.nodes[members[a]];
-      for (std::size_t b = a + 1; b < members.size(); ++b) {
-        const SavingNode& v = g.nodes[members[b]];
-        if (u.i != v.i && u.k == v.k) continue;  // compatible
-        if (u.i == v.i && u.j == v.j && u.j == r) continue;  // seen at bucket i
-        fn(members[a], members[b]);
-      }
-    }
-  }
-}
 
 /// Grows `vecs` to `n` outer entries and clears each inner vector without
 /// releasing its capacity — the reuse primitive behind the workspace.
@@ -69,15 +56,6 @@ void reset_nested(std::vector<std::vector<std::uint32_t>>& vecs,
                   std::size_t n) {
   if (vecs.size() < n) vecs.resize(n);
   for (auto& v : vecs) v.clear();
-}
-
-void fill_buckets(const ConflictGraph& g, std::size_t num_requests,
-                  std::vector<std::vector<std::uint32_t>>& bucket) {
-  reset_nested(bucket, num_requests);
-  for (std::uint32_t v = 0; v < g.nodes.size(); ++v) {
-    bucket[g.nodes[v].i].push_back(v);
-    bucket[g.nodes[v].j].push_back(v);
-  }
 }
 
 }  // namespace
@@ -140,25 +118,36 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
 
   ws.last_node_count = g.nodes.size();
 
-  // Step 2: CSR adjacency in two passes over the conflict pairs — count
-  // degrees, then place. Each conflicting pair is visited exactly once.
-  fill_buckets(g, trace.size(), ws.bucket);
-  const auto& bucket = ws.bucket;
-  g.adj_offsets.assign(g.nodes.size() + 1, 0);
-  for_each_conflict(g, bucket, [&](std::uint32_t u, std::uint32_t v) {
-    ++g.adj_offsets[u + 1];
-    ++g.adj_offsets[v + 1];
-  });
-  for (std::size_t v = 0; v < g.nodes.size(); ++v) {
-    g.adj_offsets[v + 1] += g.adj_offsets[v];
+  // Step 2: the incidence CSR over requests, by counting sort. Counts go
+  // one slot to the right of their row start (inc_offsets[r + 2]), so after
+  // the prefix sum inc_offsets[r + 1] is row r's start and serves as its
+  // fill cursor; filling leaves it at row r's end, which is row r+1's
+  // start, and the spare last slot is dropped. Nodes are placed in
+  // ascending id, so every row comes out sorted.
+  auto& off = g.inc_offsets;
+  off.assign(trace.size() + 2, 0);
+  for (const SavingNode& n : g.nodes) {
+    ++off[n.i + 2];
+    ++off[n.j + 2];
   }
-  g.adj_data.resize(g.adj_offsets.back());
-  ws.cursor.assign(g.adj_offsets.begin(), g.adj_offsets.end() - 1);
-  auto& cursor = ws.cursor;
-  for_each_conflict(g, bucket, [&](std::uint32_t u, std::uint32_t v) {
-    g.adj_data[cursor[u]++] = v;
-    g.adj_data[cursor[v]++] = u;
-  });
+  for (std::size_t r = 2; r < off.size(); ++r) off[r] += off[r - 1];
+  g.inc_nodes.resize(2 * g.nodes.size());
+  for (std::uint32_t v = 0; v < g.nodes.size(); ++v) {
+    g.inc_nodes[off[g.nodes[v].i + 1]++] = v;
+    g.inc_nodes[off[g.nodes[v].j + 1]++] = v;
+  }
+  off.pop_back();
+
+  // Step 3: degrees and the edge count, in one sweep over the rows.
+  g.degrees.resize(g.nodes.size());
+  std::size_t degree_sum = 0;
+  for (std::uint32_t v = 0; v < g.nodes.size(); ++v) {
+    std::uint32_t d = 0;
+    g.for_each_neighbor(v, [&d](std::uint32_t) { ++d; });
+    g.degrees[v] = d;
+    degree_sum += d;
+  }
+  g.edge_count = degree_sum / 2;
   return g;
 }
 
@@ -171,7 +160,7 @@ namespace {
 /// re-keys each survivor adjacent to a kill. Heap membership doubles as the
 /// alive set; the two-phase kill keeps the historical update order: all of
 /// N[v] leaves the heap before any survivor is re-scored, and degree /
-/// nbr_weight decrements land in the same doomed-major, CSR-minor order as
+/// nbr_weight decrements land in the same doomed-major, row-minor order as
 /// before, so every score is the bit-identical double.
 void gwmin_select_loop(const ConflictGraph& g, bool use_gwmin2,
                        GwminWorkspace& ws,
@@ -189,14 +178,14 @@ void gwmin_select_loop(const ConflictGraph& g, bool use_gwmin2,
 
     doomed.clear();
     doomed.push_back(top.v);
-    for (const std::uint32_t u : g.neighbors(top.v)) {
+    g.for_each_neighbor(top.v, [&](std::uint32_t u) {
       if (heap.contains(u)) {
         heap.remove(u);
         doomed.push_back(u);
       }
-    }
+    });
     // Apply every degree / nbr_weight decrement first (same doomed-major,
-    // CSR-minor order as always — the nbr_weight rounding sequence is
+    // row-minor order as always — the nbr_weight rounding sequence is
     // pinned), then re-key each touched survivor once with its final
     // post-round score. A survivor adjacent to several kills would
     // otherwise pay one sift-up per kill for intermediate keys nothing
@@ -205,15 +194,15 @@ void gwmin_select_loop(const ConflictGraph& g, bool use_gwmin2,
     touch_list.clear();
     for (const std::uint32_t u : doomed) {
       const double uw = weight[u];
-      for (const std::uint32_t w : g.neighbors(u)) {
-        if (!heap.contains(w)) continue;
+      g.for_each_neighbor(u, [&](std::uint32_t w) {
+        if (!heap.contains(w)) return;
         --degree[w];
         if (use_gwmin2) nbr_weight[w] -= uw;
         if (!ws.touched.marked(w)) {
           ws.touched.mark(w);
           touch_list.push_back(w);
         }
-      }
+      });
     }
     for (const std::uint32_t w : touch_list) {
       double s;
@@ -256,10 +245,11 @@ void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
   if (use_gwmin2) nbr_weight.assign(n, 0.0);
   std::size_t max_deg = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
-    degree[v] = static_cast<std::uint32_t>(g.degree(v));
+    degree[v] = g.degrees[v];
     max_deg = std::max(max_deg, g.degree(v));
     if (use_gwmin2) {
-      for (std::uint32_t u : g.neighbors(v)) nbr_weight[v] += weight[u];
+      g.for_each_neighbor(v,
+                          [&](std::uint32_t u) { nbr_weight[v] += weight[u]; });
     }
   }
   ws.doomed.clear();

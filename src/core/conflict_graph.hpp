@@ -3,11 +3,13 @@
 // Step 1 creates a node for every energy-saving opportunity X(i,j,k) > 0:
 // request i scheduled on disk k with request j as its successor, both of
 // whose data live on k (Eq. 4), with j arriving inside the saving window
-// (Eq. 3). Step 2 adds an edge between nodes that cannot coexist in a valid
-// schedule:
+// (Eq. 3). Step 2 joins nodes that cannot coexist in a valid schedule:
 //   * energy-constraint: same first request i (a request has one successor);
 //   * schedule-constraint: the nodes share a request but name different
 //     disks (a request is served by exactly one disk).
+// Both constraints are decided by the two requests a node names, so the
+// edges are not stored: ConflictGraph lists the nodes of each request and
+// for_each_neighbor derives a node's neighbours from its two requests' lists.
 //
 // Scale control: the paper's formulation enumerates *all* co-located pairs
 // (i,j); on a 70k-request trace that is quadratic in burst length. Because
@@ -20,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "disk/params.hpp"
@@ -45,33 +46,62 @@ struct ConflictGraphOptions {
   std::size_t successor_horizon = 2;
 };
 
-/// The §3.1.2 graph. Adjacency is stored in CSR form (offsets + flat
-/// neighbour array) because production instances reach tens of millions of
-/// edges, where per-vertex vectors and hashed dedup dominate runtime.
+/// The §3.1.2 graph, with its edges left implicit. Two nodes conflict
+/// exactly when they share a request and either start at the same request
+/// or name different disks, so a node's neighbours can be read off the two
+/// requests it names. The graph therefore stores an incidence CSR over
+/// requests — for each request r, the nodes naming r as i or j — instead of
+/// its adjacency: 2·|nodes| entries where the adjacency held 2·|edges|
+/// (20.6M edges over 1.19M nodes on a 100k-request Cello-like trace).
 struct ConflictGraph {
   std::vector<SavingNode> nodes;
-  /// CSR: neighbours of v are adj_data[adj_offsets[v] .. adj_offsets[v+1]).
-  std::vector<std::size_t> adj_offsets;
-  std::vector<std::uint32_t> adj_data;
+  /// Incidence CSR: the nodes naming request r as i or j are
+  /// inc_nodes[inc_offsets[r] .. inc_offsets[r+1]), in ascending node id.
+  std::vector<std::size_t> inc_offsets;
+  std::vector<std::uint32_t> inc_nodes;
+  /// Conflict degree of each node and the edge count (sum of degrees / 2),
+  /// counted once at build time.
+  std::vector<std::uint32_t> degrees;
+  std::size_t edge_count = 0;
 
   std::size_t size() const { return nodes.size(); }
-  std::size_t num_edges() const { return adj_data.size() / 2; }
+  std::size_t num_edges() const { return edge_count; }
+  std::size_t degree(std::uint32_t v) const { return degrees[v]; }
 
-  /// Neighbours of node v.
-  std::span<const std::uint32_t> neighbors(std::uint32_t v) const {
-    return {adj_data.data() + adj_offsets[v],
-            adj_offsets[v + 1] - adj_offsets[v]};
-  }
-  std::size_t degree(std::uint32_t v) const {
-    return adj_offsets[v + 1] - adj_offsets[v];
+  /// Calls fn(u) once for every neighbour u of node v: row v.i, then row
+  /// v.j, ascending node id within each ([[hotpath]]: no allocation). A row
+  /// member is skipped when it is v itself or compatible with v (a different
+  /// first request on the same disk); row v.j also skips a node with v's
+  /// (i, j), which row v.i already yielded. The order is part of the
+  /// contract: GWMIN2's neighbourhood sums accumulate along it, and the
+  /// sweep fingerprints pin their rounding (test_graph_diff compares every
+  /// walk with the bucket-built reference CSR).
+  template <typename Fn>
+  void for_each_neighbor(std::uint32_t v, Fn&& fn) const {
+    const SavingNode& x = nodes[v];
+    for (std::size_t p = inc_offsets[x.i]; p < inc_offsets[x.i + 1]; ++p) {
+      const std::uint32_t u = inc_nodes[p];
+      const SavingNode& o = nodes[u];
+      if (u == v || (o.i != x.i && o.k == x.k)) continue;
+      fn(u);
+    }
+    for (std::size_t p = inc_offsets[x.j]; p < inc_offsets[x.j + 1]; ++p) {
+      const std::uint32_t u = inc_nodes[p];
+      const SavingNode& o = nodes[u];
+      if (u == v || (o.i != x.i && o.k == x.k) ||
+          (o.i == x.i && o.j == x.j)) {
+        continue;
+      }
+      fn(u);
+    }
   }
 
   /// Total weight of a node subset; also verifies independence + validity
   /// invariants under EAS_CHECK (used by tests and the scheduler).
   double selection_weight(const std::vector<std::uint32_t>& selected) const;
 
-  /// Materialises an explicit graph::WeightedGraph (small instances only —
-  /// tests, exact solves, ablations).
+  /// Materialises the adjacency as an explicit graph::WeightedGraph: O(m)
+  /// memory, so small instances only (tests, exact solves, ablations).
   graph::WeightedGraph to_weighted_graph() const;
 };
 
@@ -84,13 +114,11 @@ void list_requests_by_stored_disk(
     std::vector<std::vector<std::uint32_t>>& lists);
 
 /// Reusable scratch for build_conflict_graph: a sweep builds one graph per
-/// cell, and the per-disk request lists, per-request node buckets, and CSR
-/// cursor array dominate its transient allocations. Keeping one workspace
-/// alive across cells reuses those buffers at their high-water capacity.
+/// cell, and the per-disk request lists dominate its transient
+/// allocations. Keeping one workspace alive across cells reuses those
+/// buffers at their high-water capacity.
 struct ConflictGraphWorkspace {
   std::vector<std::vector<std::uint32_t>> on_disk;
-  std::vector<std::vector<std::uint32_t>> bucket;
-  std::vector<std::size_t> cursor;
   /// Node count of the previous build — the reservation estimate for the
   /// next one (cells in a sweep are similar-sized).
   std::size_t last_node_count = 0;
@@ -128,9 +156,11 @@ struct GwminWorkspace {
 
 /// Scalable GWMIN/GWMIN2 over a ConflictGraph: indexed max-heap keyed by
 /// (score, node id), degrees and neighbourhood weights maintained
-/// incrementally, O((V+E) log V) with no tombstone traffic. Selection order
-/// (including the higher-id tie-break the historical lazy pair-heap had) is
-/// pinned by the sweep fingerprints and test_graph_diff.
+/// incrementally: O((V+E) log V) heap work with no tombstone traffic, plus
+/// one walk of each dying node's two incidence rows (Σ_r |row r|² entries
+/// over the solve). Selection order (including the higher-id tie-break the
+/// historical lazy pair-heap had) is pinned by the sweep fingerprints and
+/// test_graph_diff.
 /// Returns selected node ids.
 std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
                                        bool use_gwmin2 = false);

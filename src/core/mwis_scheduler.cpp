@@ -73,6 +73,12 @@ OfflineAssignment MwisOfflineScheduler::select_opportunities(
       solve_gwmin(graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
       break;
     case MwisOptions::Algorithm::kExact: {
+      // Reject an oversized instance before materialising its O(m)
+      // adjacency (exact_mwis repeats the check on the graph it gets).
+      EAS_REQUIRE_MSG(graph.size() <= options_.exact_vertex_limit,
+                      "exact_mwis instance too large ("
+                          << graph.size() << " > "
+                          << options_.exact_vertex_limit << ")");
       const auto wg = graph.to_weighted_graph();
       const auto sol = graph::exact_mwis(wg, options_.exact_vertex_limit);
       selected.assign(sol.vertices.begin(), sol.vertices.end());

@@ -16,9 +16,11 @@
 // tests/test_graph_diff.cpp proves the two produce *identical* vertex sets
 // (the heap's (score, lowest-index) tie-break replicates the scan exactly).
 //
-// The scheduling-specific *implicit* conflict graph (which never
-// materialises its O(n²) edges) lives in core/mwis_scheduler; the explicit
-// algorithms here are the reference implementations it is tested against.
+// The scheduling-specific conflict graph (core/conflict_graph.hpp) stores
+// no edges: it derives each node's neighbours from per-request incidence
+// lists, and core::solve_gwmin runs the same heap greedy over those
+// implicit rows. ConflictGraph::to_weighted_graph materialises one as a
+// WeightedGraph for the exact solver and for tests on small instances.
 #pragma once
 
 #include <cstddef>

@@ -6,10 +6,20 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
+}
 }  // namespace
 
 std::uint64_t eas::testing::allocations() {
   return g_news.load(std::memory_order_relaxed);
+}
+
+std::uint64_t eas::testing::allocated_bytes() {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 // GCC's inliner pairs the shim's pass-through free() against allocations it
@@ -20,7 +30,7 @@ std::uint64_t eas::testing::allocations() {
 #endif
 
 void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
+  count(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -29,7 +39,7 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 // stable_sort temporary buffer (allocated nothrow) reaches the
 // pass-through free() from a foreign allocator — ASan flags the mismatch.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
+  count(n);
   return std::malloc(n ? n : 1);
 }
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {

@@ -1,4 +1,4 @@
-// Allocation counting for the zero-allocation tests.
+// Allocation counting for the zero-allocation and memory-bound tests.
 //
 // A test binary that links alloc_counter.cpp has every replaceable global
 // allocation function (scalar and array, throwing and nothrow) replaced by
@@ -14,12 +14,24 @@ namespace eas::testing {
 /// Calls to any operator new since the program started.
 std::uint64_t allocations();
 
+/// Bytes requested from any operator new since the program started (the
+/// cumulative total, not the live footprint: frees are not subtracted).
+std::uint64_t allocated_bytes();
+
 /// Allocations observed while running `body`.
 template <typename Body>
 std::uint64_t allocations_during(Body&& body) {
   const std::uint64_t before = allocations();
   body();
   return allocations() - before;
+}
+
+/// Bytes requested while running `body`.
+template <typename Body>
+std::uint64_t bytes_during(Body&& body) {
+  const std::uint64_t before = allocated_bytes();
+  body();
+  return allocated_bytes() - before;
 }
 
 }  // namespace eas::testing

@@ -147,7 +147,54 @@ double cons(double ti, double tj, const disk::DiskPowerParams& p) {
   return pairwise_energy_consumption(ti, tj, p);
 }
 
+/// Invokes `fn(u, v)` exactly once per conflicting node pair. Conflicts are
+/// found through per-request buckets; a pair sharing *both* endpoints (the
+/// same (i,j) on two disks) appears in two buckets and is emitted only from
+/// bucket i, so no hashed dedup is needed.
+template <typename Fn>
+void for_each_conflict(std::span<const SavingNode> nodes,
+                       const std::vector<std::vector<std::uint32_t>>& bucket,
+                       Fn fn) {
+  for (std::uint32_t r = 0; r < bucket.size(); ++r) {
+    const auto& members = bucket[r];
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      const SavingNode& u = nodes[members[a]];
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        const SavingNode& v = nodes[members[b]];
+        if (u.i != v.i && u.k == v.k) continue;  // compatible
+        if (u.i == v.i && u.j == v.j && u.j == r) continue;  // seen at bucket i
+        fn(members[a], members[b]);
+      }
+    }
+  }
+}
+
 }  // namespace
+
+graph::WeightedGraph build_conflict_csr_reference(
+    std::span<const SavingNode> nodes, std::size_t num_requests) {
+  std::vector<std::vector<std::uint32_t>> bucket(num_requests);
+  for (std::uint32_t v = 0; v < nodes.size(); ++v) {
+    bucket[nodes[v].i].push_back(v);
+    bucket[nodes[v].j].push_back(v);
+  }
+  std::vector<std::size_t> offsets(nodes.size() + 1, 0);
+  for_each_conflict(nodes, bucket, [&](std::uint32_t u, std::uint32_t v) {
+    ++offsets[u + 1];
+    ++offsets[v + 1];
+  });
+  for (std::size_t v = 0; v < nodes.size(); ++v) offsets[v + 1] += offsets[v];
+  std::vector<std::uint32_t> adj(offsets.back());
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for_each_conflict(nodes, bucket, [&](std::uint32_t u, std::uint32_t v) {
+    adj[cursor[u]++] = v;
+    adj[cursor[v]++] = u;
+  });
+  std::vector<double> weights;
+  for (const SavingNode& n : nodes) weights.push_back(n.weight);
+  return graph::WeightedGraph(std::move(weights), std::move(offsets),
+                              std::move(adj));
+}
 
 RefineStats refine_offline_assignment_reference(
     OfflineAssignment& assignment, const trace::Trace& trace,

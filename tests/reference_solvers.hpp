@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
+#include "core/conflict_graph.hpp"
 #include "core/refine.hpp"
 #include "core/scheduler.hpp"
 #include "disk/params.hpp"
@@ -34,6 +36,14 @@ SetCoverSolution greedy_weighted_set_cover_reference(
 }  // namespace eas::graph
 
 namespace eas::core {
+
+/// The conflict graph's explicit adjacency over `nodes` (trace indices
+/// below `num_requests`), built the way core::ConflictGraph stored it
+/// before its edges became implicit: nodes bucketed per request in node-id
+/// order, every conflicting pair found once by a pairwise scan of each
+/// bucket, and the CSR rows filled in two passes (count, then place).
+graph::WeightedGraph build_conflict_csr_reference(
+    std::span<const SavingNode> nodes, std::size_t num_requests);
 
 /// refine_offline_assignment over one std::set<(time, request)> per disk,
 /// every request evaluated on every pass.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "core/conflict_graph.hpp"
 #include "core/energy_model.hpp"
@@ -21,6 +22,13 @@ using testing::example_offline_trace;
 using testing::example_placement;
 using testing::example_power;
 
+std::vector<std::uint32_t> neighbors(const ConflictGraph& g,
+                                     std::uint32_t v) {
+  std::vector<std::uint32_t> row;
+  g.for_each_neighbor(v, [&](std::uint32_t u) { row.push_back(u); });
+  return row;
+}
+
 ConflictGraph paper_graph(std::size_t horizon = 2) {
   ConflictGraphOptions opts;
   opts.successor_horizon = horizon;
@@ -31,9 +39,9 @@ ConflictGraph paper_graph(std::size_t horizon = 2) {
 TEST(ConflictGraph, AdjacencyIsSymmetricAndLoopFree) {
   const auto g = paper_graph();
   for (std::uint32_t v = 0; v < g.size(); ++v) {
-    for (std::uint32_t u : g.neighbors(v)) {
+    for (std::uint32_t u : neighbors(g, v)) {
       EXPECT_NE(u, v);
-      const auto back = g.neighbors(u);
+      const auto back = neighbors(g, u);
       EXPECT_NE(std::find(back.begin(), back.end(), v), back.end());
     }
   }
@@ -42,9 +50,10 @@ TEST(ConflictGraph, AdjacencyIsSymmetricAndLoopFree) {
 TEST(ConflictGraph, NoDuplicateNeighbors) {
   const auto g = paper_graph();
   for (std::uint32_t v = 0; v < g.size(); ++v) {
-    const auto nbrs = g.neighbors(v);
+    const auto nbrs = neighbors(g, v);
     const std::set<std::uint32_t> unique(nbrs.begin(), nbrs.end());
     EXPECT_EQ(unique.size(), nbrs.size());
+    EXPECT_EQ(nbrs.size(), g.degree(v));
   }
 }
 
@@ -59,7 +68,7 @@ TEST(ConflictGraph, EdgesMatchTheTwoConstraints) {
   };
   for (std::uint32_t u = 0; u < g.size(); ++u) {
     for (std::uint32_t v = u + 1; v < g.size(); ++v) {
-      const auto nbrs = g.neighbors(u);
+      const auto nbrs = neighbors(g, u);
       const bool has =
           std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
       EXPECT_EQ(has, conflicts(g.nodes[u], g.nodes[v]))
@@ -94,7 +103,7 @@ TEST(ConflictGraph, SelectionWeightVerifiesIndependence) {
   // Find two adjacent nodes and try to "select" both.
   for (std::uint32_t v = 0; v < g.size(); ++v) {
     if (g.degree(v) > 0) {
-      const std::uint32_t u = g.neighbors(v)[0];
+      const std::uint32_t u = neighbors(g, v)[0];
       EXPECT_THROW(g.selection_weight({v, u}), InvariantError);
       return;
     }
@@ -110,6 +119,9 @@ TEST(ConflictGraph, ToWeightedGraphRoundTrips) {
   for (std::uint32_t v = 0; v < g.size(); ++v) {
     EXPECT_DOUBLE_EQ(wg.weight(v), g.nodes[v].weight);
     EXPECT_EQ(wg.degree(v), g.degree(v));
+    const auto row = wg.neighbors(v);
+    EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
+              neighbors(g, v));
   }
 }
 
@@ -161,9 +173,9 @@ TEST_P(RandomConflictGraphTest, GwminIsIndependentMaximalAndBounded) {
     for (std::uint32_t v = 0; v < g.size(); ++v) {
       if (in[v]) continue;
       bool blocked = false;
-      for (std::uint32_t u : g.neighbors(v)) {
+      g.for_each_neighbor(v, [&](std::uint32_t u) {
         if (in[u]) blocked = true;
-      }
+      });
       EXPECT_TRUE(blocked) << "vertex " << v << " could be added";
     }
 
