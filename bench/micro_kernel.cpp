@@ -45,6 +45,34 @@ void BM_ScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleCancel);
 
+void BM_TimerChurn(benchmark::State& state) {
+  // The spin-down timer's shape: 180 owners (disks) each keep one 30 s
+  // timer beside 180 unrelated pending heap events, and every item cancels
+  // one owner's timer and re-arms it. lane:0 arms through schedule_in (an
+  // 8-ary heap insert and an in-place heap removal), lane:1 through a delay
+  // lane (an O(1) append and an O(1) generation bump).
+  const bool use_lane = state.range(0) != 0;
+  constexpr std::size_t kTimers = 180;
+  sim::Simulator sim;
+  const auto lane = sim.delay_lane(30.0);
+  std::uint64_t a = 0;
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    sim.schedule_at(1e6 + static_cast<double>(i), [&a] { ++a; });
+  }
+  std::vector<sim::EventHandle> timers(kTimers);
+  std::uint64_t x = 1;
+  for (auto _ : state) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    sim::EventHandle& h = timers[(x >> 33) % kTimers];
+    sim.cancel(h);
+    h = use_lane ? sim.schedule_on(lane, [&a] { ++a; })
+                 : sim.schedule_in(30.0, [&a] { ++a; });
+  }
+  benchmark::DoNotOptimize(a);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TimerChurn)->ArgName("lane")->Arg(0)->Arg(1);
+
 void BM_DiskServiceLoop(benchmark::State& state) {
   // Submit-serve-complete cycles on one idle disk (no power transitions).
   const auto n = static_cast<std::size_t>(state.range(0));

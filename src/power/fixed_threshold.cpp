@@ -18,6 +18,14 @@ double FixedThresholdPolicy::threshold_for(const disk::Disk& d) const {
   return threshold_ < 0.0 ? d.power_params().breakeven_seconds() : threshold_;
 }
 
+void FixedThresholdPolicy::on_run_start(sim::Simulator& sim,
+                                        const std::vector<disk::Disk*>& disks) {
+  timers_.reset();
+  for (const disk::Disk* d : disks) {
+    timers_.bind(sim, d->id(), threshold_for(*d));
+  }
+}
+
 void FixedThresholdPolicy::on_disk_idle(sim::Simulator& sim, disk::Disk& d) {
   // A disk pinned by an in-progress rebuild stays spinning; the pin release
   // re-enters via on_disk_idle when the rebuild's last write completes.
@@ -32,38 +40,30 @@ void FixedThresholdPolicy::on_disk_idle(sim::Simulator& sim, disk::Disk& d) {
   // into the very tail latency the hedge exists to cut. The pin release
   // re-enters via on_disk_idle.
   if (pending_hedges(d.id()) > 0) return;
-  // Replace any stale timer: the disk has begun a fresh idle period.
-  auto it = timers_.find(d.id());
-  if (it != timers_.end()) sim.cancel(it->second);
   EAS_OBS(sim.recorder(),
           policy_event(sim.now(), obs::Ev::kPolicyArm, d.id(),
                        static_cast<std::uint64_t>(
                            std::llround(threshold_for(d) * 1e6))));
   disk::Disk* dp = &d;
-  timers_[d.id()] =
-      sim.schedule_in(threshold_for(d), [this, dp] {
-        // The activity hook cancels this event whenever work arrives, so the
-        // disk must still be idle; the check is a cheap belt-and-braces. The
-        // pin can appear between arming and firing, so it is re-checked.
-        if (dp->state() == disk::DiskState::Idle &&
-            dp->queued_requests() == 0 && !spin_down_blocked(dp->id()) &&
-            pending_hedges(dp->id()) == 0) {
-          dp->spin_down();
-        }
-      });
+  // Replaces any stale timer: the disk has begun a fresh idle period.
+  timers_.arm(sim, d.id(), threshold_for(d), [this, dp] {
+    // The activity hook cancels this event whenever work arrives, so the
+    // disk must still be idle; the check is a cheap belt-and-braces. The
+    // pin can appear between arming and firing, so it is re-checked.
+    if (dp->state() == disk::DiskState::Idle && dp->queued_requests() == 0 &&
+        !spin_down_blocked(dp->id()) && pending_hedges(dp->id()) == 0) {
+      dp->spin_down();
+    }
+  });
 }
 
 void FixedThresholdPolicy::on_disk_activity(sim::Simulator& sim,
                                             disk::Disk& d) {
-  auto it = timers_.find(d.id());
-  if (it != timers_.end()) {
-    // Only report a cancel when one actually happened: the timer may have
-    // already fired (disk spun down and is being woken).
-    if (sim.cancel(it->second)) {
-      EAS_OBS(sim.recorder(),
-              policy_event(sim.now(), obs::Ev::kPolicyCancel, d.id()));
-    }
-    timers_.erase(it);
+  // Only report a cancel when one actually happened: the timer may have
+  // already fired (disk spun down and is being woken).
+  if (timers_.cancel(sim, d.id())) {
+    EAS_OBS(sim.recorder(),
+            policy_event(sim.now(), obs::Ev::kPolicyCancel, d.id()));
   }
 }
 

@@ -6,7 +6,7 @@
 // multiple of breakeven) for the power-policy ablation bench.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "power/policy.hpp"
 
@@ -21,6 +21,8 @@ class FixedThresholdPolicy final : public PowerPolicy {
 
   std::string name() const override;
 
+  void on_run_start(sim::Simulator& sim,
+                    const std::vector<disk::Disk*>& disks) override;
   void on_disk_idle(sim::Simulator& sim, disk::Disk& d) override;
   void on_disk_activity(sim::Simulator& sim, disk::Disk& d) override;
 
@@ -28,7 +30,7 @@ class FixedThresholdPolicy final : public PowerPolicy {
 
  private:
   double threshold_;
-  std::unordered_map<DiskId, sim::EventHandle> timers_;
+  SpinDownTimers timers_;
 };
 
 }  // namespace eas::power

@@ -27,8 +27,10 @@ sim::SimTime OraclePolicy::next_arrival(DiskId k, sim::SimTime now) {
 
 void OraclePolicy::on_run_start(sim::Simulator& sim,
                                 const std::vector<disk::Disk*>& disks) {
+  spin_down_timers_.reset();
   for (disk::Disk* d : disks) {
     const DiskId k = d->id();
+    spin_down_timers_.bind(sim, k, d->power_params().breakeven_seconds());
     if (k >= arrivals_.size() || arrivals_[k].empty()) continue;
     const double t_up = d->power_params().spinup_seconds;
     const sim::SimTime wake =
@@ -53,16 +55,13 @@ void OraclePolicy::on_disk_idle(sim::Simulator& sim, disk::Disk& d) {
 
   // Case I: wait out the breakeven time, spin down, and (if there is a
   // successor) spin back up just in time for it.
-  auto it = spin_down_timers_.find(d.id());
-  if (it != spin_down_timers_.end()) sim.cancel(it->second);
   disk::Disk* dp = &d;
-  spin_down_timers_[d.id()] =
-      sim.schedule_in(p.breakeven_seconds(), [this, dp] {
-        if (dp->state() == disk::DiskState::Idle &&
-            dp->queued_requests() == 0 && !spin_down_blocked(dp->id())) {
-          dp->spin_down();
-        }
-      });
+  spin_down_timers_.arm(sim, d.id(), p.breakeven_seconds(), [this, dp] {
+    if (dp->state() == disk::DiskState::Idle && dp->queued_requests() == 0 &&
+        !spin_down_blocked(dp->id())) {
+      dp->spin_down();
+    }
+  });
   if (next < sim::kTimeInfinity) {
     const sim::SimTime wake =
         std::max(now, next - p.spinup_seconds - pre_spin_margin_);
@@ -71,11 +70,7 @@ void OraclePolicy::on_disk_idle(sim::Simulator& sim, disk::Disk& d) {
 }
 
 void OraclePolicy::on_disk_activity(sim::Simulator& sim, disk::Disk& d) {
-  auto it = spin_down_timers_.find(d.id());
-  if (it != spin_down_timers_.end()) {
-    sim.cancel(it->second);
-    spin_down_timers_.erase(it);
-  }
+  spin_down_timers_.cancel(sim, d.id());
 }
 
 }  // namespace eas::power

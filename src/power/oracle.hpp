@@ -11,7 +11,6 @@
 // offline assignment before the run starts.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "power/policy.hpp"
@@ -42,7 +41,7 @@ class OraclePolicy final : public PowerPolicy {
   std::vector<std::vector<sim::SimTime>> arrivals_;
   double pre_spin_margin_;
   std::vector<std::size_t> cursor_;
-  std::unordered_map<DiskId, sim::EventHandle> spin_down_timers_;
+  SpinDownTimers spin_down_timers_;
 };
 
 }  // namespace eas::power

@@ -97,6 +97,52 @@ class PowerPolicy {
   HedgeProbe hedge_probe_;
 };
 
+/// One pending spin-down timer per disk, for the policies that arm one on
+/// every idle gap and cancel it on the next arrival. Each disk's timer
+/// rides the simulator's delay lane for that disk's idle threshold
+/// (DESIGN.md §8), so both are O(1). Lane ids and handles belong to one
+/// simulator: on_run_start calls reset() and binds every disk; a policy
+/// driven directly, without a run, binds a disk on its first arm.
+class SpinDownTimers {
+ public:
+  void reset() {
+    timers_.clear();
+    lanes_.clear();
+  }
+
+  /// Resolves disk k's lane for `delay`, unless k already has one. A
+  /// disk's delay must not change within a run.
+  void bind(sim::Simulator& sim, DiskId k, double delay) {
+    if (k >= lanes_.size()) {
+      lanes_.resize(k + 1, kNoLane);
+      timers_.resize(k + 1);
+    }
+    if (lanes_[k] == kNoLane) lanes_[k] = sim.delay_lane(delay);
+  }
+
+  /// Replaces disk k's pending timer with `fn`, due `delay` from now.
+  template <typename F>
+  void arm(sim::Simulator& sim, DiskId k, double delay, F&& fn) {
+    bind(sim, k, delay);
+    sim.cancel(timers_[k]);
+    timers_[k] = sim.schedule_on(lanes_[k], std::forward<F>(fn));
+  }
+
+  /// Cancels disk k's pending timer. True if one was still pending (it may
+  /// already have fired: the disk spun down and is being woken).
+  bool cancel(sim::Simulator& sim, DiskId k) {
+    if (k >= timers_.size()) return false;  // never armed
+    const bool cancelled = sim.cancel(timers_[k]);
+    timers_[k] = {};
+    return cancelled;
+  }
+
+ private:
+  static constexpr sim::Simulator::LaneId kNoLane = ~sim::Simulator::LaneId{0};
+  std::vector<sim::EventHandle> timers_;
+  std::vector<sim::Simulator::LaneId> lanes_;
+};
+
 /// Baseline "always-on" configuration (the paper's normalisation target):
 /// disks never spin down. The storage system starts disks in Idle when this
 /// policy is selected, so they burn P_I for the whole run.

@@ -167,6 +167,123 @@ void Simulator::heap_remove(std::uint32_t pos) {
 }
 
 // ---------------------------------------------------------------------------
+// Delay lanes. Each lane is a FIFO of (time, seq|slot, gen) keys; a cancel
+// recycles the slot at once and leaves its key behind, stale, for
+// compact_lane to drop. lane_top_ caches the minimum head so fire_next and
+// next_event_time compare one key, not one per lane.
+
+Simulator::LaneId Simulator::delay_lane(SimTime delay) {
+  EAS_REQUIRE_MSG(delay >= 0.0, "negative lane delay " << delay);
+  delay += 0.0;  // -0.0 and +0.0 are one delay
+  for (LaneId i = 0; i < lanes_.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(lanes_[i].delay) ==
+        std::bit_cast<std::uint64_t>(delay)) {
+      return i;
+    }
+  }
+  EAS_CHECK_MSG(lanes_.size() < kMaxLanes, "too many delay lanes");
+  lanes_.push_back(DelayLane{delay, {}, 0, 0});
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void Simulator::push_lane_slot(LaneId lane, SimTime when, std::uint32_t s) {
+  const std::uint64_t seq = next_seq_++;
+  EAS_CHECK_MSG(seq < kMaxSeq, "event sequence counter exhausted");
+  const HeapEntry e{time_to_bits(when), (seq << kSlotBits) | s};
+  DelayLane& l = lanes_[lane];
+  // Amortized growth only: compact_lane bounds the lane by its live count,
+  // so a warm lane pushes into capacity it already has.
+  l.keys.push_back(LaneKey{e, meta_[s].gen});
+  ++l.live;
+  meta_[s].pos_link = kLaneTag | lane;
+  // The new key is the lane's last; it is the lane's head only if the lane
+  // was empty, and then it can only lower the minimum over heads.
+  if (e.fires_before(lane_top_)) {
+    lane_top_ = e;
+    lane_top_id_ = lane;
+  }
+}
+
+void Simulator::compact_lane(DelayLane& l) {
+  const auto size = static_cast<std::uint32_t>(l.keys.size());
+  std::uint32_t head = l.head;
+  while (head != size &&
+         l.keys[head].gen != meta_[l.keys[head].key.slot()].gen) {
+    ++head;
+  }
+  const std::uint32_t rest = size - head;
+  if (rest == 0) {
+    l.keys.clear();
+    l.head = 0;
+    return;
+  }
+  l.head = head;
+  // Stale keys outnumber live ones, or the consumed prefix is longer than
+  // what is left: copy the live keys to the front. Either way the copy
+  // costs O(rest) and is paid for by the cancels or pops that made the
+  // stale keys or the prefix, so arm, fire and cancel stay amortized O(1).
+  if (rest - l.live > l.live || head > rest) {
+    // Branchless: whether a key is stale is a coin flip to the predictor,
+    // so every key is copied and only live ones advance the write cursor.
+    LaneKey* keys = l.keys.data();
+    std::uint32_t w = 0;
+    for (std::uint32_t i = head; i != size; ++i) {
+      const LaneKey k = keys[i];
+      keys[w] = k;
+      w += k.gen == meta_[k.key.slot()].gen ? 1u : 0u;
+    }
+    l.keys.resize(w);
+    l.head = 0;
+  }
+}
+
+void Simulator::update_lane_top() {
+  lane_top_ = kNoEntry;
+  lane_top_id_ = kNullIndex;
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    const DelayLane& l = lanes_[i];
+    if (l.head == l.keys.size()) continue;
+    const HeapEntry& e = l.keys[l.head].key;
+    if (e.fires_before(lane_top_)) {
+      lane_top_ = e;
+      lane_top_id_ = i;
+    }
+  }
+}
+
+void Simulator::cancel_lane_slot(std::uint32_t s) {
+  SlotMeta& m = meta_[s];
+  const std::uint32_t id = m.pos_link & ~kLaneTag;
+  DelayLane& l = lanes_[id];
+  const bool was_head = l.keys[l.head].key.slot() == s;  // the head is live
+  fn_at(s).reset();  // destroy the un-fired callback
+  ++m.gen;           // odd (alive) -> even (free): the key is now stale
+  m.pos_link = free_head_;
+  free_head_ = s;
+  --l.live;
+  compact_lane(l);
+  // Only a lane whose head moved can change the minimum, and only if it
+  // held it.
+  if (was_head && id == lane_top_id_) update_lane_top();
+}
+
+void Simulator::fire_lane_top() {
+  DelayLane& l = lanes_[lane_top_id_];
+  const HeapEntry top = lane_top_;
+  EAS_ASSERT_MSG(top.time() >= now_, "event would move the clock backwards: "
+                                         << top.time() << " < " << now_);
+  now_ = top.time();
+  ++fired_;
+  const std::uint32_t s = top.slot();
+  ++meta_[s].gen;  // detach before invoking, as fire_top does
+  ++l.head;
+  --l.live;
+  compact_lane(l);
+  update_lane_top();
+  consume_slot(s);
+}
+
+// ---------------------------------------------------------------------------
 // Public API
 
 void Simulator::push_alive_slot(SimTime when, std::uint32_t s) {
@@ -210,6 +327,10 @@ bool Simulator::cancel(EventHandle h) {
   if (!h.valid() || h.slot_ >= meta_.size()) return false;
   SlotMeta& m = meta_[h.slot_];
   if (m.gen != h.gen_) return false;  // already fired/cancelled (stale)
+  if ((m.pos_link & kLaneTag) != 0) {
+    cancel_lane_slot(h.slot_);
+    return true;
+  }
   // The target may sit in the staged suffix; fold first so heap_remove
   // operates on a complete heap (m.pos_link is current either way).
   if (has_staged()) fold_staged();
@@ -243,7 +364,7 @@ void Simulator::fire_top() {
   prefetch_for_write(&fn_at(s));  // consumed after the sift below
   // Detach the slot before invoking — bump the generation so the callback
   // sees its own handle as stale if it tries to cancel itself. pos_link goes
-  // stale until the FreeGuard repoints it at the free list; with an even
+  // stale until consume_slot repoints it at the free list; with an even
   // generation nothing can read it in between.
   ++meta_[s].gen;
   // Root removal: sink the hole from the root, refill from the bottom.
@@ -253,6 +374,10 @@ void Simulator::fire_top() {
   heap_.pop_back();
   heaped_ = live();
   if (heaped_ != 0) sift_up(sink_hole(0), moved);
+  consume_slot(s);
+}
+
+void Simulator::consume_slot(std::uint32_t s) {
   // Invoke *in place* — chunked callback storage is address-stable, so the
   // callable never moves even if it schedules events that grow the pool.
   // Its slot joins the free list only after consume() has destroyed it
@@ -269,31 +394,40 @@ void Simulator::fire_top() {
   fn_at(s).consume();
 }
 
-void Simulator::fire_lane() {
-  const SimTime t = std::bit_cast<SimTime>(lane_bits_);
-  // schedule_arrival rejects the past, and heap events only fire ahead of
-  // the lane when strictly earlier, so the clock cannot have passed it.
+void Simulator::fire_arrival() {
+  const SimTime t = std::bit_cast<SimTime>(arrival_bits_);
+  // schedule_arrival rejects the past, and heap and delay-lane events only
+  // fire ahead of the lane when strictly earlier, so the clock cannot have
+  // passed it.
   EAS_ASSERT_MSG(t >= now_, "arrival would move the clock backwards: "
                                 << t << " < " << now_);
   now_ = t;
   ++fired_;
-  lane_bits_ = kNoPendingBits;
-  Callback& cb = lane_[lane_slot_];
-  lane_slot_ ^= 1u;  // a re-arm from inside cb fills the other buffer
+  arrival_bits_ = kNoPendingBits;
+  Callback& cb = arrival_[arrival_slot_];
+  arrival_slot_ ^= 1u;  // a re-arm from inside cb fills the other buffer
   cb.consume();
 }
 
 bool Simulator::fire_next(std::uint64_t until_bits) {
   if (has_staged()) fold_staged();
-  const std::uint64_t heap_bits =
-      live() != 0 ? ent(0).time_bits : kNoPendingBits;
-  // `<=`: the lane wins a time tie against every heap event.
-  if (lane_bits_ <= heap_bits) {
-    if (lane_bits_ > until_bits) return false;
-    fire_lane();
+  const HeapEntry heap_top = live() != 0 ? ent(0) : kNoEntry;
+  // Heap and lane events share one sequence counter, so their (time, seq)
+  // keys never tie: this is the order a single heap holding both would pop.
+  const bool lane_wins = lane_top_.fires_before(heap_top);
+  const std::uint64_t next_bits =
+      lane_wins ? lane_top_.time_bits : heap_top.time_bits;
+  // `<=`: the arrival lane wins a time tie against every other event.
+  if (arrival_bits_ <= next_bits) {
+    if (arrival_bits_ > until_bits) return false;
+    fire_arrival();
   } else {
-    if (heap_bits > until_bits) return false;
-    fire_top();
+    if (next_bits > until_bits) return false;
+    if (lane_wins) {
+      fire_lane_top();
+    } else {
+      fire_top();
+    }
   }
   return true;
 }

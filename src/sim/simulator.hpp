@@ -27,7 +27,12 @@
 //  * trace replay goes through the arrival lane (schedule_arrival): one
 //    pending arrival held beside the heap, re-armed by its own callback, so
 //    the heap holds O(disks + in-flight) events instead of one per trace
-//    record. The lane fires before any heap event at equal time.
+//    record. The lane fires before any heap or delay-lane event at equal
+//    time.
+//  * fixed-delay timers go through delay lanes (schedule_on): a lane holds
+//    events armed at now() + one fixed delay, so arming order is firing
+//    order and the lane is a FIFO of small keys beside the heap. Arm and
+//    cancel are O(1); the heap keeps only events whose delays vary.
 #pragma once
 
 #include <bit>
@@ -106,17 +111,7 @@ class Simulator {
     EAS_REQUIRE_MSG(std::isfinite(when), "event time must be finite");
     EAS_REQUIRE_MSG(when >= now_, "cannot schedule in the past: when="
                                       << when << " now=" << now_);
-    // Raw lambdas are never null; wrapper types (Callback, std::function)
-    // can be, and an empty one must fail loudly here, not at fire time.
-    if constexpr (requires { static_cast<bool>(fn); }) {
-      EAS_REQUIRE_MSG(static_cast<bool>(fn), "null event callback");
-    }
-    const std::uint32_t s = acquire_slot();
-    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-      fn_at(s) = std::forward<F>(fn);
-    } else {
-      fn_at(s).emplace(std::forward<F>(fn));
-    }
+    const std::uint32_t s = fill_slot(std::forward<F>(fn));
     push_alive_slot(when, s);
     return EventHandle{s, meta_[s].gen};
   }
@@ -128,51 +123,90 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Identifies a delay lane; see delay_lane().
+  using LaneId = std::uint32_t;
+
+  /// Returns the lane for events armed exactly `delay` (>= 0) after now().
+  /// Lanes are deduplicated by the bits of the delay, so owners that share
+  /// a delay share a lane; an owner resolves its lanes once at set-up and
+  /// keeps the ids, which are valid for this simulator only. At most
+  /// kMaxLanes distinct delays.
+  LaneId delay_lane(SimTime delay);
+
+  /// Schedules `fn` on `lane`, i.e. at now() + the lane's delay — the same
+  /// time, and the same next sequence number, that schedule_in(delay, fn)
+  /// would give it, so the firing order is exactly schedule_in's. The
+  /// returned handle works with cancel() and pending() like any other;
+  /// cancelling a lane event is O(1).
+  template <typename F>
+  EventHandle schedule_on(LaneId lane, F&& fn) {
+    EAS_REQUIRE_MSG(lane < lanes_.size(), "unknown delay lane " << lane);
+    const SimTime when = now_ + lanes_[lane].delay;
+    EAS_REQUIRE_MSG(std::isfinite(when), "event time must be finite");
+    const std::uint32_t s = fill_slot(std::forward<F>(fn));
+    push_lane_slot(lane, when, s);
+    return EventHandle{s, meta_[s].gen};
+  }
+
   /// Arms the arrival lane: `fn` fires at absolute time `when` (>= now()).
   /// The lane holds at most one pending event, stored beside the heap rather
   /// than in it, and a trace replay re-arms it from inside its own callback
   /// for the next record. At equal time the lane fires before every heap
-  /// event — the order the replay would get by pre-scheduling one event per
-  /// record up front, whose sequence numbers would all precede anything
-  /// scheduled later. The lane event cannot be cancelled.
+  /// and delay-lane event — the order the replay would get by pre-scheduling
+  /// one event per record up front, whose sequence numbers would all precede
+  /// anything scheduled later. The lane event cannot be cancelled.
   template <typename F>
   void schedule_arrival(SimTime when, F&& fn) {
     EAS_REQUIRE_MSG(std::isfinite(when), "arrival time must be finite");
     EAS_REQUIRE_MSG(when >= now_, "cannot schedule an arrival in the past: when="
                                       << when << " now=" << now_);
-    EAS_REQUIRE_MSG(lane_bits_ == kNoPendingBits,
+    EAS_REQUIRE_MSG(arrival_bits_ == kNoPendingBits,
                     "arrival lane already holds a pending event");
     if constexpr (requires { static_cast<bool>(fn); }) {
       EAS_REQUIRE_MSG(static_cast<bool>(fn), "null arrival callback");
     }
-    Callback& cb = lane_[lane_slot_];
+    Callback& cb = arrival_[arrival_slot_];
     if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
       cb = std::forward<F>(fn);
     } else {
       cb.emplace(std::forward<F>(fn));
     }
-    lane_bits_ = time_to_bits(when);
+    arrival_bits_ = time_to_bits(when);
   }
 
-  /// Cancels a pending event in O(log n): the heap entry is removed in place
-  /// and the slot recycled — no tombstones. Returns true if the event was
-  /// still pending (i.e. this call prevented it from firing). Safe to call
-  /// with null or already-fired handles.
+  /// Cancels a pending event and recycles its slot. A heap event's entry is
+  /// removed in place in O(log n); a lane event is O(1) — its key stays in
+  /// the lane, stale, until the lane skips or compacts it. Returns true if
+  /// the event was still pending (i.e. this call prevented it from firing).
+  /// Safe to call with null or already-fired handles.
   bool cancel(EventHandle h);
 
   /// True if the event is scheduled and not yet fired/cancelled.
   bool pending(EventHandle h) const;
 
-  /// Number of events waiting to fire, the arrival lane's included.
+  /// Number of events waiting to fire, the arrival lane's and every delay
+  /// lane's included.
   std::size_t pending_count() const {
-    return live() + (lane_bits_ != kNoPendingBits ? 1u : 0u);
+    std::size_t n = live() + (arrival_bits_ != kNoPendingBits ? 1u : 0u);
+    for (const DelayLane& l : lanes_) n += l.live;
+    return n;
   }
 
   /// Physical size of the ready queue (heap-ordered prefix plus staged
-  /// suffix). Equals pending_count() minus the arrival lane's event:
-  /// cancellation removes entries in place, so there is no tombstone growth
-  /// for it to diverge by. Exposed so tests can pin that property down.
+  /// suffix). Equals pending_count() minus the arrival and delay lanes'
+  /// events: heap cancellation removes entries in place, so there is no
+  /// tombstone growth for it to diverge by. Exposed so tests can pin that
+  /// property down.
   std::size_t queue_depth() const { return live(); }
+
+  /// Keys physically held by the delay lanes, stale ones included. Stays
+  /// within a constant factor of the live lane events (see compact_lane);
+  /// exposed so tests can pin that bound.
+  std::size_t lane_key_count() const {
+    std::size_t n = 0;
+    for (const DelayLane& l : lanes_) n += l.keys.size();
+    return n;
+  }
 
   /// Runs until the queue drains. Returns the number of events fired.
   std::uint64_t run();
@@ -186,12 +220,14 @@ class Simulator {
 
   /// Time of the next pending event, or kTimeInfinity. Const in letter and
   /// spirit: the tombstone-free heap means there is nothing to lazily clean,
-  /// and the staged suffix tracks its minimum time incrementally, so even
-  /// staged events are answered without a flush.
+  /// the staged suffix tracks its minimum time incrementally, so even staged
+  /// events are answered without a flush, and every delay lane's head key is
+  /// live, so lane_top_ is exact.
   SimTime next_event_time() const {
-    std::uint64_t bits = staged_min_bits_ < lane_bits_ ? staged_min_bits_
-                                                        : lane_bits_;
+    std::uint64_t bits = staged_min_bits_ < arrival_bits_ ? staged_min_bits_
+                                                           : arrival_bits_;
     if (heaped_ != 0 && ent(0).time_bits < bits) bits = ent(0).time_bits;
+    if (lane_top_.time_bits < bits) bits = lane_top_.time_bits;
     return bits == kNoPendingBits ? kTimeInfinity
                                   : std::bit_cast<SimTime>(bits);
   }
@@ -224,11 +260,12 @@ class Simulator {
   /// Per-slot bookkeeping. `gen` is odd while the slot is alive and even
   /// while it is free; handles are only ever minted with odd generations, so
   /// a handle matches `gen` iff it names the slot's current live
-  /// incarnation. `pos_link` is overloaded on that state — a slot is either
-  /// in the heap or on the free list, never both — holding the slot's heap
-  /// position while alive and the next free slot while free. (The generation
-  /// check always runs first, so a stale reading of the other meaning is
-  /// unreachable.)
+  /// incarnation. `pos_link` is overloaded on that state — a slot is in the
+  /// heap, in a delay lane or on the free list, exactly one — holding the
+  /// slot's heap position or kLaneTag | lane id while alive, and the next
+  /// free slot while free. (The generation check always runs first, so a
+  /// stale reading of the other meaning is unreachable; heap positions stay
+  /// below kMaxSlots, so they never carry the tag bit.)
   ///
   /// Kept separate from the slot's callback on purpose: every sift placement
   /// writes pos_link, so the metadata array is the kernel's hottest random-
@@ -298,10 +335,37 @@ class Simulator {
     return *std::launder(reinterpret_cast<Callback*>(slot_storage(s)));
   }
 
-  /// Sentinel for staged_min_bits_ and lane_bits_: larger (as ordered time
-  /// bits) than any finite event time, so an empty staged suffix or lane
-  /// never wins the next-event compare.
+  /// Sentinel for staged_min_bits_ and arrival_bits_: larger (as ordered
+  /// time bits) than any finite event time, so an empty staged suffix or
+  /// lane never wins the next-event compare.
   static constexpr std::uint64_t kNoPendingBits = ~std::uint64_t{0};
+  /// The same sentinel as a full (time, seq) key, for an empty heap or an
+  /// empty set of delay lanes: every real entry fires before it.
+  static constexpr HeapEntry kNoEntry{kNoPendingBits, ~std::uint64_t{0}};
+
+  /// Delay lanes (schedule_on). Events on one lane are armed at now() + a
+  /// fixed delay; the clock never runs backwards and IEEE addition rounds
+  /// monotonically, so arming order is (time, seq) order and each lane is a
+  /// FIFO — no sift, no per-lane heap. A key remembers its slot's
+  /// generation: cancel() only recycles the slot, and the key left behind
+  /// is recognised as stale by the mismatch.
+  static constexpr std::uint32_t kLaneTag = 1u << 31;
+  static constexpr std::uint32_t kMaxLanes = 256;
+  struct LaneKey {
+    HeapEntry key;
+    std::uint32_t gen;
+  };
+  struct DelayLane {
+    SimTime delay;
+    /// Keys [head, keys.size()) in (time, seq) order; keys[head] is always
+    /// live (stale heads are skipped eagerly) and [0, head) is consumed.
+    /// compact_lane keeps stale keys at most as many as live ones and the
+    /// consumed prefix at most as long as the rest, so keys.size() stays
+    /// within 4x the live count: lane memory is O(live events).
+    std::vector<LaneKey> keys;
+    std::uint32_t head = 0;
+    std::uint32_t live = 0;
+  };
 
   /// The heap array is stored with kHeapPad dummy entries in front and
   /// 64-byte-aligned storage, so logical position p lives at heap_[p + 3].
@@ -331,6 +395,28 @@ class Simulator {
   };
 
   std::uint32_t acquire_slot();
+  /// Acquires a slot and constructs `fn` in it, in place.
+  template <typename F>
+  std::uint32_t fill_slot(F&& fn) {
+    // Raw lambdas are never null; wrapper types (Callback, std::function)
+    // can be, and an empty one must fail loudly here, not at fire time.
+    if constexpr (requires { static_cast<bool>(fn); }) {
+      EAS_REQUIRE_MSG(static_cast<bool>(fn), "null event callback");
+    }
+    const std::uint32_t s = acquire_slot();
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      fn_at(s) = std::forward<F>(fn);
+    } else {
+      fn_at(s).emplace(std::forward<F>(fn));
+    }
+    return s;
+  }
+  /// Assigns the next sequence number to alive slot `s` and appends its key
+  /// to `lane` at time `when`. Out-of-line tail of schedule_on.
+  void push_lane_slot(LaneId lane, SimTime when, std::uint32_t s);
+  /// Invokes slot `s`'s callback in place and then returns the slot to the
+  /// free list. The caller has already bumped the slot's generation.
+  void consume_slot(std::uint32_t s);
   /// Assigns the next sequence number to alive slot `s` and stages it for
   /// the ready heap at time `when`. Out-of-line tail of schedule_at.
   void push_alive_slot(SimTime when, std::uint32_t s);
@@ -359,10 +445,20 @@ class Simulator {
   /// Pops the minimum and fires it (clock advance + callback invocation).
   void fire_top();
   /// Fires the arrival lane's event and leaves the lane free to re-arm.
-  void fire_lane();
-  /// Fires the next event — the lane's on a time tie — if its time is at
-  /// most `until_bits` (ordered time bits). Returns false otherwise,
-  /// including when nothing is pending.
+  void fire_arrival();
+  /// Pops lane_top_'s key from its delay lane and fires it.
+  void fire_lane_top();
+  /// O(1) cancel of live lane event `s`, whose pos_link names its lane.
+  void cancel_lane_slot(std::uint32_t s);
+  /// Skips stale keys at the lane's head, then compacts when stale keys
+  /// outnumber live ones or the consumed prefix outgrows the rest.
+  void compact_lane(DelayLane& l);
+  /// Recomputes lane_top_ from every lane's head.
+  void update_lane_top();
+  /// Fires the next event if its time is at most `until_bits` (ordered time
+  /// bits): the minimum by (time, seq) of the heap top and the delay lanes'
+  /// heads, or the arrival lane's on a time tie with that minimum. Returns
+  /// false otherwise, including when nothing is pending.
   bool fire_next(std::uint64_t until_bits);
 
   SimTime now_ = 0.0;
@@ -392,12 +488,17 @@ class Simulator {
   std::uint64_t staged_min_bits_ = kNoPendingBits;
   /// Arrival lane: the pending arrival's time as ordered bits
   /// (kNoPendingBits when the lane is free) and its callback. The callback
-  /// is double-buffered: fire_lane flips lane_slot_ before invoking, so a
-  /// callback that re-arms the lane constructs the next arrival in the
+  /// is double-buffered: fire_arrival flips arrival_slot_ before invoking,
+  /// so a callback that re-arms the lane constructs the next arrival in the
   /// other buffer instead of over the callable still running.
-  std::uint64_t lane_bits_ = kNoPendingBits;
-  std::uint32_t lane_slot_ = 0;
-  Callback lane_[2];
+  std::uint64_t arrival_bits_ = kNoPendingBits;
+  std::uint32_t arrival_slot_ = 0;
+  Callback arrival_[2];
+  /// Delay lanes, indexed by LaneId, and the minimum (time, seq) key over
+  /// their heads (kNoEntry when every lane is empty) with its lane.
+  std::vector<DelayLane> lanes_;
+  HeapEntry lane_top_ = kNoEntry;
+  std::uint32_t lane_top_id_ = kNullIndex;
   obs::TraceRecorder* recorder_ = nullptr;
 };
 

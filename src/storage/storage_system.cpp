@@ -250,6 +250,7 @@ class System final : public core::SystemView {
       }
     }
     if (config_.cache.enabled) {
+      dram_lane_ = sim_.delay_lane(config_.cache.dram_latency_seconds);
       if (config_.cache.capacity_blocks > 0) {
         read_cache_ = cache::BlockCache::make(config_.cache.policy,
                                               config_.cache.capacity_blocks);
@@ -266,6 +267,7 @@ class System final : public core::SystemView {
         low_blocks_ = static_cast<std::size_t>(
             config_.cache.low_watermark *
             static_cast<double>(config_.cache.dirty_capacity_blocks));
+        destage_lane_ = sim_.delay_lane(config_.cache.destage_deadline_seconds);
         policy_.set_destage_probe(
             [this](DiskId k) { return wb_->pending(k); });
       }
@@ -280,6 +282,12 @@ class System final : public core::SystemView {
             1, static_cast<std::size_t>(
                    config_.reliability.backpressure_watermark *
                    static_cast<double>(config_.reliability.max_queue_depth)));
+      }
+      if (config_.reliability.deadline_seconds > 0.0) {
+        deadline_lane_ = sim_.delay_lane(config_.reliability.deadline_seconds);
+      }
+      if (config_.reliability.hedge_delay_seconds > 0.0) {
+        hedge_lane_ = sim_.delay_lane(config_.reliability.hedge_delay_seconds);
       }
       hedge_pins_.assign(placement.num_disks(), 0);
       policy_.set_hedge_probe([this](DiskId k) { return hedge_pins_[k]; });
@@ -687,7 +695,7 @@ class System final : public core::SystemView {
   /// armed its own.
   void arm_destage_deadline(DataId b) {
     const double admit = sim_.now();
-    sim_.schedule_in(config_.cache.destage_deadline_seconds, [this, b, admit] {
+    sim_.schedule_on(destage_lane_, [this, b, admit] {
       if (wb_ == nullptr || !wb_->is_pending(b)) return;
       if (wb_->buffered_at(b) != admit) return;
       destage_batch(wb_->home_of(b), cache::DestageReason::kDeadline);
@@ -697,7 +705,7 @@ class System final : public core::SystemView {
   /// Completes an absorbed request at DRAM latency: it never touches a
   /// disk, but it is a foreground completion like any other.
   void complete_from_cache(const disk::Request& r) {
-    sim_.schedule_in(config_.cache.dram_latency_seconds, [this, r] {
+    sim_.schedule_on(dram_lane_, [this, r] {
       const double t = sim_.now();
       last_completion_ = std::max(last_completion_, t);
       count_completion(t - r.arrival_time);
@@ -899,8 +907,8 @@ class System final : public core::SystemView {
     f.st.retry_scheduled = false;
     if (config_.reliability.deadline_seconds > 0.0) {
       sim_.cancel(f.st.deadline);
-      f.st.deadline = sim_.schedule_in(config_.reliability.deadline_seconds,
-                                       [this, id] { on_deadline(id); });
+      f.st.deadline =
+          sim_.schedule_on(deadline_lane_, [this, id] { on_deadline(id); });
     }
     arm_hedge(id, f, k);
     dispatch(f.request, k);
@@ -925,8 +933,7 @@ class System final : public core::SystemView {
     ++hedge_pins_[alt];
     f.st.hedge_planned = alt;
     f.st.hedge_timer =
-        sim_.schedule_in(config_.reliability.hedge_delay_seconds,
-                         [this, id] { on_hedge_fire(id); });
+        sim_.schedule_on(hedge_lane_, [this, id] { on_hedge_fire(id); });
   }
 
   /// Hedge timer fired: the primary attempt is still in flight after the
@@ -1288,6 +1295,15 @@ class System final : public core::SystemView {
   RequestId destage_seq_ = 0;
   std::vector<DataId> destage_buf_;
   std::vector<DataId> drain_buf_;
+  /// Delay lanes of the fixed-delay tier timers (sim::Simulator::delay_lane),
+  /// resolved once in the constructor for the timers the config enables:
+  /// cache DRAM-latency completions and destage deadlines, reliability
+  /// attempt deadlines and hedges. Each delay is fixed for the run, so a
+  /// lane arms and cancels these timers in O(1) instead of in the heap.
+  sim::Simulator::LaneId dram_lane_ = 0;
+  sim::Simulator::LaneId destage_lane_ = 0;
+  sim::Simulator::LaneId deadline_lane_ = 0;
+  sim::Simulator::LaneId hedge_lane_ = 0;
 
   stats::SampleStore responses_;
   std::uint64_t completed_ = 0;

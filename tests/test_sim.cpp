@@ -395,5 +395,245 @@ TEST(ArrivalLane, StreamedFiringMatchesPreScheduledOn600Programs) {
   EXPECT_GT(ties, 10000u);  // the programs really are tie-heavy
 }
 
+// --- delay lanes -------------------------------------------------------------
+
+TEST(DelayLane, DeduplicatesByDelayBits) {
+  Simulator sim;
+  const auto a = sim.delay_lane(0.5);
+  const auto b = sim.delay_lane(2.0);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(sim.delay_lane(0.5), a);
+  EXPECT_EQ(sim.delay_lane(0.0), sim.delay_lane(-0.0));
+  EXPECT_THROW(sim.delay_lane(-1.0), InvariantError);
+  EXPECT_THROW(sim.delay_lane(std::nan("")), InvariantError);
+  EXPECT_THROW(sim.schedule_on(99, [] {}), InvariantError);
+}
+
+TEST(DelayLane, FiresAtNowPlusDelayInScheduleOrderWithTheHeap) {
+  Simulator sim;
+  const auto lane = sim.delay_lane(1.0);
+  std::vector<int> order;
+  sim.schedule_at(2.0, [&] {
+    sim.schedule_at(3.0, [&] { order.push_back(1); });
+    sim.schedule_on(lane, [&] { order.push_back(2); });  // also t = 3
+    sim.schedule_at(3.0, [&] { order.push_back(3); });
+  });
+  sim.schedule_at(2.5, [&] {
+    sim.schedule_on(lane, [&] { order.push_back(4); });
+  });
+  EXPECT_EQ(sim.run(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.5);
+}
+
+TEST(DelayLane, CancelIsExactAndCountsStayConsistent) {
+  Simulator sim;
+  const auto lane = sim.delay_lane(4.0);
+  int fired = 0;
+  const EventHandle a = sim.schedule_on(lane, [&] { ++fired; });
+  const EventHandle b = sim.schedule_on(lane, [&] { ++fired; });
+  EXPECT_EQ(sim.pending_count(), 2u);
+  EXPECT_EQ(sim.queue_depth(), 0u);  // lane events are not in the heap
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 4.0);
+  EXPECT_TRUE(sim.pending(a));
+  EXPECT_TRUE(sim.cancel(a));
+  EXPECT_FALSE(sim.cancel(a));
+  EXPECT_FALSE(sim.pending(a));
+  EXPECT_TRUE(sim.pending(b));
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_TRUE(sim.cancel(b));
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_EQ(sim.next_event_time(), kTimeInfinity);
+  EXPECT_EQ(sim.lane_key_count(), 0u);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(DelayLane, CallbackSeesItsOwnHandleAsStale) {
+  Simulator sim;
+  const auto lane = sim.delay_lane(1.0);
+  EventHandle self;
+  bool cancelled_self = true;
+  self = sim.schedule_on(lane, [&] { cancelled_self = sim.cancel(self); });
+  sim.run();
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(DelayLane, RunUntilStopsBeforeALaterLaneEvent) {
+  Simulator sim;
+  const auto lane = sim.delay_lane(5.0);
+  int fired = 0;
+  sim.schedule_on(lane, [&] { ++fired; });
+  EXPECT_EQ(sim.run_until(4.0), 0u);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_EQ(sim.run_until(5.0), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(DelayLane, KeysStayWithinAConstantFactorOfLiveEvents) {
+  // Random-order cancels leave stale keys behind the head; compaction must
+  // keep the lane's physical size proportional to what is still pending.
+  Simulator sim;
+  const auto lane = sim.delay_lane(10.0);
+  std::vector<EventHandle> live;
+  std::uint64_t x = 7;
+  for (int i = 0; i < 100000; ++i) {
+    live.push_back(sim.schedule_on(lane, [] {}));
+    if (live.size() > 64) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::size_t j = (x >> 33) % live.size();
+      ASSERT_TRUE(sim.cancel(live[j]));
+      live[j] = live.back();
+      live.pop_back();
+    }
+    ASSERT_LE(sim.lane_key_count(), 4 * live.size());
+  }
+  EXPECT_EQ(sim.pending_count(), live.size());
+  EXPECT_EQ(sim.run(), live.size());
+  EXPECT_EQ(sim.lane_key_count(), 0u);
+}
+
+// --- differential: delay lanes vs schedule_in -------------------------------
+//
+// A seeded program over 1-4 delay lanes (zero delay and delays on the heap
+// events' 0.25 s grid included, so lane and heap events tie), the arrival
+// lane and the heap. Every handler spawns heap events through schedule_at
+// and lane events through schedule_on, and cancels pending, fired and its
+// own handles. The replay swaps every schedule_on for schedule_in with the
+// lane's delay — the kernel's old path for these timers — and the two logs
+// of firings, cancel() results, pending_count, next_event_time and
+// events_fired must match entry for entry.
+
+class LaneProgram {
+ public:
+  struct Entry {
+    char what;  // 'f' fired, 'c' cancel, 's' run slice boundary
+    std::uint64_t id;
+    double time;
+    std::uint64_t count;  // cancel() result, or pending_count at a fire
+    double next;          // next_event_time
+    std::uint64_t fired;  // events_fired
+    bool operator==(const Entry&) const = default;
+  };
+
+  explicit LaneProgram(std::uint64_t seed) : seed_(seed) {
+    const std::size_t n = 1 + splitmix(seed) % 40;
+    for (std::size_t i = 0; i < n; ++i) {
+      arrivals_.push_back(0.25 * static_cast<double>(
+                                     splitmix(seed ^ (0x300 + i)) % 16));
+    }
+    std::stable_sort(arrivals_.begin(), arrivals_.end());
+    static constexpr double kDelays[] = {0.0, 0.25, 0.5, 0.75, 1.0, 0.1};
+    const std::size_t lanes = 1 + splitmix(seed ^ 0x77) % 4;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      delays_.push_back(kDelays[splitmix(seed ^ (0x900 + j)) % 6]);
+    }
+  }
+
+  std::vector<Entry> run(bool lanes) {
+    Simulator sim;
+    sim_ = &sim;
+    use_lanes_ = lanes;
+    log_.clear();
+    handles_.clear();
+    lane_ids_.clear();
+    if (lanes) {
+      for (double d : delays_) lane_ids_.push_back(sim.delay_lane(d));
+    }
+    sim.schedule_arrival(arrivals_[0], Cursor{this, 0});
+    if (seed_ % 2 == 1) {
+      for (double until = 0.3; until < 5.0; until += 0.5) {
+        sim.run_until(until);
+        mark('s', 0);
+      }
+    }
+    sim.run();
+    mark('s', 1);
+    sim_ = nullptr;
+    return log_;
+  }
+
+  std::size_t ties() const { return ties_; }
+
+ private:
+  struct Cursor {
+    LaneProgram* p;
+    std::size_t i;
+    void operator()() const {
+      if (i + 1 < p->arrivals_.size()) {
+        p->sim_->schedule_arrival(p->arrivals_[i + 1], Cursor{p, i + 1});
+      }
+      p->on_fire(1000000 + i);
+    }
+  };
+
+  void mark(char what, std::uint64_t id, std::uint64_t count = 0) {
+    log_.push_back({what, id, sim_->now(), count, sim_->next_event_time(),
+                    sim_->events_fired()});
+  }
+
+  void on_fire(std::uint64_t id) {
+    if (!log_.empty() && log_.back().time == sim_->now()) ++ties_;
+    mark('f', id, sim_->pending_count());
+    act(splitmix(seed_ ^ (0xc000000 + id)), id);
+  }
+
+  /// Spawns 0-3 events (heap or lane, by the bits of `k`) and sometimes
+  /// cancels one: an earlier event, pending or fired, or the running one.
+  void act(std::uint64_t k, std::uint64_t self) {
+    const std::uint64_t spawn = k % 4;
+    for (std::uint64_t j = 0; j < spawn && handles_.size() < 300; ++j) {
+      const std::uint64_t id = handles_.size();
+      const std::uint64_t pick = (k >> (8 + 4 * j)) % 16;
+      const auto fire = [this, id] { on_fire(id); };
+      if (pick < 8) {
+        const double when = sim_->now() + 0.25 * static_cast<double>(pick % 4);
+        handles_.push_back(sim_->schedule_at(when, fire));
+      } else {
+        const std::size_t lane = pick % delays_.size();
+        handles_.push_back(use_lanes_
+                               ? sim_->schedule_on(lane_ids_[lane], fire)
+                               : sim_->schedule_in(delays_[lane], fire));
+      }
+    }
+    const std::uint64_t c = (k >> 24) % 4;
+    if (c != 0 && !handles_.empty()) {
+      const std::uint64_t target =
+          c == 3 && self < handles_.size() ? self : (k >> 28) % handles_.size();
+      mark('c', target, sim_->cancel(handles_[target]) ? 1 : 0);
+    }
+  }
+
+  std::uint64_t seed_;
+  std::vector<double> arrivals_;
+  std::vector<double> delays_;
+  std::vector<Simulator::LaneId> lane_ids_;
+  bool use_lanes_ = false;
+  Simulator* sim_ = nullptr;
+  std::vector<EventHandle> handles_;
+  std::vector<Entry> log_;
+  std::size_t ties_ = 0;
+};
+
+TEST(DelayLane, FiringMatchesScheduleInOn600Programs) {
+  std::size_t ties = 0;
+  std::size_t cancels = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    LaneProgram program(seed);
+    const auto heap_only = program.run(false);
+    const auto laned = program.run(true);
+    ASSERT_EQ(heap_only.size(), laned.size()) << "program seed " << seed;
+    for (std::size_t i = 0; i < laned.size(); ++i) {
+      ASSERT_EQ(heap_only[i], laned[i]) << "program seed " << seed
+                                        << ", log entry " << i;
+      cancels += laned[i].what == 'c' && laned[i].count == 1 ? 1 : 0;
+    }
+    ties += program.ties();
+  }
+  EXPECT_GT(ties, 10000u);   // the programs really are tie-heavy
+  EXPECT_GT(cancels, 5000u);  // and cancel live events, not only stale ones
+}
+
 }  // namespace
 }  // namespace eas::sim

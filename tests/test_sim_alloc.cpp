@@ -101,6 +101,95 @@ TEST(SimulatorAllocation, WarmArrivalLaneCycleIsAllocationFree) {
   EXPECT_NE(acc, 0.0);
 }
 
+// --- delay lanes -------------------------------------------------------------
+
+/// The spin-down timer's shape: `timers` owners each keep one lane timer,
+/// and every cycle one owner (chosen pseudo-randomly) cancels and re-arms
+/// its own, while the clock creeps forward so a few timers fire instead.
+void churn_lane_timers(Simulator& sim, Simulator::LaneId lane,
+                       std::vector<EventHandle>& timers, std::uint64_t cycles,
+                       std::uint64_t& x, double& acc) {
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    EventHandle& h = timers[(x >> 33) % timers.size()];
+    sim.cancel(h);
+    h = sim.schedule_on(lane, [&acc] { acc += 1.0; });
+    if (c % timers.size() == 0) sim.run_until(sim.now() + 0.05);
+  }
+}
+
+/// Byte budget for a lane workload of at most 180 live timers, from a cold
+/// simulator: one 64 KiB callback chunk, ~4 KiB of slot metadata and the
+/// lane's keys (24 B each, at most 4x the live count: ~24 KiB summed over
+/// their geometric growth). Both tests below measure ~94 KiB. A lane that
+/// kept every key it ever held would allocate 24 MB for a million arms.
+constexpr std::uint64_t kLaneByteBound = 128 * 1024;
+
+TEST(SimulatorAllocation, WarmLaneArmFireCancelIsAllocationFree) {
+  Simulator sim;
+  const auto lane = sim.delay_lane(1.0);
+  std::vector<EventHandle> timers(180);
+  std::uint64_t x = 11;
+  double acc = 0.0;
+  churn_lane_timers(sim, lane, timers, 100000, x, acc);  // warm-up
+  sim.run();
+
+  const std::uint64_t fired_before = sim.events_fired();
+  const std::uint64_t n = allocations_during([&] {
+    for (int round = 0; round < 20; ++round) {
+      churn_lane_timers(sim, lane, timers, 10000, x, acc);
+      sim.run();  // drain: every surviving timer fires
+    }
+  });
+  EXPECT_EQ(n, 0u) << "lane arm/fire/cancel cycles allocated";
+  EXPECT_GT(sim.events_fired(), fired_before);
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_NE(acc, 0.0);
+}
+
+TEST(SimulatorAllocation, MillionLaneArmCancelCyclesStayWithinAFixedBound) {
+  std::uint64_t x = 5;
+  double acc = 0.0;
+  std::size_t keys = 0;
+  const std::uint64_t bytes = testing::bytes_during([&] {
+    Simulator sim;
+    const auto lane = sim.delay_lane(30.0);
+    std::vector<EventHandle> timers(180);
+    churn_lane_timers(sim, lane, timers, 1000000, x, acc);
+    keys = sim.lane_key_count();
+  });
+  EXPECT_LE(keys, 4u * 180u);
+  EXPECT_LE(bytes, kLaneByteBound);
+}
+
+TEST(SimulatorAllocation, MillionLaneFiresWithoutCancelStayWithinAFixedBound) {
+  // The DRAM-completion shape: never cancelled, every event fires, and 180
+  // chains each re-arm the lane from inside their own callback.
+  struct Chain {
+    Simulator* sim;
+    Simulator::LaneId lane;
+    std::uint64_t* left;
+    void operator()() const {
+      if (*left == 0) return;
+      --*left;
+      sim->schedule_on(lane, Chain{sim, lane, left});
+    }
+  };
+  std::uint64_t left = 1000000;
+  std::uint64_t fired = 0;
+  const std::uint64_t bytes = testing::bytes_during([&] {
+    Simulator sim;
+    const auto lane = sim.delay_lane(20e-6);
+    for (int i = 0; i < 180; ++i) {
+      sim.schedule_on(lane, Chain{&sim, lane, &left});
+    }
+    fired = sim.run();
+  });
+  EXPECT_EQ(left, 0u);
+  EXPECT_EQ(fired, 1000000u + 180u);
+  EXPECT_LE(bytes, kLaneByteBound);
+}
+
 TEST(SimulatorAllocation, TracingCompiledInButOffAddsNoAllocations) {
   // The observability hooks ride the simulator as a nullable pointer; with
   // no recorder attached (the default) every EAS_OBS site is one untaken

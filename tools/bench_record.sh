@@ -44,13 +44,25 @@ extra_args=()
 [[ -n "${EAS_BENCH_FILTER:-}" ]] && extra_args+=("--benchmark_filter=${EAS_BENCH_FILTER}")
 [[ -n "${EAS_BENCH_MIN_TIME:-}" ]] && extra_args+=("--benchmark_min_time=${EAS_BENCH_MIN_TIME}")
 
+reports=()
 for b in "${benches[@]}"; do
   echo "bench_record: running $b" >&2
   "$build/bench/$b" --benchmark_format=json \
     ${extra_args[@]+"${extra_args[@]}"} > "$tmpdir/$b.json"
+  # A binary whose benchmarks all miss EAS_BENCH_FILTER prints no JSON at
+  # all; leave it out of the merge instead of failing to parse it.
+  if [[ -s "$tmpdir/$b.json" ]]; then
+    reports+=("$tmpdir/$b.json")
+  else
+    echo "bench_record: $b matched no benchmark, skipped" >&2
+  fi
 done
+if [[ ${#reports[@]} -eq 0 ]]; then
+  echo "bench_record: no benchmark matched EAS_BENCH_FILTER=${EAS_BENCH_FILTER:-}" >&2
+  exit 2
+fi
 
-commit="$commit" python3 - "$out" "$tmpdir"/*.json <<'PY'
+commit="$commit" python3 - "$out" "${reports[@]}" <<'PY'
 import json, os, sys
 
 out_path, inputs = sys.argv[1], sys.argv[2:]
