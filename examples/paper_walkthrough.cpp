@@ -82,7 +82,8 @@ int main() {
   gopts.successor_horizon = 2;
   const auto graph = core::build_conflict_graph(offline, placement, p, gopts);
   util::Table t({"node", "X(i,j,k)", "weight (J)"});
-  for (const auto& n : graph.nodes) {
+  for (std::uint32_t v = 0; v < graph.size(); ++v) {
+    const core::SavingNode n = graph.node(v);
     t.row()
         .cell(std::string())
         .cell("X(" + std::to_string(n.i + 1) + "," + std::to_string(n.j + 1) +

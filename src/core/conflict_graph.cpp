@@ -1,6 +1,8 @@
 #include "core/conflict_graph.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
 #include "core/energy_model.hpp"
 #include "util/check.hpp"
@@ -9,15 +11,14 @@
 namespace eas::core {
 
 double ConflictGraph::selection_weight(
-    const std::vector<std::uint32_t>& selected) const {
-  thread_local util::EpochMarker in;
-  in.begin(nodes.size());
+    const std::vector<std::uint32_t>& selected, util::EpochMarker& in) const {
+  in.begin(size());
   double total = 0.0;
   for (std::uint32_t v : selected) {
-    EAS_REQUIRE_MSG(v < nodes.size(), "selected node out of range");
+    EAS_REQUIRE_MSG(v < size(), "selected node out of range");
     EAS_REQUIRE_MSG(!in.marked(v), "node " << v << " selected twice");
     in.mark(v);
-    total += nodes[v].weight;
+    total += weight[v];
   }
   for (std::uint32_t v : selected) {
     for_each_neighbor(v, [&](std::uint32_t u) {
@@ -28,24 +29,26 @@ double ConflictGraph::selection_weight(
   return total;
 }
 
+double ConflictGraph::selection_weight(
+    const std::vector<std::uint32_t>& selected) const {
+  util::EpochMarker in;
+  return selection_weight(selected, in);
+}
+
 graph::WeightedGraph ConflictGraph::to_weighted_graph() const {
   // Rows are written in for_each_neighbor order straight into the CSR
   // arrays the graph layer adopts; the WeightedGraph constructor audits the
   // structure in bulk under EASCHED_AUDIT.
-  std::vector<double> weights;
-  weights.reserve(nodes.size());
-  for (const auto& n : nodes) weights.push_back(n.weight);
-  std::vector<std::size_t> offsets(nodes.size() + 1, 0);
-  for (std::uint32_t v = 0; v < nodes.size(); ++v) {
+  std::vector<std::size_t> offsets(size() + 1, 0);
+  for (std::uint32_t v = 0; v < size(); ++v) {
     offsets[v + 1] = offsets[v] + degrees[v];
   }
   std::vector<std::uint32_t> adj;
   adj.reserve(offsets.back());
-  for (std::uint32_t v = 0; v < nodes.size(); ++v) {
+  for (std::uint32_t v = 0; v < size(); ++v) {
     for_each_neighbor(v, [&](std::uint32_t u) { adj.push_back(u); });
   }
-  return graph::WeightedGraph(std::move(weights), std::move(offsets),
-                              std::move(adj));
+  return graph::WeightedGraph(weight, std::move(offsets), std::move(adj));
 }
 
 namespace {
@@ -90,17 +93,22 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
   auto& on_disk = ws.on_disk;
   list_requests_by_stored_disk(trace, placement, on_disk);
 
-  // Step 1: nodes for every in-window candidate pair within the horizon.
-  // The node count is data-dependent, so the workspace remembers the last
-  // call's count as the reservation estimate: repeated builds over
-  // similar-sized cells (the sweep and scheduler hot path) size the vector
-  // in one allocation instead of a geometric growth chain. (A counting
-  // pre-pass and the total_entries * horizon bound were both measurably
-  // slower: the former re-walks every candidate pair, the latter cold-faults
-  // megabytes it never uses.)
-  g.nodes.reserve(ws.last_node_count);
+  // Step 1: nodes for every in-window candidate pair within the horizon,
+  // disk-major, so each disk's nodes form one id range. The node count is
+  // data-dependent, so the workspace remembers the last call's count as
+  // the reservation estimate: repeated builds over similar-sized cells (the
+  // sweep and scheduler hot path) size the arrays in one allocation each
+  // instead of a geometric growth chain. (A counting pre-pass and the
+  // total_entries * horizon bound were both measurably slower: the former
+  // re-walks every candidate pair, the latter cold-faults megabytes it
+  // never uses; neither would lower the peak, which is the solve's.)
+  g.first.reserve(ws.last_node_count);
+  g.second.reserve(ws.last_node_count);
+  g.weight.reserve(ws.last_node_count);
+  g.disk_begin.reserve(placement.num_disks() + 1);
   const double window = power.saving_window_seconds();
   for (DiskId k = 0; k < placement.num_disks(); ++k) {
+    g.disk_begin.push_back(static_cast<std::uint32_t>(g.size()));
     const auto& list = on_disk[k];
     for (std::size_t p = 0; p < list.size(); ++p) {
       const std::uint32_t i = list[p];
@@ -111,12 +119,20 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
         if (dt >= window) break;  // later candidates are even farther
         const double w =
             pairwise_energy_saving(trace[i].time, trace[j].time, power);
-        if (w > 0.0) g.nodes.push_back(SavingNode{i, j, k, w});
+        if (w > 0.0) {
+          g.first.push_back(i);
+          g.second.push_back(j);
+          g.weight.push_back(w);
+        }
       }
     }
   }
-
-  ws.last_node_count = g.nodes.size();
+  const std::size_t n = g.size();
+  // Node ids, incidence positions and offsets are all 32-bit.
+  EAS_REQUIRE_MSG(2 * n <= std::numeric_limits<std::uint32_t>::max(),
+                  "conflict graph too large: " << n << " nodes");
+  g.disk_begin.push_back(static_cast<std::uint32_t>(n));
+  ws.last_node_count = n;
 
   // Step 2: the incidence CSR over requests, by counting sort. Counts go
   // one slot to the right of their row start (inc_offsets[r + 2]), so after
@@ -126,22 +142,22 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
   // ascending id, so every row comes out sorted.
   auto& off = g.inc_offsets;
   off.assign(trace.size() + 2, 0);
-  for (const SavingNode& n : g.nodes) {
-    ++off[n.i + 2];
-    ++off[n.j + 2];
+  for (std::uint32_t v = 0; v < n; ++v) {
+    ++off[g.first[v] + 2];
+    ++off[g.second[v] + 2];
   }
   for (std::size_t r = 2; r < off.size(); ++r) off[r] += off[r - 1];
-  g.inc_nodes.resize(2 * g.nodes.size());
-  for (std::uint32_t v = 0; v < g.nodes.size(); ++v) {
-    g.inc_nodes[off[g.nodes[v].i + 1]++] = v;
-    g.inc_nodes[off[g.nodes[v].j + 1]++] = v;
+  g.inc_nodes.resize(2 * n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    g.inc_nodes[off[g.first[v] + 1]++] = v;
+    g.inc_nodes[off[g.second[v] + 1]++] = v;
   }
   off.pop_back();
 
   // Step 3: degrees and the edge count, in one sweep over the rows.
-  g.degrees.resize(g.nodes.size());
+  g.degrees.resize(n);
   std::size_t degree_sum = 0;
-  for (std::uint32_t v = 0; v < g.nodes.size(); ++v) {
+  for (std::uint32_t v = 0; v < n; ++v) {
     std::uint32_t d = 0;
     g.for_each_neighbor(v, [&d](std::uint32_t) { ++d; });
     g.degrees[v] = d;
@@ -162,13 +178,13 @@ namespace {
 /// N[v] leaves the heap before any survivor is re-scored, and degree /
 /// nbr_weight decrements land in the same doomed-major, row-minor order as
 /// before, so every score is the bit-identical double.
-void gwmin_select_loop(const ConflictGraph& g, bool use_gwmin2,
+void gwmin_select_loop(const ConflictGraph& g,
+                       std::span<std::uint32_t> degree, bool use_gwmin2,
                        GwminWorkspace& ws,
                        std::vector<std::uint32_t>& selected) {
   auto& heap = ws.heap;
   auto& doomed = ws.doomed;
-  auto& degree = ws.degree;
-  const auto& weight = ws.weight;
+  const auto& weight = g.weight;
   auto& nbr_weight = ws.nbr_weight;
   auto& touch_list = ws.touch_list;
   while (!heap.empty()) {
@@ -217,6 +233,39 @@ void gwmin_select_loop(const ConflictGraph& g, bool use_gwmin2,
   }
 }
 
+/// The solve over a caller-chosen live-degree array (initially the
+/// build's degrees; decremented as neighbours die).
+void gwmin_solve(const ConflictGraph& g, std::span<std::uint32_t> degree,
+                 bool use_gwmin2, GwminWorkspace& ws,
+                 std::vector<std::uint32_t>& selected) {
+  selected.clear();
+  const auto n = static_cast<std::uint32_t>(g.size());
+  const auto& weight = g.weight;
+  auto& nbr_weight = ws.nbr_weight;
+  if (use_gwmin2) nbr_weight.assign(n, 0.0);
+  std::uint32_t max_deg = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    max_deg = std::max(max_deg, degree[v]);
+    if (use_gwmin2) {
+      g.for_each_neighbor(v,
+                          [&](std::uint32_t u) { nbr_weight[v] += weight[u]; });
+    }
+  }
+  ws.doomed.clear();
+  ws.doomed.reserve(std::size_t{max_deg} + 1);
+
+  ws.heap.assign(n, [&](std::uint32_t v) {
+    if (use_gwmin2) {
+      const double denom = weight[v] + nbr_weight[v];
+      return denom == 0.0 ? 1.0 : weight[v] / denom;
+    }
+    return weight[v] / static_cast<double>(degree[v] + 1);
+  });
+
+  gwmin_select_loop(g, degree, use_gwmin2, ws, selected);
+  std::sort(selected.begin(), selected.end());
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
@@ -234,37 +283,15 @@ std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
 
 void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                  std::vector<std::uint32_t>& selected) {
-  selected.clear();
-  const auto n = static_cast<std::uint32_t>(g.size());
-  ws.degree.resize(n);
-  ws.weight.resize(n);
-  auto& degree = ws.degree;
-  auto& weight = ws.weight;
-  auto& nbr_weight = ws.nbr_weight;
-  for (std::uint32_t v = 0; v < n; ++v) weight[v] = g.nodes[v].weight;
-  if (use_gwmin2) nbr_weight.assign(n, 0.0);
-  std::size_t max_deg = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    degree[v] = g.degrees[v];
-    max_deg = std::max(max_deg, g.degree(v));
-    if (use_gwmin2) {
-      g.for_each_neighbor(v,
-                          [&](std::uint32_t u) { nbr_weight[v] += weight[u]; });
-    }
-  }
-  ws.doomed.clear();
-  ws.doomed.reserve(max_deg + 1);
+  ws.degree.assign(g.degrees.begin(), g.degrees.end());
+  gwmin_solve(g, ws.degree, use_gwmin2, ws, selected);
+}
 
-  ws.heap.assign(n, [&](std::uint32_t v) {
-    if (use_gwmin2) {
-      const double denom = weight[v] + nbr_weight[v];
-      return denom == 0.0 ? 1.0 : weight[v] / denom;
-    }
-    return weight[v] / static_cast<double>(degree[v] + 1);
-  });
-
-  gwmin_select_loop(g, use_gwmin2, ws, selected);
-  std::sort(selected.begin(), selected.end());
+void solve_gwmin_in_place(ConflictGraph& g, bool use_gwmin2,
+                          GwminWorkspace& ws,
+                          std::vector<std::uint32_t>& selected) {
+  gwmin_solve(g, g.degrees, use_gwmin2, ws, selected);
+  std::vector<std::uint32_t>().swap(g.degrees);
 }
 
 }  // namespace eas::core

@@ -21,6 +21,7 @@
 // set*, not of the solver.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -33,7 +34,8 @@
 
 namespace eas::core {
 
-/// One energy-saving opportunity X(i,j,k).
+/// One energy-saving opportunity X(i,j,k), assembled on demand by
+/// ConflictGraph::node (the graph stores each field in its own array).
 struct SavingNode {
   std::uint32_t i = 0;  ///< earlier request (trace index)
   std::uint32_t j = 0;  ///< candidate successor (trace index), t_j >= t_i
@@ -46,50 +48,78 @@ struct ConflictGraphOptions {
   std::size_t successor_horizon = 2;
 };
 
-/// The §3.1.2 graph, with its edges left implicit. Two nodes conflict
-/// exactly when they share a request and either start at the same request
-/// or name different disks, so a node's neighbours can be read off the two
-/// requests it names. The graph therefore stores an incidence CSR over
-/// requests — for each request r, the nodes naming r as i or j — instead of
-/// its adjacency: 2·|nodes| entries where the adjacency held 2·|edges|
-/// (20.6M edges over 1.19M nodes on a 100k-request Cello-like trace).
+/// The §3.1.2 graph, stored column-wise with its edges left implicit.
+///
+/// Nodes: node v is X(first[v], second[v], disk_of(v)) with saving
+/// weight[v]. Ids are assigned disk-major, so disk k's nodes are the id
+/// range [disk_begin[k], disk_begin[k+1]) and k itself is not stored.
+///
+/// Edges: two nodes conflict exactly when they share a request and either
+/// start at the same request or name different disks, so a node's
+/// neighbours can be read off the two requests it names. The graph
+/// therefore stores an incidence CSR over requests — for each request r,
+/// the nodes naming r as i or j — instead of its adjacency: 2·|nodes|
+/// entries where the adjacency held 2·|edges| (20.6M edges over 1.19M
+/// nodes on a 100k-request Cello-like trace).
 struct ConflictGraph {
-  std::vector<SavingNode> nodes;
+  std::vector<std::uint32_t> first;   ///< i of each node
+  std::vector<std::uint32_t> second;  ///< j of each node
+  std::vector<double> weight;         ///< X(i,j,k) of each node
+  /// num_disks + 1 ascending node-id offsets; disk k owns
+  /// [disk_begin[k], disk_begin[k+1]), empty for a disk with no node.
+  std::vector<std::uint32_t> disk_begin;
   /// Incidence CSR: the nodes naming request r as i or j are
   /// inc_nodes[inc_offsets[r] .. inc_offsets[r+1]), in ascending node id.
-  std::vector<std::size_t> inc_offsets;
+  std::vector<std::uint32_t> inc_offsets;
   std::vector<std::uint32_t> inc_nodes;
   /// Conflict degree of each node and the edge count (sum of degrees / 2),
-  /// counted once at build time.
+  /// counted once at build time. solve_gwmin_in_place consumes `degrees`.
   std::vector<std::uint32_t> degrees;
   std::size_t edge_count = 0;
 
-  std::size_t size() const { return nodes.size(); }
+  std::size_t size() const { return weight.size(); }
   std::size_t num_edges() const { return edge_count; }
   std::size_t degree(std::uint32_t v) const { return degrees[v]; }
+
+  /// The disk of node v: the last disk whose range starts at or before v
+  /// ([[hotpath]]: a binary search over num_disks + 1 offsets).
+  DiskId disk_of(std::uint32_t v) const {
+    const auto it = std::upper_bound(disk_begin.begin(), disk_begin.end(), v);
+    return static_cast<DiskId>(it - disk_begin.begin() - 1);
+  }
+
+  /// Node v's fields gathered into one value (tests, examples).
+  SavingNode node(std::uint32_t v) const {
+    return {first[v], second[v], disk_of(v), weight[v]};
+  }
 
   /// Calls fn(u) once for every neighbour u of node v: row v.i, then row
   /// v.j, ascending node id within each ([[hotpath]]: no allocation). A row
   /// member is skipped when it is v itself or compatible with v (a different
   /// first request on the same disk); row v.j also skips a node with v's
-  /// (i, j), which row v.i already yielded. The order is part of the
-  /// contract: GWMIN2's neighbourhood sums accumulate along it, and the
-  /// sweep fingerprints pin their rounding (test_graph_diff compares every
-  /// walk with the bucket-built reference CSR).
+  /// (i, j), which row v.i already yielded. "Same disk" is the id-range
+  /// test u - lo < span, so only the first-request and (i, j) checks read
+  /// the member's fields. The order is part of the contract: GWMIN2's
+  /// neighbourhood sums accumulate along it, and the sweep fingerprints pin
+  /// their rounding (test_graph_diff compares every walk with the
+  /// bucket-built reference CSR).
   template <typename Fn>
   void for_each_neighbor(std::uint32_t v, Fn&& fn) const {
-    const SavingNode& x = nodes[v];
-    for (std::size_t p = inc_offsets[x.i]; p < inc_offsets[x.i + 1]; ++p) {
+    const std::uint32_t xi = first[v];
+    const std::uint32_t xj = second[v];
+    const DiskId k = disk_of(v);
+    const std::uint32_t lo = disk_begin[k];
+    const std::uint32_t span = disk_begin[k + 1] - lo;
+    for (std::uint32_t p = inc_offsets[xi]; p < inc_offsets[xi + 1]; ++p) {
       const std::uint32_t u = inc_nodes[p];
-      const SavingNode& o = nodes[u];
-      if (u == v || (o.i != x.i && o.k == x.k)) continue;
+      if (u == v || (u - lo < span && first[u] != xi)) continue;
       fn(u);
     }
-    for (std::size_t p = inc_offsets[x.j]; p < inc_offsets[x.j + 1]; ++p) {
+    for (std::uint32_t p = inc_offsets[xj]; p < inc_offsets[xj + 1]; ++p) {
       const std::uint32_t u = inc_nodes[p];
-      const SavingNode& o = nodes[u];
-      if (u == v || (o.i != x.i && o.k == x.k) ||
-          (o.i == x.i && o.j == x.j)) {
+      if (u == v) continue;
+      const std::uint32_t ui = first[u];
+      if ((ui != xi && u - lo < span) || (ui == xi && second[u] == xj)) {
         continue;
       }
       fn(u);
@@ -97,7 +127,11 @@ struct ConflictGraph {
   }
 
   /// Total weight of a node subset; also verifies independence + validity
-  /// invariants under EAS_CHECK (used by tests and the scheduler).
+  /// invariants under EAS_CHECK (used by tests and the scheduler). `in` is
+  /// the caller's scratch marker (the solver's, in the scheduler).
+  double selection_weight(const std::vector<std::uint32_t>& selected,
+                          util::EpochMarker& in) const;
+  /// As above with a marker local to the call (tests).
   double selection_weight(const std::vector<std::uint32_t>& selected) const;
 
   /// Materialises the adjacency as an explicit graph::WeightedGraph: O(m)
@@ -139,13 +173,12 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
 /// Reusable scratch for solve_gwmin (the indexed selection heap,
 /// incremental degrees, neighbourhood weights, and the per-selection doomed
 /// list). Liveness is the heap's membership set — no separate alive array.
+/// Weights are read straight from the graph's dense `weight` array.
 struct GwminWorkspace {
   graph::IndexedScoreHeap<graph::TieOrder::kHighIndexWins> heap;
+  /// Live degrees for the copying solves; solve_gwmin_in_place decrements
+  /// the graph's own array instead and leaves this one empty.
   std::vector<std::uint32_t> degree;
-  /// nodes[v].weight copied dense: the select loop indexes weights at
-  /// random, and an 8-byte-stride array stays cache-resident where the
-  /// 24-byte SavingNode array does not. Same doubles, same rounding.
-  std::vector<double> weight;
   std::vector<double> nbr_weight;
   std::vector<std::uint32_t> doomed;
   /// Survivors adjacent to this round's kills, deduplicated — each gets one
@@ -175,5 +208,14 @@ std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
 /// counting-allocator test in test_graph_diff).
 void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                  std::vector<std::uint32_t>& selected);
+
+/// As the out-parameter form, but the solve decrements g.degrees in place
+/// as its live-degree array instead of copying it into `ws`, so only one
+/// degree array is resident. g.degrees is released on return (degree()
+/// must not be called afterwards); every other field is unchanged, so
+/// for_each_neighbor and selection_weight still work.
+void solve_gwmin_in_place(ConflictGraph& g, bool use_gwmin2,
+                          GwminWorkspace& ws,
+                          std::vector<std::uint32_t>& selected);
 
 }  // namespace eas::core

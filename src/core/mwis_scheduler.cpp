@@ -57,7 +57,7 @@ std::string MwisOfflineScheduler::name() const {
 OfflineAssignment MwisOfflineScheduler::select_opportunities(
     const trace::Trace& trace, const placement::PlacementMap& placement,
     const disk::DiskPowerParams& power) {
-  const ConflictGraph graph =
+  ConflictGraph graph =
       build_conflict_graph(trace, placement, power, options_.graph,
                            graph_ws_);
   last_nodes_ = graph.size();
@@ -67,10 +67,10 @@ OfflineAssignment MwisOfflineScheduler::select_opportunities(
   selected.clear();
   switch (options_.algorithm) {
     case MwisOptions::Algorithm::kGwmin:
-      solve_gwmin(graph, /*use_gwmin2=*/false, gwmin_ws_, selected);
+      solve_gwmin_in_place(graph, /*use_gwmin2=*/false, gwmin_ws_, selected);
       break;
     case MwisOptions::Algorithm::kGwmin2:
-      solve_gwmin(graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
+      solve_gwmin_in_place(graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
       break;
     case MwisOptions::Algorithm::kExact: {
       // Reject an oversized instance before materialising its O(m)
@@ -85,22 +85,23 @@ OfflineAssignment MwisOfflineScheduler::select_opportunities(
       break;
     }
   }
-  // Verifies independence as a side effect.
-  last_saving_ = graph.selection_weight(selected);
+  // Verifies independence as a side effect, on the solver's marker (already
+  // sized to the graph) rather than a second per-node array.
+  last_saving_ = graph.selection_weight(selected, gwmin_ws_.touched);
   last_selected_ = selected.size();
 
   // Step 4: read the assignment off the selected opportunities.
   OfflineAssignment seed;
   seed.disk_of_request.assign(trace.size(), kInvalidDisk);
   for (std::uint32_t v : selected) {
-    const SavingNode& n = graph.nodes[v];
-    for (std::uint32_t r : {n.i, n.j}) {
+    const DiskId k = graph.disk_of(v);
+    for (std::uint32_t r : {graph.first[v], graph.second[v]}) {
       // Independence guarantees agreement: any two selected nodes sharing
       // a request name the same disk (schedule-constraint).
       EAS_CHECK_MSG(seed.disk_of_request[r] == kInvalidDisk ||
-                        seed.disk_of_request[r] == n.k,
+                        seed.disk_of_request[r] == k,
                     "conflicting assignment for request " << r);
-      seed.disk_of_request[r] = n.k;
+      seed.disk_of_request[r] = k;
     }
   }
   return seed;

@@ -171,6 +171,31 @@ void for_each_conflict(std::span<const SavingNode> nodes,
 
 }  // namespace
 
+std::vector<SavingNode> enumerate_saving_nodes_reference(
+    const trace::Trace& trace, const placement::PlacementMap& placement,
+    const disk::DiskPowerParams& power, const ConflictGraphOptions& options) {
+  const double window = power.saving_window_seconds();
+  std::vector<SavingNode> nodes;
+  for (std::uint32_t i = 0; i < trace.size(); ++i) {
+    for (DiskId k : placement.locations(trace[i].data)) {
+      std::size_t candidates = 0;
+      for (std::uint32_t j = i + 1; j < trace.size(); ++j) {
+        if (trace[j].time - trace[i].time >= window) break;
+        if (!placement.stores(trace[j].data, k)) continue;
+        if (++candidates > options.successor_horizon) break;
+        const double w =
+            pairwise_energy_saving(trace[i].time, trace[j].time, power);
+        if (w > 0.0) nodes.push_back({i, j, k, w});
+      }
+    }
+  }
+  std::stable_sort(nodes.begin(), nodes.end(),
+                   [](const SavingNode& a, const SavingNode& b) {
+                     return a.k < b.k;
+                   });
+  return nodes;
+}
+
 graph::WeightedGraph build_conflict_csr_reference(
     std::span<const SavingNode> nodes, std::size_t num_requests) {
   std::vector<std::vector<std::uint32_t>> bucket(num_requests);

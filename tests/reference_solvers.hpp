@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "core/conflict_graph.hpp"
 #include "core/refine.hpp"
@@ -36,6 +37,15 @@ SetCoverSolution greedy_weighted_set_cover_reference(
 }  // namespace eas::graph
 
 namespace eas::core {
+
+/// The §3.1.2 nodes X(i,j,k) with their weights, enumerated request by
+/// request without per-disk lists: for each request i and each disk k
+/// storing it, the first `successor_horizon` later requests stored on k
+/// inside the saving window, kept when their saving is positive. Returned
+/// in build_conflict_graph's node-id order (disk, then i, then j).
+std::vector<SavingNode> enumerate_saving_nodes_reference(
+    const trace::Trace& trace, const placement::PlacementMap& placement,
+    const disk::DiskPowerParams& power, const ConflictGraphOptions& options);
 
 /// The conflict graph's explicit adjacency over `nodes` (trace indices
 /// below `num_requests`), built the way core::ConflictGraph stored it

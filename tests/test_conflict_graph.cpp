@@ -71,7 +71,7 @@ TEST(ConflictGraph, EdgesMatchTheTwoConstraints) {
       const auto nbrs = neighbors(g, u);
       const bool has =
           std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
-      EXPECT_EQ(has, conflicts(g.nodes[u], g.nodes[v]))
+      EXPECT_EQ(has, conflicts(g.node(u), g.node(v)))
           << "nodes " << u << "," << v;
     }
   }
@@ -80,7 +80,8 @@ TEST(ConflictGraph, EdgesMatchTheTwoConstraints) {
 TEST(ConflictGraph, HorizonOneKeepsOnlyAdjacentPairs) {
   const auto g = paper_graph(1);
   // X(1,3,1) is the only non-adjacent pair in the paper instance.
-  for (const auto& n : g.nodes) {
+  for (std::uint32_t v = 0; v < g.size(); ++v) {
+    const SavingNode n = g.node(v);
     EXPECT_FALSE(n.i == 0 && n.j == 2 && n.k == 0);
   }
   EXPECT_EQ(g.size(), 5u);
@@ -89,7 +90,8 @@ TEST(ConflictGraph, HorizonOneKeepsOnlyAdjacentPairs) {
 TEST(ConflictGraph, NodesRespectTheSavingWindow) {
   const auto g = paper_graph(5);
   const auto trace = example_offline_trace();
-  for (const auto& n : g.nodes) {
+  for (std::uint32_t v = 0; v < g.size(); ++v) {
+    const SavingNode n = g.node(v);
     EXPECT_LT(trace[n.j].time - trace[n.i].time,
               example_power().saving_window_seconds());
     EXPECT_GT(n.weight, 0.0);
@@ -117,7 +119,7 @@ TEST(ConflictGraph, ToWeightedGraphRoundTrips) {
   EXPECT_EQ(wg.size(), g.size());
   EXPECT_EQ(wg.num_edges(), g.num_edges());
   for (std::uint32_t v = 0; v < g.size(); ++v) {
-    EXPECT_DOUBLE_EQ(wg.weight(v), g.nodes[v].weight);
+    EXPECT_DOUBLE_EQ(wg.weight(v), g.weight[v]);
     EXPECT_EQ(wg.degree(v), g.degree(v));
     const auto row = wg.neighbors(v);
     EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
@@ -132,7 +134,7 @@ TEST(SolveGwmin, MatchesExplicitReferenceOnThePaperInstance) {
   // Both implementations satisfy the same GWMIN lower bound.
   double bound = 0.0;
   for (std::uint32_t v = 0; v < g.size(); ++v) {
-    bound += g.nodes[v].weight / static_cast<double>(g.degree(v) + 1);
+    bound += g.weight[v] / static_cast<double>(g.degree(v) + 1);
   }
   EXPECT_GE(g.selection_weight(fast), bound - 1e-9);
 }

@@ -147,8 +147,9 @@ TEST(PaperMwisExample, ConflictGraphHasTheFigure4Nodes) {
   //   pair it can mean is r5,r6 on d4).
   const std::set<std::tuple<std::uint32_t, std::uint32_t, DiskId>> expected = {
       {0, 1, 0}, {0, 2, 0}, {1, 2, 0}, {1, 2, 1}, {2, 3, 3}, {4, 5, 3}};
-  ASSERT_EQ(g.nodes.size(), expected.size());
-  for (const auto& n : g.nodes) {
+  ASSERT_EQ(g.size(), expected.size());
+  for (std::uint32_t v = 0; v < g.size(); ++v) {
+    const core::SavingNode n = g.node(v);
     EXPECT_TRUE(expected.contains({n.i, n.j, n.k}))
         << "unexpected node X(" << n.i + 1 << "," << n.j + 1 << ","
         << n.k + 1 << ")";
