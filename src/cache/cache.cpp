@@ -1,5 +1,7 @@
 #include "cache/cache.hpp"
 
+#include <cmath>
+
 #include "util/check.hpp"
 
 namespace eas::cache {
@@ -17,11 +19,14 @@ const char* to_string(CachePolicy p) {
 void CacheConfig::validate() const {
   if (!enabled) return;
   EAS_CHECK_MSG(block_bytes > 0, "cache block_bytes must be positive");
-  EAS_CHECK_MSG(dram_latency_seconds >= 0.0,
+  EAS_CHECK_MSG(std::isfinite(dram_latency_seconds) &&
+                    dram_latency_seconds >= 0.0,
                 "dram_latency_seconds=" << dram_latency_seconds);
-  EAS_CHECK_MSG(memory_watts_per_gib >= 0.0,
+  EAS_CHECK_MSG(std::isfinite(memory_watts_per_gib) &&
+                    memory_watts_per_gib >= 0.0,
                 "memory_watts_per_gib=" << memory_watts_per_gib);
-  EAS_CHECK_MSG(destage_deadline_seconds > 0.0,
+  EAS_CHECK_MSG(std::isfinite(destage_deadline_seconds) &&
+                    destage_deadline_seconds > 0.0,
                 "destage_deadline_seconds=" << destage_deadline_seconds);
   EAS_CHECK_MSG(max_destage_batch > 0, "max_destage_batch must be positive");
   EAS_CHECK_MSG(high_watermark > 0.0 && high_watermark <= 1.0,

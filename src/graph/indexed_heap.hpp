@@ -12,10 +12,10 @@
 // in-place re-key whose sift-up almost always terminates after one parent
 // compare (greedy scores only ever increase, and by little).
 //
-// Why 8-ary: identical reasoning to the event kernel's pending heap
-// (DESIGN.md §8) — log_8 levels instead of log_2, and the eight children of
-// a node are contiguous, so a sift-down level reads two cache lines instead
-// of chasing two scattered ones.
+// Why 8-ary: the heap holds one entry per conflict node (millions), so depth
+// matters — log_8 levels instead of log_2, and the eight children of a node
+// are contiguous, so a sift-down level reads two cache lines instead of
+// chasing two scattered ones.
 //
 // Determinism contract: keys are (score, vertex index) compared
 // lexicographically, so the heap's maximum is a *total-order* argmax — heap

@@ -8,6 +8,8 @@
 // to pin the zero-allocation steady-state lookup promise literally.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -19,6 +21,7 @@
 #include "paper_example.hpp"
 #include "power/fixed_threshold.hpp"
 #include "power/policy.hpp"
+#include "runner/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "storage/storage_system.hpp"
 #include "util/check.hpp"
@@ -61,6 +64,37 @@ TEST(CacheConfig, ValidateRejectsNonsense) {
   c.high_watermark = -3.0;
   c.max_destage_batch = 0;
   EXPECT_NO_THROW(c.validate());
+}
+
+TEST(CacheConfig, ValidateRejectsNonFiniteDelaysAndPower) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CacheConfig c;
+  c.enabled = true;
+  c.dram_latency_seconds = kInf;
+  EXPECT_THROW(c.validate(), InvariantError);
+  c = {};
+  c.enabled = true;
+  c.destage_deadline_seconds = kInf;
+  EXPECT_THROW(c.validate(), InvariantError);
+  c = {};
+  c.enabled = true;
+  c.memory_watts_per_gib = kInf;
+  EXPECT_THROW(c.validate(), InvariantError);
+  c = {};
+  c.enabled = true;
+  c.dram_latency_seconds = std::nan("");
+  EXPECT_THROW(c.validate(), InvariantError);
+}
+
+TEST(CacheConfig, ExperimentParamsRejectAnInfiniteDramLatency) {
+  // Params built by hand skip the builder; validate() must still stop an
+  // infinite DRAM latency before a run schedules its first cache hit.
+  runner::ExperimentParams p =
+      runner::ExperimentBuilder(runner::Workload::kCello).requests(100).build();
+  p.cache.enabled = true;
+  EXPECT_NO_THROW(p.validate());
+  p.cache.dram_latency_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(p.validate(), InvariantError);
 }
 
 TEST(CacheConfig, MemoryEnergyChargesBothHalvesOverTheHorizon) {

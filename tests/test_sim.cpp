@@ -409,6 +409,17 @@ TEST(DelayLane, DeduplicatesByDelayBits) {
   EXPECT_THROW(sim.schedule_on(99, [] {}), InvariantError);
 }
 
+TEST(DelayLane, RejectsANonFiniteDelayAtSetUp) {
+  // An infinite delay would otherwise pass set-up and abort the run at the
+  // first schedule_on, whose time is no longer finite.
+  Simulator sim;
+  EXPECT_THROW(sim.delay_lane(kTimeInfinity), InvariantError);
+  EXPECT_THROW(sim.delay_lane(-kTimeInfinity), InvariantError);
+  const auto lane = sim.delay_lane(1.0);
+  EXPECT_EQ(sim.delay_lane(1.0), lane);  // the rejected delays left no lane
+  EXPECT_EQ(sim.lane_key_count(), 0u);
+}
+
 TEST(DelayLane, FiresAtNowPlusDelayInScheduleOrderWithTheHeap) {
   Simulator sim;
   const auto lane = sim.delay_lane(1.0);

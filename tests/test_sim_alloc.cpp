@@ -70,7 +70,7 @@ TEST(SimulatorAllocation, WarmArrivalLaneCycleIsAllocationFree) {
   // Trace replay's shape: each arrival re-arms the lane for the next one
   // and schedules a heap event (a disk completion stand-in). Once the slot
   // pool is warm, a whole replay allocates nothing — the lane's cursor is
-  // built in place in its double-buffered callback storage.
+  // built in place in a recycled pool slot.
   Simulator sim;
   double acc = 0.0;
   struct Arrival {

@@ -98,10 +98,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimStressTest,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 // 100k-operation churn through the slot pool: schedule, cancel, and fire in
-// random proportions while asserting after every phase that the indexed heap
-// and the slot bookkeeping agree (queue_depth() counts heap entries,
-// pending_count() counts live slots — a leaked tombstone or a double-freed
-// slot breaks the equality).
+// random proportions while asserting after every phase that the heap and
+// the slot bookkeeping agree. pending_count() counts live slots and must
+// match the model exactly (a double-freed slot breaks it); queue_depth()
+// counts heap keys, stale ones of cancelled events included, and must stay
+// within twice the live count and drain to zero (a leaked stale key breaks
+// that).
 TEST(SimStress, HeapAndSlotPoolStayInSyncOver100kOps) {
   util::Rng rng(0xea50123);
   Simulator sim;
@@ -127,7 +129,7 @@ TEST(SimStress, HeapAndSlotPoolStayInSyncOver100kOps) {
       if (sim.step()) --expected_pending;
       ASSERT_EQ(sim.pending_count(), before == 0 ? 0 : before - 1);
     }
-    ASSERT_EQ(sim.queue_depth(), sim.pending_count()) << "op " << op;
+    ASSERT_LE(sim.queue_depth(), 2 * sim.pending_count()) << "op " << op;
     ASSERT_EQ(sim.pending_count(), expected_pending) << "op " << op;
   }
   sim.run();

@@ -5,7 +5,7 @@
 //
 //   [[hotpath]]                   # per-file hot function lists
 //   file = "src/sim/simulator.cpp"
-//   functions = ["cancel", "fire_top"]
+//   functions = ["cancel", "fire_next"]
 //
 //   [nothrow]                     # path prefixes with a throw ban
 //   paths = ["src/sim"]
