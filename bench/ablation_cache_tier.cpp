@@ -4,12 +4,10 @@
 // capacity. The tier only wins while its DRAM/NVRAM power stays below the
 // disk energy it saves (hits avoid wakes, destages ride already-paid
 // spin-ups) — the sweep locates that crossover. Cache cells carry their
-// CacheConfig through ExperimentParams, so the registry-independent run
-// lambda is only needed to pick the scheduler/policy pair.
+// CacheConfig through ExperimentParams, so every cell is the registry's
+// "heuristic" row.
 #include <iostream>
 
-#include "core/cost_scheduler.hpp"
-#include "power/fixed_threshold.hpp"
 #include "runner/emit.hpp"
 #include "runner/sweep.hpp"
 #include "trace/synthetic.hpp"
@@ -35,17 +33,10 @@ int main() {
   std::vector<runner::CellSpec> cells;
   auto make_cell = [&](runner::ExperimentParams p, std::string tag) {
     runner::CellSpec cell;
+    cell.scheduler = "heuristic";
     cell.params = std::move(p);
     cell.tag = std::move(tag);
     cell.trace = shared_trace;
-    cell.run = [](const runner::ExperimentParams& params,
-                  const trace::Trace& trace,
-                  const placement::PlacementMap& placement) {
-      const auto config = runner::system_config_for(params);
-      core::CostFunctionScheduler sched(params.cost);
-      power::FixedThresholdPolicy policy;
-      return storage::run_online(config, placement, trace, sched, policy);
-    };
     cells.push_back(std::move(cell));
   };
 

@@ -9,8 +9,6 @@
 // the table is bit-identical across EAS_THREADS and repeated runs.
 #include <iostream>
 
-#include "core/cost_scheduler.hpp"
-#include "power/fixed_threshold.hpp"
 #include "runner/emit.hpp"
 #include "runner/sweep.hpp"
 #include "trace/synthetic.hpp"
@@ -47,17 +45,10 @@ int main() {
   std::vector<runner::CellSpec> cells;
   auto make_cell = [&](runner::ExperimentParams p, std::string tag) {
     runner::CellSpec cell;
+    cell.scheduler = "heuristic";
     cell.params = std::move(p);
     cell.tag = std::move(tag);
     cell.trace = shared_trace;
-    cell.run = [](const runner::ExperimentParams& params,
-                  const trace::Trace& trace,
-                  const placement::PlacementMap& placement) {
-      const auto config = runner::system_config_for(params);
-      core::CostFunctionScheduler sched(params.cost);
-      power::FixedThresholdPolicy policy;
-      return storage::run_online(config, placement, trace, sched, policy);
-    };
     cells.push_back(std::move(cell));
   };
 

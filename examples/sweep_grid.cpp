@@ -2,16 +2,18 @@
 // the §4.3 roster over two replication factors, executed concurrently,
 // with the same results no matter how many worker threads run it.
 //
-// Output goes through the composable sink API: the builder selects the
-// primary format plus the observability sinks (here: metrics, and a Chrome
-// trace written next to the results — load sweep_grid.trace.json in
-// Perfetto to see each cell's per-disk power-state timeline).
+// Every run records metrics and a power/batch trace. The example prints the
+// raw per-cell dump, the merged metrics line and a normalized-energy pivot,
+// and writes one Chrome trace of the whole sweep next to them — load
+// sweep_grid.trace.json in Perfetto to see each cell's per-disk power-state
+// timeline.
 //
 //   $ ./sweep_grid                      # aligned table + metrics + trace
 //   $ EAS_EMIT=json EAS_THREADS=8 ./sweep_grid
+#include <fstream>
 #include <iostream>
 
-#include "runner/sinks.hpp"
+#include "runner/emit.hpp"
 #include "runner/sweep.hpp"
 
 using namespace eas;
@@ -20,19 +22,14 @@ int main() {
   // A validated parameter set (builder throws on nonsense values) scaled
   // down from the paper's 70k requests so the example finishes in seconds.
   // trace()/metrics() switch the recorder and registry on for every run of
-  // every cell; sink() says where the artifacts go. build() cross-checks
-  // the two (a sink cannot ask for artifacts no run produces).
-  runner::SinkConfig out = runner::SinkConfig::from_env();  // EAS_EMIT compat
-  out.with_metrics = true;
-  out.with_trace = true;
-  out.trace_path = "sweep_grid.trace.json";
+  // every cell.
+  const auto format = runner::emit_format_from_env();
   const auto base = runner::ExperimentBuilder(runner::Workload::kCello)
                         .requests(5000)
                         .trace({.categories = obs::cat_bit(obs::Cat::kPower) |
                                               obs::cat_bit(obs::Cat::kBatch),
                                 .capacity = 1u << 15})
                         .metrics()
-                        .sink(out)
                         .build();
 
   // One cell per (rf, scheduler); every cell shares the same immutable
@@ -49,12 +46,19 @@ int main() {
   opts.progress = &std::cerr;  // "# sweep: ..." summary line
   const auto results = runner::SweepRunner(opts).run(std::move(cells));
 
-  // One sink handles everything: the raw per-cell dump in the selected
-  // format, then the merged metrics line and the combined trace file.
-  const auto sink = runner::make_sink(base.sink, std::cout);
-  sink->cells(results);
+  // The raw per-cell dump in the selected format, the combined trace file,
+  // then the merged metrics line.
+  runner::emit_cells(std::cout, results, format);
+  const char* trace_path = "sweep_grid.trace.json";
+  std::ofstream trace_file(trace_path, std::ios::trunc);
+  if (!trace_file) {
+    std::cerr << "sweep_grid: cannot open trace file " << trace_path << "\n";
+    return 1;
+  }
+  runner::write_chrome_trace(trace_file, results);
+  std::cout << runner::merged_metrics(results).to_json() << "\n";
 
-  // Figure-style pivots ride the same sink: rows = rf, cols = schedulers.
+  // A figure-style pivot: rows = rf, cols = schedulers.
   const auto power = runner::paper_system_config().power;
   runner::ResultTable t("normalized energy",
                         {"rf", "always-on", "static", "heuristic", "wsc",
@@ -67,6 +71,6 @@ int main() {
                  .result.normalized_energy(power));
     }
   }
-  sink->table(t);
+  t.emit(std::cout, format);
   return 0;
 }

@@ -70,7 +70,7 @@ class MetricRegistry {
   void merge(const MetricRegistry& other);
 
   /// Stable JSON object: {"name":{"kind":...,...},...} in registration
-  /// order. Used for determinism fingerprints and by the metrics sink.
+  /// order. Used for determinism fingerprints and the sweep metrics export.
   std::string to_json() const;
 
  private:

@@ -212,7 +212,7 @@ class TraceRecorder {
 
   /// Appends this recorder's events to an already-open JSON array, tagging
   /// every event with `pid` and naming the process `process_name` — lets a
-  /// sink merge many cells into one Perfetto-loadable trace side by side.
+  /// sweep merge many cells into one Perfetto-loadable trace side by side.
   void append_chrome_events(util::JsonWriter& w, int pid,
                             const std::string& process_name,
                             double horizon = 0.0) const;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -9,10 +10,26 @@
 
 namespace eas::runner {
 
+const char* to_string(EmitFormat f) {
+  switch (f) {
+    case EmitFormat::kTable:
+      return "table";
+    case EmitFormat::kCsv:
+      return "csv";
+    case EmitFormat::kJson:
+      return "json";
+  }
+  return "?";
+}
+
 EmitFormat emit_format_from_env(EmitFormat fallback) {
-  SinkConfig cfg;
-  cfg.format = fallback;
-  return SinkConfig::from_env(cfg).format;
+  const char* env = std::getenv("EAS_EMIT");
+  if (env == nullptr) return fallback;
+  const std::string_view v(env);
+  if (v == "table") return EmitFormat::kTable;
+  if (v == "csv") return EmitFormat::kCsv;
+  if (v == "json") return EmitFormat::kJson;
+  return fallback;
 }
 
 ResultTable::ResultTable(std::string title, std::vector<std::string> columns)
@@ -203,10 +220,13 @@ const char* to_string(CellStatus s) {
   return "?";
 }
 
-/// Fault-free twin of `r`: the first OK cell with the same scheduler whose
-/// params match r's with the fault profile cleared. Availability sweeps run
-/// both variants side by side, so the twin usually exists; nullptr when the
-/// sweep only ran the degraded cells.
+/// Fault-free twin of `r`: the first OK cell with the same scheduler, the
+/// same trace and placement, and params matching r's with the fault profile
+/// cleared. describe() omits the seeds and any caller-supplied trace, but
+/// SweepRunner shares one input object per distinct (seeds, shape), so equal
+/// pointers mean equal inputs. Availability sweeps run both variants side by
+/// side, so the twin usually exists; nullptr when the sweep only ran the
+/// degraded cells.
 const CellResult* fault_free_twin(const std::vector<CellResult>& results,
                                   const CellResult& r) {
   ExperimentParams stripped = r.spec.params;
@@ -214,7 +234,9 @@ const CellResult* fault_free_twin(const std::vector<CellResult>& results,
   const std::string wanted = describe(stripped);
   for (const auto& c : results) {
     if (c.status != CellStatus::kOk || c.result.faults_enabled) continue;
-    if (c.spec.scheduler == r.spec.scheduler && describe(c.spec.params) == wanted) {
+    if (c.spec.scheduler == r.spec.scheduler &&
+        c.spec.trace == r.spec.trace && c.spec.placement == r.spec.placement &&
+        describe(c.spec.params) == wanted) {
       return &c;
     }
   }
@@ -225,31 +247,17 @@ const CellResult* fault_free_twin(const std::vector<CellResult>& results,
 
 void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
                 EmitFormat format) {
-  // Availability columns appear only when some cell actually injected
-  // faults, so fault-free sweep output is byte-identical to the historical
-  // schema (the golden tests pin this).
+  // Each tier's columns appear only when some OK cell actually enabled it,
+  // so tier-free sweep output is byte-identical to the historical schema
+  // (the golden tests pin this).
   bool any_faults = false;
-  for (const auto& r : results) {
-    if (r.status == CellStatus::kOk && r.result.faults_enabled) {
-      any_faults = true;
-      break;
-    }
-  }
-  // Cache columns follow the same enabled-only rule as the fault columns.
   bool any_cache = false;
-  for (const auto& r : results) {
-    if (r.status == CellStatus::kOk && r.result.cache_enabled) {
-      any_cache = true;
-      break;
-    }
-  }
-  // As do the reliability columns.
   bool any_reliability = false;
   for (const auto& r : results) {
-    if (r.status == CellStatus::kOk && r.result.reliability_enabled) {
-      any_reliability = true;
-      break;
-    }
+    if (r.status != CellStatus::kOk) continue;
+    any_faults = any_faults || r.result.faults_enabled;
+    any_cache = any_cache || r.result.cache_enabled;
+    any_reliability = any_reliability || r.result.reliability_enabled;
   }
 
   if (format == EmitFormat::kJson) {
@@ -350,6 +358,35 @@ void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
     }
   }
   t.emit(os, format);
+}
+
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<CellResult>& results) {
+  util::JsonWriter w(os);
+  w.begin_object();
+  w.field("displayTimeUnit", "ms");
+  w.key("traceEvents");
+  w.begin_array();
+  for (const CellResult& r : results) {
+    if (r.status != CellStatus::kOk || r.result.trace_recorder == nullptr) {
+      continue;
+    }
+    r.result.trace_recorder->append_chrome_events(
+        w, static_cast<int>(r.index), r.spec.tag + "/" + r.spec.scheduler,
+        r.result.horizon);
+  }
+  w.end_array();
+  w.end_object();
+  os << "\n";
+}
+
+obs::MetricRegistry merged_metrics(const std::vector<CellResult>& results) {
+  obs::MetricRegistry merged;
+  for (const CellResult& r : results) {
+    if (r.status != CellStatus::kOk || r.result.metrics == nullptr) continue;
+    merged.merge(*r.result.metrics);
+  }
+  return merged;
 }
 
 }  // namespace eas::runner

@@ -1,9 +1,12 @@
-// Structured result sinks for the experiment harnesses.
+// Result output for the experiment harnesses: the one path every bench,
+// test and example prints through.
 //
 // Every bench builds the series its figure plots into a ResultTable and
 // emits it in one of three stable formats: the aligned text table the
 // paper-comparison docs quote (default), CSV for spreadsheet/plotting
-// pipelines, or JSON for programmatic consumers. The CSV/JSON schemas are
+// pipelines, or JSON for programmatic consumers. A sweep's raw cells go out
+// through emit_cells in the same formats; its observability artifacts
+// through write_chrome_trace and merged_metrics. The CSV/JSON schemas are
 // covered by golden tests — changing them is a breaking change for
 // downstream plotting scripts.
 #pragma once
@@ -13,15 +16,18 @@
 #include <string>
 #include <vector>
 
-#include "runner/sink_config.hpp"
+#include "obs/metrics.hpp"
 #include "runner/sweep.hpp"
 
 namespace eas::runner {
 
-/// Compatibility wrapper over SinkConfig::from_env for harnesses that only
-/// need the format: EAS_EMIT=table|csv|json (defaults to `fallback`;
-/// unknown values fall back too so a typo cannot silently hide a figure).
-/// New code should build an OutputSink (runner/sinks.hpp) instead.
+/// The three renderings. Schemas are golden-tested.
+enum class EmitFormat { kTable, kCsv, kJson };
+
+const char* to_string(EmitFormat f);
+
+/// EAS_EMIT=table|csv|json, else `fallback` (unknown values fall back too
+/// so a typo cannot silently hide a figure).
 EmitFormat emit_format_from_env(EmitFormat fallback = EmitFormat::kTable);
 
 /// A titled grid of cells that renders as an aligned table, CSV or JSON.
@@ -80,5 +86,16 @@ class ResultTable {
 /// RunResult::to_json(); the CSV/table forms emit the headline metrics.
 void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
                 EmitFormat format);
+
+/// One Perfetto-loadable Chrome trace of the whole sweep: one "process" per
+/// OK cell that recorded a trace (pid = cell index, named
+/// "<tag>/<scheduler>"). Untraced and failed cells contribute nothing.
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<CellResult>& results);
+
+/// All OK cells' registries folded in cell-index order, so the result does
+/// not depend on EAS_THREADS. Cells without metrics contribute nothing; an
+/// all-off sweep yields an empty registry.
+obs::MetricRegistry merged_metrics(const std::vector<CellResult>& results);
 
 }  // namespace eas::runner

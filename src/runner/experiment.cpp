@@ -76,13 +76,6 @@ void ExperimentParams::validate() const {
   obs.validate();
   cache.validate();
   reliability.validate();
-  sink.validate();
-  EAS_REQUIRE_MSG(!sink.with_trace || obs.trace.enabled,
-                  "sink requests trace output but tracing is not enabled "
-                  "(use ExperimentBuilder::trace)");
-  EAS_REQUIRE_MSG(!sink.with_metrics || obs.metrics,
-                  "sink requests metrics output but metrics are not enabled "
-                  "(use ExperimentBuilder::metrics)");
 }
 
 ExperimentParams ExperimentBuilder::build() const {

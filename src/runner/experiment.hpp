@@ -21,7 +21,6 @@
 #include "obs/obs.hpp"
 #include "placement/placement.hpp"
 #include "reliability/reliability.hpp"
-#include "runner/sink_config.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/trace.hpp"
 
@@ -85,14 +84,9 @@ struct ExperimentParams {
   /// enables it.
   reliability::ReliabilityConfig reliability{};
 
-  /// Output-sink selection for harnesses that render through make_sink().
-  /// validate() cross-checks it against `obs`: a sink cannot request trace
-  /// or metrics output the run is not configured to produce.
-  SinkConfig sink{};
-
   /// Throws InvariantError on out-of-range values (rf outside 1..num_disks,
   /// zipf_z outside [0,1], non-positive batch interval, invalid fault
-  /// profile, sink/obs mismatches, ...).
+  /// profile, ...).
   void validate() const;
 };
 
@@ -150,11 +144,6 @@ class ExperimentBuilder {
   }
   /// Enables (or disables) the per-run MetricRegistry.
   ExperimentBuilder& metrics(bool on = true) { p_.obs.metrics = on; return *this; }
-  /// Selects the output sinks a harness should assemble via make_sink().
-  /// build() cross-checks against the obs configuration.
-  ExperimentBuilder& sink(SinkConfig s) { p_.sink = std::move(s); return *this; }
-  /// Convenience: primary format only.
-  ExperimentBuilder& sink(EmitFormat f) { p_.sink.format = f; return *this; }
   /// Convenience for the canonical degraded-mode experiment: fail-stop disk
   /// `disk` at `time`, replacement online after `repair` seconds (0 = never).
   /// Throws std::invalid_argument naming the offending argument on NaN/Inf/

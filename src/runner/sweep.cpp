@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -122,48 +121,6 @@ std::map<const void*, std::uint64_t> input_fingerprints(
   return fp;
 }
 
-/// Bounded per-worker queues with stealing: each worker drains its own
-/// queue from the front and, when empty, steals from the back of the
-/// busiest sibling. All cells are known up front, so the queues never grow.
-class WorkQueues {
- public:
-  WorkQueues(std::size_t num_workers, std::size_t num_cells)
-      : queues_(num_workers), mutexes_(num_workers) {
-    // Round-robin initial distribution keeps neighbouring (similar-cost)
-    // cells on different workers.
-    for (std::size_t i = 0; i < num_cells; ++i) {
-      queues_[i % num_workers].push_back(i);
-    }
-  }
-
-  /// Next cell for `worker`, stealing when its own queue is empty.
-  /// Returns false when no work remains anywhere.
-  bool next(std::size_t worker, std::size_t& out) {
-    {
-      std::lock_guard lock(mutexes_[worker]);
-      if (!queues_[worker].empty()) {
-        out = queues_[worker].front();
-        queues_[worker].pop_front();
-        return true;
-      }
-    }
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-      const std::size_t victim = (worker + i) % queues_.size();
-      std::lock_guard lock(mutexes_[victim]);
-      if (!queues_[victim].empty()) {
-        out = queues_[victim].back();
-        queues_[victim].pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::deque<std::size_t>> queues_;
-  std::vector<std::mutex> mutexes_;
-};
-
 }  // namespace
 
 SweepRunner::SweepRunner(SweepOptions opts)
@@ -200,15 +157,19 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
 
   const std::size_t num_workers = std::max<std::size_t>(
       1, std::min(threads_, cells.size()));
-  WorkQueues queues(num_workers, cells.size());
+  // One shared cursor: each free worker claims the next unstarted cell.
+  // Results land in slot i whoever runs cell i, so the output never depends
+  // on which worker that was.
+  std::atomic<std::size_t> next_cell{0};
   std::atomic<bool> cancelled{false};
   std::mutex failure_mutex;
   std::exception_ptr first_failure;
 
-  auto worker = [&](std::size_t id) {
-    std::size_t i = 0;
-    while (queues.next(id, i)) {
-      if (cancelled.load(std::memory_order_acquire)) continue;  // drain
+  auto worker = [&] {
+    while (!cancelled.load(std::memory_order_acquire)) {
+      // Cells never claimed keep their kSkipped status.
+      const std::size_t i = next_cell.fetch_add(1);
+      if (i >= cells.size()) break;
       CellResult& out = results[i];
       const CellSpec& cell = cells[i];
       const auto cell_start = std::chrono::steady_clock::now();
@@ -249,13 +210,11 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
   };
 
   if (num_workers == 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(num_workers);
-    for (std::size_t t = 0; t < num_workers; ++t) {
-      pool.emplace_back(worker, t);
-    }
+    for (std::size_t t = 0; t < num_workers; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
 

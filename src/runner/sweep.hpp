@@ -4,10 +4,10 @@
 // cells; each cell builds its own Simulator/StorageSystem/scheduler/policy
 // from the cell's seeds, so results are bit-identical regardless of thread
 // count or completion order. The runner fans the grid out over a bounded
-// work-stealing thread pool, shares the immutable trace/placement inputs
-// across cells (shared_ptr, no copies), captures per-cell wall time and the
-// process RSS high-water mark, and cancels remaining cells on the first
-// failure.
+// pool of worker threads that claim cells from one shared cursor, shares
+// the immutable trace/placement inputs across cells (shared_ptr, no
+// copies), captures per-cell wall time and the process RSS high-water mark,
+// and cancels remaining cells on the first failure.
 #pragma once
 
 #include <cstddef>
@@ -75,9 +75,10 @@ struct SweepOptions {
   std::ostream* progress = nullptr;
 };
 
-/// Executes a grid of cells on a work-stealing pool. Results come back in
-/// submission order. Deterministic: a cell's RunResult depends only on its
-/// spec, never on scheduling.
+/// Executes a grid of cells on a pool of worker threads, each claiming the
+/// next unstarted cell. Results come back in submission order.
+/// Deterministic: a cell's RunResult depends only on its spec, never on
+/// scheduling.
 class SweepRunner {
  public:
   /// Uses the shared paper roster.

@@ -1312,7 +1312,7 @@ class System final : public core::SystemView {
 
   /// Observability artifacts; null when the config leaves them off. The
   /// recorder is owned here (the simulator only borrows a raw pointer) and
-  /// handed to the RunResult at finish() so sinks can export it.
+  /// handed to the RunResult at finish() so the runner can export it.
   std::shared_ptr<obs::TraceRecorder> recorder_;
   std::shared_ptr<obs::MetricRegistry> metrics_;
   std::uint64_t batch_seq_ = 0;

@@ -78,8 +78,8 @@ struct RunResult {
   bool write_offload_enabled = false;
   core::WriteOffloadStats write_offload_stats{};
   /// Present only when the run's ObsConfig asked for them; to_json() does
-  /// not serialize either (the trace/metrics sinks own those formats), so
-  /// the result schema is untouched by observability.
+  /// not serialize either (the runner's trace/metrics exporters own those
+  /// formats), so the result schema is untouched by observability.
   std::shared_ptr<const obs::TraceRecorder> trace_recorder;
   std::shared_ptr<const obs::MetricRegistry> metrics;
 

@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "runner/emit.hpp"
-#include "runner/sinks.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 
@@ -147,80 +146,6 @@ TEST(EmitterGolden, EmitCellsJsonSchema) {
   EXPECT_NE(out.find("\"status\":\"failed\","), std::string::npos);
   EXPECT_NE(out.find("\"error\":\"boom\"}"), std::string::npos);
   EXPECT_EQ(out.back(), '\n');
-}
-
-// --- sink layer -------------------------------------------------------------
-//
-// The OutputSink stack must be a pure re-plumbing of the historical
-// emitters: for every format, the sink's bytes are the free functions'
-// bytes. Any drift here is the same breaking schema change the goldens
-// above guard against.
-
-std::string sink_table_output(const runner::ResultTable& t,
-                              runner::EmitFormat f) {
-  runner::SinkConfig cfg;
-  cfg.format = f;
-  std::ostringstream os;
-  runner::make_sink(cfg, os)->table(t);
-  return os.str();
-}
-
-TEST(SinkGolden, FormatSinksMatchTheFreeEmitters) {
-  const auto t = sample_table();
-  for (const auto f : {runner::EmitFormat::kTable, runner::EmitFormat::kCsv,
-                       runner::EmitFormat::kJson}) {
-    EXPECT_EQ(sink_table_output(t, f), emitted(t, f))
-        << "format " << runner::to_string(f);
-  }
-}
-
-TEST(SinkGolden, CellSinksMatchEmitCells) {
-  std::vector<runner::CellResult> cells(1);
-  cells[0].spec.tag = "1";
-  cells[0].spec.scheduler = "static";
-  cells[0].status = runner::CellStatus::kOk;
-  cells[0].result.scheduler_name = "static";
-  for (const auto f : {runner::EmitFormat::kTable, runner::EmitFormat::kCsv,
-                       runner::EmitFormat::kJson}) {
-    std::ostringstream expected;
-    runner::emit_cells(expected, cells, f);
-    runner::SinkConfig cfg;
-    cfg.format = f;
-    std::ostringstream got;
-    runner::make_sink(cfg, got)->cells(cells);
-    EXPECT_EQ(got.str(), expected.str()) << "format " << runner::to_string(f);
-  }
-}
-
-TEST(SinkGolden, EnvCompatAliasSelectsTheSameSink) {
-  // EAS_EMIT keeps steering the primary format through SinkConfig::from_env,
-  // exactly as it steered emit_format_from_env.
-  ::setenv("EAS_EMIT", "csv", 1);
-  EXPECT_EQ(runner::SinkConfig::from_env().format, runner::EmitFormat::kCsv);
-  EXPECT_STREQ(runner::make_sink(runner::SinkConfig::from_env(), std::cout)
-                   ->name(),
-               "csv");
-  ::setenv("EAS_EMIT", "nonsense", 1);
-  runner::SinkConfig fallback;
-  fallback.format = runner::EmitFormat::kJson;
-  EXPECT_EQ(runner::SinkConfig::from_env(fallback).format,
-            runner::EmitFormat::kJson);
-  ::unsetenv("EAS_EMIT");
-}
-
-TEST(SinkGolden, ObservabilitySinksComposeAndValidate) {
-  runner::SinkConfig cfg;
-  cfg.with_metrics = true;
-  std::ostringstream os;
-  const auto sink = runner::make_sink(cfg, os);
-  EXPECT_STREQ(sink->name(), "multi");
-  // An empty sweep yields an empty merged registry, emitted as one line.
-  sink->cells({});
-  EXPECT_NE(os.str().find("{}\n"), std::string::npos);
-  // A trace path without the trace sink is a config error.
-  runner::SinkConfig bad;
-  bad.trace_path = "out.json";
-  EXPECT_THROW(bad.validate(), InvariantError);
 }
 
 TEST(JsonWriterGolden, QuotingAndNumbers) {

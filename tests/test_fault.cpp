@@ -19,6 +19,7 @@
 #include "sim/simulator.hpp"
 #include "storage/storage_system.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace eas::fault {
 namespace {
@@ -463,6 +464,50 @@ TEST(DegradedSweep, AvailabilityColumnsAppearOnlyWithFaults) {
   EXPECT_NE(csv.str().find("unavailable"), std::string::npos);
   EXPECT_NE(csv.str().find("rebuild_bytes"), std::string::npos);
   EXPECT_NE(csv.str().find("energy_delta_j"), std::string::npos);
+}
+
+TEST(DegradedSweep, FaultFreeTwinSharesTheCellsSeeds) {
+  // describe() omits the seeds, so a twin matched on params alone would
+  // compare seed 2's degraded run with seed 1's clean one.
+  std::vector<runner::CellSpec> cells;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto clean = runner::ExperimentBuilder(runner::Workload::kCello)
+                           .requests(3000)
+                           .disks(20)
+                           .trace_seed(seed)
+                           .build();
+    const auto faulty = runner::ExperimentBuilder(clean)
+                            .fail_disk_at(3, 10.0, /*repair=*/50.0)
+                            .build();
+    for (const auto& p : {clean, faulty}) {
+      runner::CellSpec c;
+      c.scheduler = "static";
+      c.params = p;
+      c.tag = "seed-" + std::to_string(seed);
+      cells.push_back(std::move(c));
+    }
+  }
+  runner::SweepOptions opts;
+  opts.threads = 2;
+  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  ASSERT_EQ(results.size(), 4u);
+  const auto energy = [&](std::size_t i) {
+    return results[i].result.total_energy();
+  };
+  ASSERT_NE(energy(1), energy(3));
+  ASSERT_NE(energy(0), energy(2));
+
+  std::ostringstream os;
+  runner::emit_cells(os, results, runner::EmitFormat::kJson);
+  const auto delta_field = [](double d) {
+    return "\"energy_delta_vs_fault_free_j\":" + util::json_number(d) + ",";
+  };
+  EXPECT_NE(os.str().find(delta_field(energy(1) - energy(0))),
+            std::string::npos);
+  EXPECT_NE(os.str().find(delta_field(energy(3) - energy(2))),
+            std::string::npos);
+  EXPECT_EQ(os.str().find(delta_field(energy(3) - energy(0))),
+            std::string::npos);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // preset.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,7 +19,7 @@
 #include "core/write_offload.hpp"
 #include "core/wsc_scheduler.hpp"
 #include "power/fixed_threshold.hpp"
-#include "runner/sinks.hpp"
+#include "runner/emit.hpp"
 #include "runner/sweep.hpp"
 #include "trace/synthetic.hpp"
 #include "util/check.hpp"
@@ -584,25 +587,222 @@ TEST(SweepRunnerParallel, MergedMetricsAreIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ExperimentBuilderObs, CrossChecksSinkAgainstObsConfig) {
-  // A sink that asks for artifacts the run won't produce is a build error...
-  runner::SinkConfig wants_trace;
-  wants_trace.with_trace = true;
-  EXPECT_THROW(runner::ExperimentBuilder().sink(wants_trace).build(),
-               InvariantError);
-  runner::SinkConfig wants_metrics;
-  wants_metrics.with_metrics = true;
-  EXPECT_THROW(runner::ExperimentBuilder().sink(wants_metrics).build(),
-               InvariantError);
-  // ...and enabling the matching producers makes the same config valid.
-  const auto p = runner::ExperimentBuilder()
-                     .trace({.capacity = 1u << 10})
-                     .metrics()
-                     .sink(wants_trace)
-                     .build();
-  EXPECT_TRUE(p.obs.trace.enabled);
-  EXPECT_TRUE(p.obs.metrics);
-  EXPECT_TRUE(p.sink.with_trace);
+// --- merged Chrome trace ----------------------------------------------------
+//
+// A minimal JSON reader: enough to prove write_chrome_trace's output is
+// well-formed and to walk its events. Throws std::runtime_error on anything
+// that is not exactly one JSON document.
+struct Json {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  double number = 0.0;
+  std::string text;
+  std::vector<Json> items;
+  std::vector<std::pair<std::string, Json>> fields;
+
+  const Json* find(std::string_view key) const {
+    for (const auto& [k, v] : fields) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
+};
+
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view s) : s_(s) {}
+
+  Json document() {
+    Json v = value();
+    skip_ws();
+    if (pos_ != s_.size()) fail("trailing bytes");
+    return v;
+  }
+
+ private:
+  [[noreturn]] void fail(const char* what) const {
+    throw std::runtime_error(std::string(what) + " at byte " +
+                             std::to_string(pos_));
+  }
+  void skip_ws() {
+    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' ||
+                                s_[pos_] == '\r' || s_[pos_] == '\t')) {
+      ++pos_;
+    }
+  }
+  char peek() {
+    skip_ws();
+    if (pos_ >= s_.size()) fail("unexpected end");
+    return s_[pos_];
+  }
+  void expect(char c) {
+    if (peek() != c) fail("unexpected byte");
+    ++pos_;
+  }
+  // Reads `,` and returns true, or returns false at the closing `close`.
+  bool more(char close) {
+    if (peek() == close) return false;
+    expect(',');
+    return true;
+  }
+
+  Json value() {
+    Json v;
+    const char c = peek();
+    if (c == '{') {
+      v.kind = Json::Kind::kObject;
+      ++pos_;
+      if (peek() != '}') {
+        do {
+          std::string key = string();
+          expect(':');
+          v.fields.emplace_back(std::move(key), value());
+        } while (more('}'));
+      }
+      expect('}');
+    } else if (c == '[') {
+      v.kind = Json::Kind::kArray;
+      ++pos_;
+      if (peek() != ']') {
+        do {
+          v.items.push_back(value());
+        } while (more(']'));
+      }
+      expect(']');
+    } else if (c == '"') {
+      v.kind = Json::Kind::kString;
+      v.text = string();
+    } else if (literal("true") || literal("false")) {
+      v.kind = Json::Kind::kBool;
+    } else if (literal("null")) {
+      v.kind = Json::Kind::kNull;
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      v.kind = Json::Kind::kNumber;
+      const auto [end, ec] =
+          std::from_chars(s_.data() + pos_, s_.data() + s_.size(), v.number);
+      if (ec != std::errc{}) fail("bad number");
+      pos_ = static_cast<std::size_t>(end - s_.data());
+    } else {
+      fail("unexpected byte");
+    }
+    return v;
+  }
+
+  bool literal(std::string_view word) {
+    if (s_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  std::string string() {
+    expect('"');
+    std::string out;
+    while (true) {
+      if (pos_ >= s_.size()) fail("unterminated string");
+      const char c = s_[pos_++];
+      if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control byte");
+      if (c != '\\') {
+        out.push_back(c);
+        continue;
+      }
+      if (pos_ >= s_.size()) fail("unterminated escape");
+      const char e = s_[pos_++];
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_) {
+          if (pos_ >= s_.size() || !std::isxdigit(static_cast<unsigned char>(
+                                       s_[pos_]))) {
+            fail("bad \\u escape");
+          }
+        }
+        out.push_back('?');  // code point not needed by these checks
+      } else if (std::string_view("\"\\/bfnrt").find(e) !=
+                 std::string_view::npos) {
+        out.push_back(e);
+      } else {
+        fail("bad escape");
+      }
+    }
+  }
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
+
+TEST(SweepTraceExport, OneProcessPerTracedOkCell) {
+  const auto untraced = runner::ExperimentBuilder(runner::Workload::kCello)
+                            .requests(500)
+                            .disks(12)
+                            .build();
+  const auto traced = runner::ExperimentBuilder(untraced)
+                          .trace({.capacity = 1u << 12})
+                          .build();
+  auto cell = [](const char* sched, const runner::ExperimentParams& p,
+                 const char* tag) {
+    runner::CellSpec c;
+    c.scheduler = sched;
+    c.params = p;
+    c.tag = tag;
+    return c;
+  };
+  std::vector<runner::CellSpec> cells = {
+      cell("static", traced, "a"),       // 0: traced
+      cell("heuristic", untraced, "a"),  // 1: tracing off
+      cell("wsc", traced, "b"),          // 2: fails (below)
+      cell("wsc", traced, "b"),          // 3: traced
+  };
+  cells[2].run = [](const runner::ExperimentParams&, const trace::Trace&,
+                    const placement::PlacementMap&) -> storage::RunResult {
+    throw std::runtime_error("cell exploded");
+  };
+  runner::SweepOptions opts;
+  opts.threads = 2;
+  opts.cancel_on_failure = false;
+  opts.rethrow_failure = false;
+  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  ASSERT_EQ(results[2].status, runner::CellStatus::kFailed);
+  EXPECT_EQ(results[1].result.trace_recorder, nullptr);
+
+  std::ostringstream os;
+  runner::write_chrome_trace(os, results);
+  const Json doc = JsonReader(os.str()).document();
+  ASSERT_EQ(doc.kind, Json::Kind::kObject);
+  const Json* unit = doc.find("displayTimeUnit");
+  ASSERT_NE(unit, nullptr);
+  EXPECT_EQ(unit->text, "ms");
+  const Json* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->kind, Json::Kind::kArray);
+
+  std::map<int, std::size_t> events_per_pid;
+  std::map<int, std::vector<std::string>> process_names;
+  for (const Json& e : events->items) {
+    const Json* pid = e.find("pid");
+    ASSERT_NE(pid, nullptr);
+    const int id = static_cast<int>(pid->number);
+    ++events_per_pid[id];
+    const Json* ph = e.find("ph");
+    const Json* name = e.find("name");
+    ASSERT_TRUE(ph != nullptr && name != nullptr);
+    if (ph->text == "M" && name->text == "process_name") {
+      const Json* args = e.find("args");
+      ASSERT_TRUE(args != nullptr && args->find("name") != nullptr);
+      process_names[id].push_back(args->find("name")->text);
+    }
+  }
+  EXPECT_EQ(events_per_pid.size(), 2u);
+  EXPECT_GT(events_per_pid[0], 1u);  // more than the metadata alone
+  EXPECT_GT(events_per_pid[3], 1u);
+  const std::map<int, std::vector<std::string>> expected = {
+      {0, {"a/static"}}, {3, {"b/wsc"}}};
+  EXPECT_EQ(process_names, expected);
+}
+
+TEST(SweepTraceExport, EmptySweepExportsEmptyArtifacts) {
+  EXPECT_EQ(runner::merged_metrics({}).to_json(), "{}");
+  std::ostringstream os;
+  runner::write_chrome_trace(os, {});
+  EXPECT_EQ(os.str(), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
 }
 
 TEST(WorkloadNames, RoundTripThroughTheCanonicalTable) {

@@ -100,7 +100,7 @@ stage_fault() {
   EAS_REQUESTS=3000 ./build/bench/bench_ablation_fault_availability > /dev/null
 }
 
-# Observability surface on its own label: recorder/metrics/sink goldens and
+# Observability surface on its own label: recorder/metrics goldens and
 # the paper-example trace replay, plus the allocation-counting binary that
 # proves tracing (compiled in but off) adds nothing to the kernel hot path.
 stage_obs() {
