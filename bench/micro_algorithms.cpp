@@ -152,7 +152,7 @@ void BM_SolveGwminConflict(benchmark::State& state) {
     benchmark::DoNotOptimize(core::solve_gwmin(g));
   }
 }
-BENCHMARK(BM_SolveGwminConflict)->Arg(2000)->Arg(10000);
+BENCHMARK(BM_SolveGwminConflict)->Arg(2000)->Arg(10000)->Arg(100000);
 
 struct RefineInput {
   trace::Trace trace;

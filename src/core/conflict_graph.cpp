@@ -61,6 +61,74 @@ void reset_nested(std::vector<std::vector<std::uint32_t>>& vecs,
   for (auto& v : vecs) v.clear();
 }
 
+/// Build Step 3 ([[hotpath]]: its scratch lives in `ws`): every node's
+/// conflict degree in closed form from per-row role counts, without walking
+/// a neighbour. Row r's members are "out" (first == r) or "in"
+/// (second == r), counted overall and per replica slot of r; a member's
+/// slot is the one whose disk id range holds it (every member lies on one
+/// of r's disks). For node v = (i, j, k), for_each_neighbor yields every
+/// other out-member of row i, row i's in-members off disk k, and row j's
+/// members off disk k except the nodes with v's (i, j) on another disk,
+/// which row i already yielded (DESIGN.md §12):
+///   deg(v) = (out_i - 1) + (in_i - in_i[k])
+///          + (out_j - out_j[k]) + (in_j - in_j[k]) - (pair(i, j) - 1),
+/// where pair(i, j) counts row j's in-members whose first request is i.
+/// Row i adds the first line, row j the second. Returns the degree sum.
+std::size_t count_degrees(ConflictGraph& g, const trace::Trace& trace,
+                          const placement::PlacementMap& placement,
+                          ConflictGraphWorkspace& ws) {
+  auto& slots = ws.slots;
+  auto& pair = ws.pair_count;
+  pair.assign(trace.size(), 0);
+  g.degrees.assign(g.size(), 0);
+  std::size_t degree_sum = 0;
+  for (std::uint32_t r = 0; r < trace.size(); ++r) {
+    const std::uint32_t begin = g.inc_offsets[r];
+    const std::uint32_t end = g.inc_offsets[r + 1];
+    if (begin == end) continue;
+    const auto& locs = placement.locations(trace[r].data);
+    slots.assign(locs.size(), {});
+    for (std::size_t s = 0; s < locs.size(); ++s) {
+      slots[s].lo = g.disk_begin[locs[s]];
+      slots[s].span = g.disk_begin[locs[s] + 1] - slots[s].lo;
+    }
+    auto slot_of = [&slots](std::uint32_t u) -> auto& {
+      std::size_t s = 0;
+      while (u - slots[s].lo >= slots[s].span) ++s;
+      return slots[s];
+    };
+    std::uint32_t out = 0;
+    std::uint32_t in = 0;
+    for (std::uint32_t p = begin; p < end; ++p) {
+      const std::uint32_t u = g.inc_nodes[p];
+      auto& slot = slot_of(u);
+      if (g.first[u] == r) {
+        ++out;
+        ++slot.out;
+      } else {
+        ++in;
+        ++slot.in;
+        ++pair[g.first[u]];
+      }
+    }
+    for (std::uint32_t p = begin; p < end; ++p) {
+      const std::uint32_t u = g.inc_nodes[p];
+      const auto& slot = slot_of(u);
+      const std::uint32_t d =
+          g.first[u] == r
+              ? (out - 1) + (in - slot.in)
+              : (out - slot.out) + (in - slot.in) - (pair[g.first[u]] - 1);
+      g.degrees[u] += d;
+      degree_sum += d;
+    }
+    for (std::uint32_t p = begin; p < end; ++p) {
+      const std::uint32_t u = g.inc_nodes[p];
+      if (g.first[u] != r) pair[g.first[u]] = 0;
+    }
+  }
+  return degree_sum;
+}
+
 }  // namespace
 
 void list_requests_by_stored_disk(
@@ -154,20 +222,53 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
   }
   off.pop_back();
 
-  // Step 3: degrees and the edge count, in one sweep over the rows.
-  g.degrees.resize(n);
-  std::size_t degree_sum = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    std::uint32_t d = 0;
-    g.for_each_neighbor(v, [&d](std::uint32_t) { ++d; });
-    g.degrees[v] = d;
-    degree_sum += d;
-  }
-  g.edge_count = degree_sum / 2;
+  // Step 3: degrees and the edge count, from per-row counts.
+  g.edge_count = count_degrees(g, trace, placement, ws) / 2;
   return g;
 }
 
 namespace {
+
+/// GWMIN's row walker ([[hotpath]]): calls fn(u) for every neighbour u of v
+/// still in the heap, with for_each_neighbor's filter and order, and
+/// compacts each row it scans. A scan swaps every member still live after
+/// fn into the row's live prefix, keeping their relative order, and parks
+/// the dead ones behind the new row_end, so no later walk scans them. v is
+/// never live here (it left the heap before its walk), which makes the
+/// liveness test its u == v skip; and in row j a member with v's first
+/// request has v's (i, j), so the pair skip is the first-request test.
+template <typename Fn>
+void walk_live_neighbors(const ConflictGraph& g, std::span<std::uint32_t> inc,
+                         GwminWorkspace& ws, std::uint32_t v, Fn&& fn) {
+  const auto& heap = ws.heap;
+  auto& row_end = ws.row_end;
+  const std::uint32_t xi = g.first[v];
+  const std::uint32_t xj = g.second[v];
+  const DiskId k = g.disk_of(v);
+  const std::uint32_t lo = g.disk_begin[k];
+  const std::uint32_t span = g.disk_begin[k + 1] - lo;
+  auto scan = [&](std::uint32_t r, auto&& is_neighbor) {
+    std::uint32_t live = g.inc_offsets[r];
+    const std::uint32_t end = row_end[r];
+    for (std::uint32_t p = live; p < end; ++p) {
+      const std::uint32_t u = inc[p];
+      if (!heap.contains(u)) continue;
+      if (is_neighbor(u)) {
+        fn(u);
+        if (!heap.contains(u)) continue;
+      }
+      inc[p] = inc[live];
+      inc[live++] = u;
+    }
+    row_end[r] = live;
+  };
+  scan(xi, [&](std::uint32_t u) {
+    return u - lo >= span || g.first[u] == xi;
+  });
+  scan(xj, [&](std::uint32_t u) {
+    return u - lo >= span && g.first[u] != xi;
+  });
+}
 
 /// Hot selection loop ([[hotpath]]: no allocation, no throw). Pops the
 /// (score, highest-id) maximum — the exact order the historical lazy
@@ -177,8 +278,10 @@ namespace {
 /// alive set; the two-phase kill keeps the historical update order: all of
 /// N[v] leaves the heap before any survivor is re-scored, and degree /
 /// nbr_weight decrements land in the same doomed-major, row-minor order as
-/// before, so every score is the bit-identical double.
-void gwmin_select_loop(const ConflictGraph& g,
+/// before, so every score is the bit-identical double. Every row walk goes
+/// through walk_live_neighbors, which visits live members in the full
+/// walk's order and skips only dead ones, whose visits changed nothing.
+void gwmin_select_loop(const ConflictGraph& g, std::span<std::uint32_t> inc,
                        std::span<std::uint32_t> degree, bool use_gwmin2,
                        GwminWorkspace& ws,
                        std::vector<std::uint32_t>& selected) {
@@ -192,13 +295,13 @@ void gwmin_select_loop(const ConflictGraph& g,
     heap.pop_top();
     selected.push_back(top.v);
 
+    // The winner itself decrements nothing: every live neighbour of it dies
+    // in this walk, so only the neighbours' walks below can reach a
+    // survivor.
     doomed.clear();
-    doomed.push_back(top.v);
-    g.for_each_neighbor(top.v, [&](std::uint32_t u) {
-      if (heap.contains(u)) {
-        heap.remove(u);
-        doomed.push_back(u);
-      }
+    walk_live_neighbors(g, inc, ws, top.v, [&](std::uint32_t u) {
+      heap.remove(u);
+      doomed.push_back(u);
     });
     // Apply every degree / nbr_weight decrement first (same doomed-major,
     // row-minor order as always — the nbr_weight rounding sequence is
@@ -210,8 +313,7 @@ void gwmin_select_loop(const ConflictGraph& g,
     touch_list.clear();
     for (const std::uint32_t u : doomed) {
       const double uw = weight[u];
-      g.for_each_neighbor(u, [&](std::uint32_t w) {
-        if (!heap.contains(w)) return;
+      walk_live_neighbors(g, inc, ws, u, [&](std::uint32_t w) {
         --degree[w];
         if (use_gwmin2) nbr_weight[w] -= uw;
         if (!ws.touched.marked(w)) {
@@ -233,11 +335,12 @@ void gwmin_select_loop(const ConflictGraph& g,
   }
 }
 
-/// The solve over a caller-chosen live-degree array (initially the
-/// build's degrees; decremented as neighbours die).
-void gwmin_solve(const ConflictGraph& g, std::span<std::uint32_t> degree,
-                 bool use_gwmin2, GwminWorkspace& ws,
-                 std::vector<std::uint32_t>& selected) {
+/// The solve over caller-chosen incidence rows (initially the graph's;
+/// compacted as nodes die) and live-degree array (initially the build's
+/// degrees; decremented as neighbours die).
+void gwmin_solve(const ConflictGraph& g, std::span<std::uint32_t> inc,
+                 std::span<std::uint32_t> degree, bool use_gwmin2,
+                 GwminWorkspace& ws, std::vector<std::uint32_t>& selected) {
   selected.clear();
   const auto n = static_cast<std::uint32_t>(g.size());
   const auto& weight = g.weight;
@@ -252,7 +355,7 @@ void gwmin_solve(const ConflictGraph& g, std::span<std::uint32_t> degree,
     }
   }
   ws.doomed.clear();
-  ws.doomed.reserve(std::size_t{max_deg} + 1);
+  ws.doomed.reserve(max_deg);
 
   ws.heap.assign(n, [&](std::uint32_t v) {
     if (use_gwmin2) {
@@ -262,8 +365,29 @@ void gwmin_solve(const ConflictGraph& g, std::span<std::uint32_t> degree,
     return weight[v] / static_cast<double>(degree[v] + 1);
   });
 
-  gwmin_select_loop(g, degree, use_gwmin2, ws, selected);
+  ws.row_end.assign(g.inc_offsets.begin() + 1, g.inc_offsets.end());
+  gwmin_select_loop(g, inc, degree, use_gwmin2, ws, selected);
   std::sort(selected.begin(), selected.end());
+}
+
+/// Puts every row the solve compacted back in ascending node id, so the
+/// graph leaves the solve as built. A scan that found no dead member left
+/// its row untouched and its live end at the row's end; any other row holds
+/// its original members with an ascending live prefix. Rows are short (at
+/// most 2 * replicas * horizon members), so each is insertion-sorted from
+/// its live end.
+void restore_rows(ConflictGraph& g, const std::vector<std::uint32_t>& row_end) {
+  auto& inc = g.inc_nodes;
+  for (std::size_t r = 0; r < row_end.size(); ++r) {
+    const std::uint32_t begin = g.inc_offsets[r];
+    const std::uint32_t end = g.inc_offsets[r + 1];
+    for (std::uint32_t p = std::max(row_end[r], begin + 1); p < end; ++p) {
+      const std::uint32_t u = inc[p];
+      std::uint32_t q = p;
+      for (; q > begin && inc[q - 1] > u; --q) inc[q] = inc[q - 1];
+      inc[q] = u;
+    }
+  }
 }
 
 }  // namespace
@@ -283,14 +407,16 @@ std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
 
 void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                  std::vector<std::uint32_t>& selected) {
+  ws.inc_nodes.assign(g.inc_nodes.begin(), g.inc_nodes.end());
   ws.degree.assign(g.degrees.begin(), g.degrees.end());
-  gwmin_solve(g, ws.degree, use_gwmin2, ws, selected);
+  gwmin_solve(g, ws.inc_nodes, ws.degree, use_gwmin2, ws, selected);
 }
 
 void solve_gwmin_in_place(ConflictGraph& g, bool use_gwmin2,
                           GwminWorkspace& ws,
                           std::vector<std::uint32_t>& selected) {
-  gwmin_solve(g, g.degrees, use_gwmin2, ws, selected);
+  gwmin_solve(g, g.inc_nodes, g.degrees, use_gwmin2, ws, selected);
+  restore_rows(g, ws.row_end);
   std::vector<std::uint32_t>().swap(g.degrees);
 }
 

@@ -73,7 +73,9 @@ struct ConflictGraph {
   std::vector<std::uint32_t> inc_offsets;
   std::vector<std::uint32_t> inc_nodes;
   /// Conflict degree of each node and the edge count (sum of degrees / 2),
-  /// counted once at build time. solve_gwmin_in_place consumes `degrees`.
+  /// computed once at build time in closed form from per-row role counts
+  /// (DESIGN.md §12), not by walking the neighbours.
+  /// solve_gwmin_in_place consumes `degrees`.
   std::vector<std::uint32_t> degrees;
   std::size_t edge_count = 0;
 
@@ -153,6 +155,18 @@ void list_requests_by_stored_disk(
 /// buffers at their high-water capacity.
 struct ConflictGraphWorkspace {
   std::vector<std::vector<std::uint32_t>> on_disk;
+  /// Step 3's per-row scratch: one entry per replica slot of the row's
+  /// request (its disk's node-id range and the row's out-/in-members on it).
+  struct RowSlot {
+    std::uint32_t lo = 0;
+    std::uint32_t span = 0;
+    std::uint32_t out = 0;
+    std::uint32_t in = 0;
+  };
+  std::vector<RowSlot> slots;
+  /// Step 3's per-request counter of a row's in-members by first request
+  /// (all zero between rows).
+  std::vector<std::uint32_t> pair_count;
   /// Node count of the previous build — the reservation estimate for the
   /// next one (cells in a sweep are similar-sized).
   std::size_t last_node_count = 0;
@@ -179,6 +193,14 @@ struct GwminWorkspace {
   /// Live degrees for the copying solves; solve_gwmin_in_place decrements
   /// the graph's own array instead and leaves this one empty.
   std::vector<std::uint32_t> degree;
+  /// Live end of each incidence row: the solve keeps row r's heap-live
+  /// members in [inc_offsets[r], row_end[r]) in walk order and parks the
+  /// dead ones behind it, so a walk never rescans a dead entry.
+  std::vector<std::uint32_t> row_end;
+  /// The rows the copying solves compact (a copy of the graph's
+  /// inc_nodes); solve_gwmin_in_place compacts the graph's own rows and
+  /// restores them, leaving this one empty.
+  std::vector<std::uint32_t> inc_nodes;
   std::vector<double> nbr_weight;
   std::vector<std::uint32_t> doomed;
   /// Survivors adjacent to this round's kills, deduplicated — each gets one
@@ -190,10 +212,12 @@ struct GwminWorkspace {
 /// Scalable GWMIN/GWMIN2 over a ConflictGraph: indexed max-heap keyed by
 /// (score, node id), degrees and neighbourhood weights maintained
 /// incrementally: O((V+E) log V) heap work with no tombstone traffic, plus
-/// one walk of each dying node's two incidence rows (Σ_r |row r|² entries
-/// over the solve). Selection order (including the higher-id tie-break the
-/// historical lazy pair-heap had) is pinned by the sweep fingerprints and
-/// test_graph_diff.
+/// one walk of each dying node's two incidence rows. The walks compact the
+/// rows as they go (dead members are parked behind a per-row live end), so
+/// each walk scans only the members still in the heap — the live graph,
+/// not every edge the graph ever had — in for_each_neighbor's order.
+/// Selection order (including the higher-id tie-break the historical lazy
+/// pair-heap had) is pinned by the sweep fingerprints and test_graph_diff.
 /// Returns selected node ids.
 std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
                                        bool use_gwmin2 = false);
@@ -210,10 +234,12 @@ void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                  std::vector<std::uint32_t>& selected);
 
 /// As the out-parameter form, but the solve decrements g.degrees in place
-/// as its live-degree array instead of copying it into `ws`, so only one
-/// degree array is resident. g.degrees is released on return (degree()
-/// must not be called afterwards); every other field is unchanged, so
-/// for_each_neighbor and selection_weight still work.
+/// as its live-degree array and compacts g.inc_nodes' rows in place instead
+/// of copying either into `ws`, so only one copy of each is resident.
+/// g.degrees is released on return (degree() must not be called
+/// afterwards); the rows are restored to ascending order before return and
+/// every other field is untouched, so for_each_neighbor and
+/// selection_weight still work.
 void solve_gwmin_in_place(ConflictGraph& g, bool use_gwmin2,
                           GwminWorkspace& ws,
                           std::vector<std::uint32_t>& selected);

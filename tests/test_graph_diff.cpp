@@ -18,7 +18,10 @@
 // (build_conflict_csr_reference), and the replica solves over that CSR.
 // Its node columns (first, second, disk_of, weight) are checked against an
 // independent enumeration (enumerate_saving_nodes_reference), including
-// placements whose empty disks own empty id ranges.
+// placements whose empty disks own empty id ranges. Every node's
+// closed-form build degree is checked against a count of its walk, and
+// both solves, which compact incidence rows as nodes die, must leave the
+// graph exactly as built.
 //
 // It also links the counting operator new shim (alloc_counter.cpp) to pin
 // the zero-allocation contract of warm-workspace solves, the memory bound
@@ -27,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
@@ -522,6 +526,130 @@ TEST(ImplicitRows, EmptyDiskRangesSingleDiskAndRfOneMatchTheReference) {
       }
       expect_graph_matches_reference(
           in, "shape " + std::to_string(s) + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+// --- closed-form degrees vs the neighbour walk ------------------------------
+
+/// Checks every node's build-time degree (the closed form over per-row role
+/// counts) against a count of its for_each_neighbor walk, and the edge
+/// count against half the walked degree sum.
+void expect_degrees_match_walk(const RowInstance& in,
+                               const std::string& label) {
+  const auto g = core::build_conflict_graph(in.trace, in.placement, {},
+                                            in.options);
+  ASSERT_GT(g.size(), 0u) << label;
+  std::size_t degree_sum = 0;
+  for (std::uint32_t v = 0; v < g.size(); ++v) {
+    std::size_t walked = 0;
+    g.for_each_neighbor(v, [&walked](std::uint32_t) { ++walked; });
+    EXPECT_EQ(g.degree(v), walked) << label << " node " << v;
+    degree_sum += walked;
+  }
+  EXPECT_EQ(g.num_edges(), degree_sum / 2) << label;
+}
+
+/// `n` reads of uniformly drawn data items whose arrival times are
+/// quantised to a tenth of the saving window, so runs of requests share a
+/// timestamp.
+trace::Trace tied_trace(util::Rng& rng, DataId num_data, int n) {
+  const double window = disk::DiskPowerParams{}.saving_window_seconds();
+  const double quantum = window / 10;
+  std::vector<trace::TraceRecord> recs;
+  double t = 0.0;
+  for (int r = 0; r < n; ++r) {
+    t += rng.exponential(6.0 / window);
+    recs.push_back({quantum * std::floor(t / quantum),
+                    static_cast<DataId>(rng.next_below(num_data)), 4096,
+                    true});
+  }
+  return trace::Trace(std::move(recs));
+}
+
+TEST(ClosedFormDegrees, MatchTheNeighbourWalkOnEveryNode) {
+  // The 72 row-differential instances (horizon 1–6, rf 1–4).
+  for (std::uint64_t seed = 1; seed < 73; ++seed) {
+    expect_degrees_match_walk(row_instance(seed),
+                              "row seed " + std::to_string(seed));
+  }
+  for (std::size_t horizon : {1u, 6u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::string tag =
+          " h " + std::to_string(horizon) + " seed " + std::to_string(seed);
+      // Every item on all of 2–5 disks: every (i, j) is a node on each of
+      // them, so the pair term is rf - 1 for every in-member.
+      for (unsigned rf = 2; rf <= 5; ++rf) {
+        std::vector<DiskId> used;
+        for (DiskId k = 0; k < rf; ++k) used.push_back(k);
+        expect_degrees_match_walk(
+            sparse_disk_instance(seed, static_cast<DiskId>(rf + 1), used, rf,
+                                 horizon),
+            "all-replicas rf " + std::to_string(rf) + tag);
+      }
+      // rf = 1 and empty disk ranges at the first, a middle and the last
+      // disk.
+      expect_degrees_match_walk(
+          sparse_disk_instance(seed, 7, {1, 2, 4, 5}, 1, horizon),
+          "rf 1 sparse" + tag);
+      expect_degrees_match_walk(
+          sparse_disk_instance(seed, 7, {1, 2, 4, 5}, 2, horizon),
+          "rf 2 sparse" + tag);
+      // Timestamp ties, on a placement that puts pairs on several disks.
+      RowInstance tied = sparse_disk_instance(seed, 5, {0, 1, 2, 3}, 3,
+                                              horizon);
+      util::Rng rng(seed);
+      tied.trace = tied_trace(rng, tied.placement.num_data(),
+                              60 + static_cast<int>(seed * 7));
+      expect_degrees_match_walk(tied, "ties" + tag);
+    }
+  }
+}
+
+// --- solves leave the graph as built ----------------------------------------
+
+/// Checks that the fields a solve may touch equal those of `built`, a copy
+/// of `g` taken before the solve.
+void expect_as_built(const core::ConflictGraph& g,
+                     const core::ConflictGraph& built,
+                     const std::string& label) {
+  EXPECT_EQ(g.first, built.first) << label;
+  EXPECT_EQ(g.second, built.second) << label;
+  EXPECT_EQ(g.weight, built.weight) << label;
+  EXPECT_EQ(g.inc_offsets, built.inc_offsets) << label;
+  EXPECT_EQ(g.inc_nodes, built.inc_nodes) << label;
+}
+
+TEST(SolveGwminDiff, SolvesLeaveTheGraphAsBuilt) {
+  // The select loop compacts incidence rows as nodes die: the const solves
+  // compact a workspace copy, the in-place solve the graph's own rows,
+  // which it must restore before returning.
+  std::vector<std::pair<std::string, RowInstance>> instances;
+  for (std::uint64_t seed : {3u, 29u, 47u, 70u}) {
+    instances.emplace_back("row seed " + std::to_string(seed),
+                           row_instance(seed));
+  }
+  for (std::uint64_t seed : {11u, 12u}) {
+    auto in = synthetic_instance(600, seed);
+    instances.emplace_back(
+        "synthetic seed " + std::to_string(seed),
+        RowInstance{std::move(in.trace), std::move(in.placement), {}});
+  }
+  core::GwminWorkspace ws;
+  for (const auto& [label, in] : instances) {
+    for (bool gw2 : {false, true}) {
+      const std::string tag = label + " gwmin2=" + std::to_string(gw2);
+      auto g = core::build_conflict_graph(in.trace, in.placement, {},
+                                          in.options);
+      ASSERT_GT(g.size(), 0u) << tag;
+      const core::ConflictGraph built = g;
+      const auto copied = core::solve_gwmin(g, gw2, ws);
+      expect_as_built(g, built, tag + " const solve");
+      EXPECT_EQ(g.degrees, built.degrees) << tag;
+      std::vector<std::uint32_t> in_place;
+      core::solve_gwmin_in_place(g, gw2, ws, in_place);
+      expect_as_built(g, built, tag + " in-place solve");
+      EXPECT_EQ(in_place, copied) << tag;
     }
   }
 }
