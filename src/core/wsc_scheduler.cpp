@@ -19,10 +19,11 @@ const graph::SetCoverInstance& WscBatchScheduler::build_instance_into(
     std::vector<DiskId>& candidate_disks) const {
   graph::SetCoverInstance& instance = inst_ws_;
   // Retire the previous instance's element vectors into the spare pool so
-  // their capacity survives sets.clear().
-  for (auto& set : instance.sets) {
-    set.elements.clear();
-    spare_elements_.push_back(std::move(set.elements));
+  // their capacity survives sets.clear(). Retiring in reverse hands set i
+  // its own old vector back, so a recurring batch shape stops regrowing.
+  for (auto it = instance.sets.rbegin(); it != instance.sets.rend(); ++it) {
+    it->elements.clear();
+    spare_elements_.push_back(std::move(it->elements));
   }
   instance.sets.clear();
 
@@ -35,18 +36,24 @@ const graph::SetCoverInstance& WscBatchScheduler::build_instance_into(
       view.degraded() ? view.failure_view() : nullptr;
   elem_req_.clear();
 
+  // The clock, power parameters and placement are fixed for the batch:
+  // read them once, not once per set or request.
+  const placement::PlacementMap& placement = view.placement();
+  const double now = view.now();
+  const disk::DiskPowerParams& power = view.power_params();
+
   // One set per disk that stores at least one batched request's data. The
   // dense map assigns set indices in first-encounter order, exactly as the
   // hashed try_emplace it replaces did.
   constexpr std::uint32_t kNoSet = std::numeric_limits<std::uint32_t>::max();
-  if (set_of_disk_.size() < view.placement().num_disks()) {
-    set_of_disk_.resize(view.placement().num_disks(), kNoSet);
+  if (set_of_disk_.size() < placement.num_disks()) {
+    set_of_disk_.resize(placement.num_disks(), kNoSet);
   }
   candidate_disks.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::size_t e = elem_req_.size();  // tentative element id
     bool coverable = false;
-    for (DiskId k : view.placement().locations(batch[i].data)) {
+    for (DiskId k : placement.locations(batch[i].data)) {
       if (fv != nullptr && !fv->replica_readable(batch[i].data, k)) continue;
       std::uint32_t idx = set_of_disk_[k];
       if (idx == kNoSet) {
@@ -59,11 +66,9 @@ const graph::SetCoverInstance& WscBatchScheduler::build_instance_into(
         }
         candidate_disks.push_back(k);
         const DiskSnapshot snap = view.snapshot(k);
-        set.weight =
-            mode_ == WeightMode::kPureEnergy
-                ? marginal_energy_cost(snap, view.now(), view.power_params())
-                : composite_cost(snap, view.now(), view.power_params(),
-                                 cost_);
+        set.weight = mode_ == WeightMode::kPureEnergy
+                         ? marginal_energy_cost(snap, now, power)
+                         : composite_cost(snap, now, power, cost_);
       }
       instance.sets[idx].elements.push_back(e);
       coverable = true;
@@ -80,10 +85,10 @@ std::vector<DiskId> WscBatchScheduler::assign(
     const std::vector<disk::Request>& batch, const SystemView& view) {
   if (batch.empty()) return {};
 
-  std::vector<DiskId>& candidate_disks = candidates_ws_;
+  auto& candidate_disks = candidates_ws_;
   const graph::SetCoverInstance& instance =
       build_instance_into(batch, view, candidate_disks);
-  const graph::SetCoverSolution cover =
+  const graph::SetCoverSolution& cover =
       graph::greedy_weighted_set_cover(instance, cover_ws_);
   // Theorem 2 only holds if the chosen disks actually cover the batch.
   if constexpr (audit_enabled()) graph::check_cover(cover, instance);
@@ -91,7 +96,7 @@ std::vector<DiskId> WscBatchScheduler::assign(
   // Each request goes to the first chosen set (in greedy order) holding its
   // data — the set that "paid" for covering it. Batch entries outside the
   // universe (no live replica) stay kInvalidDisk: reported, not asserted.
-  std::vector<DiskId> assignment(batch.size(), kInvalidDisk);
+  std::vector<DiskId> assignment(batch.size(), kInvalidDisk);  // det-ok: the one per-batch allocation; BatchScheduler::assign returns by value
   for (std::size_t s : cover.chosen_sets) {
     for (std::size_t e : instance.sets[s].elements) {
       const std::size_t i = elem_req_[e];

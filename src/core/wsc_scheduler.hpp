@@ -57,8 +57,10 @@ class WscBatchScheduler final : public BatchScheduler {
   WeightMode mode_;
 
   // Scratch reused across batches: the scheduler runs one assign() per
-  // scheduling interval (0.1 s of simulated time), so in steady state a
-  // batch allocates nothing beyond the returned assignment vector.
+  // scheduling interval (0.1 s of simulated time). Every buffer below keeps
+  // its capacity, the cover solution included (it lives in cover_ws_), so a
+  // warm batch allocates exactly once: the assignment assign() returns by
+  // value. A batch larger than any before it still grows the buffers.
   /// Dense DiskId -> set-index map; entries are restored to the sentinel
   /// after every build, so only touched disks cost anything per batch.
   mutable std::vector<std::uint32_t> set_of_disk_;
@@ -67,6 +69,7 @@ class WscBatchScheduler final : public BatchScheduler {
   /// Element vectors retired from previous instances, kept to preserve
   /// their capacity for the next build.
   mutable std::vector<std::vector<std::size_t>> spare_elements_;
+  /// Greedy scratch and the solution it returns by reference.
   mutable graph::SetCoverWorkspace cover_ws_;
   std::vector<DiskId> candidates_ws_;
   /// Instance element -> batch index. Identity on the healthy path; under a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -54,75 +55,93 @@ void check_cover(const SetCoverSolution& sol,
 
 SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance) {
   SetCoverWorkspace ws;
-  return greedy_weighted_set_cover(instance, ws);
+  greedy_weighted_set_cover(instance, ws);
+  return std::move(ws.solution);
 }
 
-SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance,
-                                           SetCoverWorkspace& ws) {
-  instance.validate();
-  EAS_REQUIRE_MSG(instance.feasible(), "set cover instance is infeasible");
+const SetCoverSolution& greedy_weighted_set_cover(
+    const SetCoverInstance& instance, SetCoverWorkspace& ws) {
+  const std::size_t n = instance.num_elements;
+  const std::size_t m = instance.sets.size();
 
-  ws.covered.assign(instance.num_elements, 0);
-  std::size_t remaining = instance.num_elements;
-  SetCoverSolution sol;
+  // One pass makes validate()'s checks, in its order, and counts each
+  // element's occurrences into row[e + 2]; the prefix sum below turns the
+  // counts into row starts shifted by one, which the fill pass then
+  // advances into place (row[e] .. row[e + 1] is e's range afterwards).
+  ws.row.assign(n + 2, 0);
+  for (std::size_t s = 0; s < m; ++s) {
+    const SetCoverInstance::Set& set = instance.sets[s];
+    EAS_CHECK_MSG(set.weight >= 0.0,
+                  "set " << s << " has negative weight " << set.weight);
+    for (std::size_t e : set.elements) {
+      EAS_CHECK_MSG(e < n, "set " << s << " contains out-of-range element "
+                                  << e);
+      ++ws.row[e + 2];
+    }
+  }
+  for (std::size_t e = 0; e < n; ++e) {
+    EAS_REQUIRE_MSG(ws.row[e + 2] > 0, "set cover instance is infeasible");
+    ws.row[e + 2] += ws.row[e + 1];
+  }
+  ws.sets_of.resize(ws.row[n + 1]);
+  ws.fresh.resize(m);
+  ws.ratio.resize(m);
+  ws.live.clear();
+  for (std::size_t s = 0; s < m; ++s) {
+    const SetCoverInstance::Set& set = instance.sets[s];
+    for (std::size_t e : set.elements) ws.sets_of[ws.row[e + 1]++] = s;
+    ws.fresh[s] = set.elements.size();
+    if (ws.fresh[s] == 0) continue;  // covers nothing, never a candidate
+    ws.ratio[s] = set.weight / static_cast<double>(ws.fresh[s]);
+    ws.live.push_back(s);
+  }
+
+  ws.covered.assign(n, 0);
+  std::size_t remaining = n;
+  SetCoverSolution& sol = ws.solution;
+  sol.chosen_sets.clear();
+  sol.total_weight = 0.0;
 
   // The greedy order is the lexicographic minimum of (ratio, -fresh, set):
   // cheapest per fresh element first, ties toward larger coverage so free
   // sets don't dribble in one element at a time, then toward the lowest set
-  // index. The comparator inverts that ("worse sorts first") because the
-  // std heap algorithms keep the comparator's maximum at the front.
-  using Candidate = SetCoverWorkspace::Candidate;
-  const auto later = [](const Candidate& a, const Candidate& b) {
-    if (a.ratio != b.ratio) return a.ratio > b.ratio;
-    if (a.fresh != b.fresh) return a.fresh < b.fresh;
-    return a.set > b.set;
-  };
-  const auto recount = [&](std::size_t s) {
-    std::size_t n = 0;
-    for (std::size_t e : instance.sets[s].elements) {
-      if (!ws.covered[e]) ++n;
-    }
-    return n;
-  };
-
-  ws.heap.clear();
-  for (std::size_t s = 0; s < instance.sets.size(); ++s) {
-    const std::size_t n = instance.sets[s].elements.size();
-    if (n == 0) continue;
-    ws.heap.push_back(
-        {instance.sets[s].weight / static_cast<double>(n), n, s});
-  }
-  std::make_heap(ws.heap.begin(), ws.heap.end(), later);
-
-  // Lazy selection: a set's key only ever increases as elements get covered
-  // (the ratio grows when weight > 0; the -fresh tie-break grows when
-  // weight == 0), so a popped entry whose cached count is stale is pushed
-  // back with its true key, and a popped entry whose count is exact is the
-  // global minimum — every other set's true key is >= its stored key >= this
-  // key. Each set has at most one live entry, so the heap never exceeds the
-  // set count. The selected sequence is identical to a per-round linear
-  // scan, just without the O(sets) rescan per selection.
+  // index — "first strictly better set wins" over the live list, which
+  // stays in ascending index as the scan compacts out spent sets. `fresh`
+  // counts occurrences, so a duplicate member counts twice, as a recount
+  // would; `ratio` is recomputed from it with the same division.
   while (remaining > 0) {
-    EAS_CHECK_MSG(!ws.heap.empty(),
-                  "greedy stalled with " << remaining << " uncovered");
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), later);
-    const Candidate top = ws.heap.back();
-    ws.heap.pop_back();
-    const std::size_t n = recount(top.set);
-    if (n == 0) continue;  // fully covered by earlier picks; never useful
-    if (n != top.fresh) {
-      ws.heap.push_back(
-          {instance.sets[top.set].weight / static_cast<double>(n), n,
-           top.set});
-      std::push_heap(ws.heap.begin(), ws.heap.end(), later);
-      continue;
+    std::size_t best = m;
+    double best_ratio = 0.0;
+    std::size_t best_fresh = 0;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ws.live.size(); ++i) {
+      const std::size_t s = ws.live[i];
+      const std::size_t fresh = ws.fresh[s];
+      if (fresh == 0) continue;
+      ws.live[kept++] = s;
+      const double ratio = ws.ratio[s];
+      if (best == m || ratio < best_ratio ||
+          (ratio == best_ratio && fresh > best_fresh)) {
+        best = s;
+        best_ratio = ratio;
+        best_fresh = fresh;
+      }
     }
-    sol.chosen_sets.push_back(top.set);
-    sol.total_weight += instance.sets[top.set].weight;
-    for (std::size_t e : instance.sets[top.set].elements) {
-      if (!ws.covered[e]) {
-        ws.covered[e] = 1;
-        --remaining;
+    ws.live.resize(kept);
+    EAS_CHECK_MSG(best < m, "greedy stalled with " << remaining
+                                                   << " uncovered");
+    sol.chosen_sets.push_back(best);
+    sol.total_weight += instance.sets[best].weight;
+    for (std::size_t e : instance.sets[best].elements) {
+      if (ws.covered[e]) continue;
+      ws.covered[e] = 1;
+      --remaining;
+      for (std::size_t k = ws.row[e]; k < ws.row[e + 1]; ++k) {
+        const std::size_t s = ws.sets_of[k];
+        if (--ws.fresh[s] > 0) {
+          ws.ratio[s] =
+              instance.sets[s].weight / static_cast<double>(ws.fresh[s]);
+        }
       }
     }
   }

@@ -49,36 +49,38 @@ void check_cover(const SetCoverSolution& sol, const SetCoverInstance& instance);
 
 /// Reusable scratch for greedy_weighted_set_cover. Callers that solve a
 /// stream of instances (the batch scheduler solves one per scheduling
-/// interval) keep one workspace alive so steady-state solves reuse the
-/// heap/mark buffers instead of reallocating them.
+/// interval) keep one workspace alive so warm solves allocate nothing: every
+/// buffer, the solution included, keeps its capacity across calls.
 struct SetCoverWorkspace {
-  /// Candidate entry in the greedy selection heap. `fresh` is the number of
-  /// still-uncovered elements the set held when the entry was pushed; it can
-  /// only shrink afterwards, which is what makes lazy reinsertion exact.
-  struct Candidate {
-    double ratio = 0.0;  ///< weight / fresh at push time
-    std::size_t fresh = 0;
-    std::size_t set = 0;
-  };
+  /// Element -> sets CSR, one entry per (set, element) occurrence:
+  /// element e's sets are sets_of[row[e] .. row[e + 1]).
+  std::vector<std::size_t> row;
+  std::vector<std::size_t> sets_of;
+  /// Per set: still-uncovered occurrences, and weight / fresh while > 0.
+  std::vector<std::size_t> fresh;
+  std::vector<double> ratio;
+  /// Sets that may still cover something, in ascending index.
+  std::vector<std::size_t> live;
   std::vector<char> covered;
-  std::vector<Candidate> heap;
+  SetCoverSolution solution;
 };
 
 /// Greedy H_n-approximation: repeatedly select the set minimising
 /// weight / (newly covered elements); zero-weight sets are free and picked
-/// first. Throws InvariantError if the instance is infeasible.
+/// first. Throws InvariantError if the instance is infeasible, has a
+/// negative weight or names an out-of-range element.
 ///
-/// Selection is by lazy min-heap over (ratio, -fresh count, set index).
-/// A set's key only ever increases as elements get covered, so an entry
-/// whose cached count went stale is reinserted with its refreshed key; a
-/// popped entry with an exact count is provably the global minimum. The
-/// chosen sequence is bit-identical to a full linear scan per round.
+/// Each round takes the lexicographic minimum of (ratio, -fresh count, set
+/// index) over the live sets, in one scan. The counts are exact, not
+/// recounted: covering an element decrements every set that holds it, via
+/// the element -> sets CSR. The chosen sequence is bit-identical to the
+/// full recount-per-round rule.
 SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance);
 
-/// As above, reusing `ws` buffers across calls (no steady-state allocation
-/// beyond the returned solution).
-SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance,
-                                           SetCoverWorkspace& ws);
+/// As above, solving into `ws.solution` and returning it. The reference
+/// stays valid until the next solve with `ws`.
+const SetCoverSolution& greedy_weighted_set_cover(
+    const SetCoverInstance& instance, SetCoverWorkspace& ws);
 
 /// Exact minimum-weight cover by branch-and-bound (branching on the
 /// uncovered element with the fewest candidate sets). Returns nullopt if the

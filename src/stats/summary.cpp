@@ -55,13 +55,13 @@ double SummaryStats::cv() const {
 
 void SampleStore::add(double x) {
   samples_.push_back(x);
-  sorted_valid_ = false;
+  state_ = Cache::kStale;
 }
 
 SampleStore& SampleStore::operator+=(const SampleStore& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  sorted_valid_ = samples_.empty();
+  state_ = samples_.empty() ? Cache::kSorted : Cache::kStale;
   return *this;
 }
 
@@ -73,24 +73,46 @@ double SampleStore::mean() const {
 }
 
 const std::vector<double>& SampleStore::sorted() const {
-  if (!sorted_valid_) {
-    sorted_cache_ = samples_;
-    std::sort(sorted_cache_.begin(), sorted_cache_.end());
-    sorted_valid_ = true;
+  if (state_ != Cache::kSorted) {
+    // A permuted cache already holds every sample; only a stale one needs
+    // the copy.
+    if (state_ == Cache::kStale) {
+      cache_.assign(samples_.begin(), samples_.end());
+    }
+    std::sort(cache_.begin(), cache_.end());
+    state_ = Cache::kSorted;
   }
-  return sorted_cache_;
+  return cache_;
 }
 
 double SampleStore::quantile(double q) const {
   EAS_REQUIRE_MSG(!samples_.empty(), "quantile of empty store");
   EAS_REQUIRE_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
-  const auto& s = sorted();
-  if (s.size() == 1) return s.front();
-  const double pos = q * static_cast<double>(s.size() - 1);
+  const std::size_t n = samples_.size();
+  if (n == 1) return samples_.front();
+  const double pos = q * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  if (lo + 1 >= s.size()) return s.back();
   const double frac = pos - static_cast<double>(lo);
-  return s[lo] * (1.0 - frac) + s[lo + 1] * frac;
+  if (state_ == Cache::kSorted) {
+    if (lo + 1 >= n) return cache_.back();
+    return cache_[lo] * (1.0 - frac) + cache_[lo + 1] * frac;
+  }
+  // Selection instead of a sort: order statistic lo lands at cache_[lo]
+  // with everything above it in cache_[lo + 1, n), whose minimum is order
+  // statistic lo + 1. Values, not positions, enter the interpolation, so
+  // the result matches the sorted path exactly.
+  if (state_ == Cache::kStale) {
+    cache_.assign(samples_.begin(), samples_.end());
+    state_ = Cache::kPermuted;
+  }
+  const auto first = cache_.begin();
+  if (lo + 1 >= n) return *std::max_element(first, cache_.end());
+  std::nth_element(first, first + static_cast<std::ptrdiff_t>(lo),
+                   cache_.end());
+  const double above =
+      *std::min_element(first + static_cast<std::ptrdiff_t>(lo + 1),
+                        cache_.end());
+  return cache_[lo] * (1.0 - frac) + above * frac;
 }
 
 double SampleStore::fraction_above(double x) const {

@@ -56,7 +56,11 @@ class SampleStore {
   double mean() const;
 
   /// Exact quantile by linear interpolation between order statistics;
-  /// q in [0, 1]. Must not be called on an empty store.
+  /// q in [0, 1]. Must not be called on an empty store. Indexes the sorted
+  /// cache when it is built; otherwise selects the two order statistics
+  /// (std::nth_element, then a min over the part above) in the cache
+  /// buffer, O(n) per call instead of an O(n log n) sort. Either way the
+  /// result is the same double.
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
   double p90() const { return quantile(0.90); }
@@ -69,16 +73,23 @@ class SampleStore {
   /// All samples in ascending order (lazily built, cached). The insertion
   /// order of `samples_` is never disturbed, so mean() sums in completion
   /// order and is reproducible bit-for-bit regardless of whether quantiles
-  /// were queried first. The lazy build itself is not thread-safe: callers
-  /// sharing a store across threads must materialize the cache once (call
-  /// sorted()) while still single-threaded — SweepRunner does this before
-  /// publishing a result.
+  /// were queried first. The lazy build, like quantile()'s selection in the
+  /// same buffer, is not thread-safe: callers sharing a store across
+  /// threads must materialize the cache once (call sorted()) while still
+  /// single-threaded — SweepRunner does this before publishing a result.
   const std::vector<double>& sorted() const;
 
  private:
+  /// What `cache_` holds relative to `samples_`.
+  enum class Cache : unsigned char {
+    kStale,     ///< nothing usable: samples were added since
+    kPermuted,  ///< the samples in some order (quantile() selected in it)
+    kSorted,    ///< the samples in ascending order
+  };
+
   std::vector<double> samples_;  ///< insertion (completion) order
-  mutable std::vector<double> sorted_cache_;
-  mutable bool sorted_valid_ = true;
+  mutable std::vector<double> cache_;
+  mutable Cache state_ = Cache::kSorted;
 };
 
 }  // namespace eas::stats

@@ -77,7 +77,7 @@ std::string RunResult::to_json(bool include_disks) const {
     w.field("p50", response_times.median());
     w.field("p90", response_times.p90());
     w.field("p99", response_times.p99());
-    w.field("max", response_times.sorted().back());
+    w.field("max", response_times.quantile(1.0));
   }
   w.end_object();
 
@@ -1388,27 +1388,30 @@ void stream_arrivals(System& system, const trace::Trace& trace,
 
 /// run_batch's tick: assigns the requests that arrived since the last tick,
 /// then re-arms itself while records remain to arrive or wait. A plain
-/// struct over run-local state, stored inline in its event slot.
+/// struct over run-local state, stored inline in its event slot. `pending`
+/// and `batch` trade buffers each tick, so neither regrows once warm.
 struct BatchTick {
   System* system;
   core::BatchScheduler* sched;
   double interval;
   std::vector<disk::Request>* pending;
+  std::vector<disk::Request>* batch;
   const std::size_t* remaining;
 
   void operator()() const {
     if (!pending->empty()) {
-      std::vector<disk::Request> batch;
-      batch.swap(*pending);
-      system->note_batch(batch.size());
-      const std::vector<DiskId> assignment = sched->assign(batch, *system);
-      EAS_ENSURE_MSG(assignment.size() == batch.size(),
+      batch->swap(*pending);
+      system->note_batch(batch->size());
+      const std::vector<DiskId> assignment = sched->assign(*batch, *system);
+      EAS_ENSURE_MSG(assignment.size() == batch->size(),
                      "batch scheduler returned " << assignment.size()
                                                  << " picks for "
-                                                 << batch.size() << " requests");
-      for (std::size_t b = 0; b < batch.size(); ++b) {
-        system->route(batch[b], assignment[b]);
+                                                 << batch->size()
+                                                 << " requests");
+      for (std::size_t b = 0; b < batch->size(); ++b) {
+        system->route((*batch)[b], assignment[b]);
       }
+      batch->clear();
     }
     if (*remaining > 0 || !pending->empty()) {
       system->simulator().schedule_in(interval, *this);
@@ -1449,6 +1452,7 @@ RunResult run_batch(const SystemConfig& config,
   // keeps running while arrivals remain so an empty interval cannot strand
   // later requests.
   std::vector<disk::Request> pending;
+  std::vector<disk::Request> batch;
   std::size_t remaining = trace.size();
   auto on_arrival = [&system, &pending, &remaining](const disk::Request& r) {
     --remaining;
@@ -1461,7 +1465,7 @@ RunResult run_batch(const SystemConfig& config,
   if (!trace.empty()) {
     system.simulator().schedule_at(
         trace.start_time() + interval,
-        BatchTick{&system, &sched, interval, &pending, &remaining});
+        BatchTick{&system, &sched, interval, &pending, &batch, &remaining});
   }
 
   system.start(trace.end_time());

@@ -97,7 +97,7 @@ SetCoverSolution greedy_weighted_set_cover_reference(
 
   // Full scan per round: lexicographic minimum of (ratio, -fresh, set),
   // realised by "first strictly better set wins" so equal keys keep the
-  // lowest index — the order the lazy heap must reproduce exactly.
+  // lowest index — the order the exact-count scan must reproduce exactly.
   while (remaining > 0) {
     std::size_t best = instance.sets.size();
     double best_ratio = 0.0;

@@ -1,14 +1,15 @@
 // Differential suite for the heap-driven solvers and the implicit conflict
 // graph.
 //
-// The indexed-heap GWMIN/GWMIN2 and the lazy-heap set cover each promise to
-// reproduce their retained linear-scan reference *exactly* — same vertex
-// sets, same selection-order weight accumulation, bit for bit — because the
-// scheduling pipeline's determinism gates (sweep fingerprints, emitter
-// goldens) pin the historical outputs. This binary proves the promise on
-// ~200 seeded random graphs plus adversarial-tie families (quantised and
-// unit weights make equal scores common, exercising the index tie-break),
-// a 10k-node smoke (which the ASan preset re-runs), and replays
+// The indexed-heap GWMIN/GWMIN2 and the exact-count set cover scan each
+// promise to reproduce their retained linear-scan reference *exactly* —
+// same vertex sets, same selection-order weight accumulation, bit for bit
+// — because the scheduling pipeline's determinism gates (sweep
+// fingerprints, emitter goldens) pin the historical outputs. This binary
+// proves the promise on ~200 seeded random graphs plus adversarial-tie
+// families (quantised and unit weights make equal scores common,
+// exercising the index tie-break), batch-shaped set-cover instances, a
+// 10k-node smoke (which the ASan preset re-runs), and replays
 // core::solve_gwmin against an in-test linear-scan replica of its
 // historical higher-index tie-break semantics.
 //
@@ -24,7 +25,8 @@
 // graph exactly as built.
 //
 // It also links the counting operator new shim (alloc_counter.cpp) to pin
-// the zero-allocation contract of warm-workspace solves, the memory bound
+// the zero-allocation contract of warm-workspace solves, the single
+// allocation of a warm batch-scheduler tick, the memory bound
 // of a conflict-graph build and the peak live bytes of an offline
 // schedule.
 #include <gtest/gtest.h>
@@ -41,6 +43,8 @@
 #include "alloc_counter.hpp"
 #include "core/conflict_graph.hpp"
 #include "core/mwis_scheduler.hpp"
+#include "core/wsc_scheduler.hpp"
+#include "disk/params.hpp"
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
@@ -654,7 +658,7 @@ TEST(SolveGwminDiff, SolvesLeaveTheGraphAsBuilt) {
   }
 }
 
-// --- set cover: lazy heap vs reference scan ---------------------------------
+// --- set cover: exact-count scan vs reference recount ----------------------
 
 graph::SetCoverInstance random_cover(std::size_t elements, std::size_t sets,
                                      double density, bool tie_heavy,
@@ -699,8 +703,87 @@ TEST_P(SetCoverDiffTest, HeapMatchesReferenceScanExactly) {
   }
 }
 
+/// A batch-shaped instance: elements are requests held by 1-3 disks
+/// (sets), most sets cost the same standby wake-up, some are free, one is
+/// empty, and a replica can be listed twice in one set.
+graph::SetCoverInstance wsc_shaped_cover(std::uint64_t seed) {
+  util::Rng rng(seed);
+  graph::SetCoverInstance inst;
+  inst.num_elements = 1 + rng.next_below(128);
+  inst.sets.resize(4 + rng.next_below(60));
+  for (auto& set : inst.sets) {
+    const std::uint64_t kind = rng.next_below(8);
+    set.weight = kind < 4   ? 13.5  // standby: the common, tied weight
+                 : kind == 4 ? 0.0  // free: already paid for this interval
+                 : kind == 5 ? 2.25
+                             : rng.uniform(0.1, 20.0);
+  }
+  for (std::size_t e = 0; e < inst.num_elements; ++e) {
+    const std::uint64_t copies = 1 + rng.next_below(3);
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      auto& set = inst.sets[rng.next_below(inst.sets.size())];
+      set.elements.push_back(e);
+      if (rng.bernoulli(0.05)) set.elements.push_back(e);
+    }
+  }
+  const auto at = static_cast<std::ptrdiff_t>(
+      rng.next_below(inst.sets.size() + 1));
+  inst.sets.insert(inst.sets.begin() + at, {0.0, {}});
+  return inst;
+}
+
+TEST_P(SetCoverDiffTest, WscShapedInstancesMatchTheReferenceScan) {
+  const std::uint64_t seed = GetParam();
+  graph::SetCoverWorkspace ws;  // shared, so each solve starts warm
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const auto inst = wsc_shaped_cover(seed * 4 + k);
+    const auto& fast = graph::greedy_weighted_set_cover(inst, ws);
+    const auto ref = graph::greedy_weighted_set_cover_reference(inst);
+    EXPECT_EQ(fast.chosen_sets, ref.chosen_sets) << "seed " << seed << "." << k;
+    EXPECT_EQ(fast.total_weight, ref.total_weight)
+        << "seed " << seed << "." << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SetCoverDiffTest,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+/// The InvariantError message of `solve`, or "" if it did not throw one.
+template <typename Solve>
+std::string invariant_message(Solve&& solve) {
+  try {
+    solve();
+  } catch (const InvariantError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SetCoverValidation, FusedPassRejectsWhatValidateAndFeasibleReject) {
+  struct Bad {
+    const char* name;
+    graph::SetCoverInstance inst;
+    const char* says;
+  };
+  const std::vector<Bad> bad = {
+      {"negative weight", {2, {{1.0, {0, 1}}, {-1.0, {1}}}},
+       "set 1 has negative weight -1"},
+      {"out of range", {2, {{1.0, {0, 1}}, {1.0, {1, 2}}}},
+       "set 1 contains out-of-range element 2"},
+      {"infeasible", {3, {{1.0, {0, 2}}}}, "set cover instance is infeasible"},
+      // Validation comes first, as validate() runs before feasible().
+      {"both", {3, {{-2.0, {0}}}}, "set 0 has negative weight -2"},
+  };
+  graph::SetCoverWorkspace ws;
+  for (const Bad& b : bad) {
+    const std::string fast = invariant_message(
+        [&] { graph::greedy_weighted_set_cover(b.inst, ws); });
+    EXPECT_NE(fast.find(b.says), std::string::npos) << b.name << ": " << fast;
+    const std::string ref = invariant_message(
+        [&] { graph::greedy_weighted_set_cover_reference(b.inst); });
+    EXPECT_NE(ref.find(b.says), std::string::npos) << b.name << ": " << ref;
+  }
+}
 
 // --- zero-allocation contracts ----------------------------------------------
 
@@ -727,6 +810,75 @@ TEST(SolverAllocation, WarmConflictSolveIsAllocationFree) {
   EXPECT_EQ(
       allocations_during([&] { core::solve_gwmin(g, true, ws, selected); }),
       0u);
+}
+
+/// Allocations an EASCHED_AUDIT build adds per check_cover call: its
+/// covered-element marker. Release builds never call it on the hot path.
+constexpr std::uint64_t kAuditCoverAllocs = audit_enabled() ? 1 : 0;
+
+TEST(SolverAllocation, WarmGreedySetCoverIsAllocationFree) {
+  const auto big = wsc_shaped_cover(7);
+  const auto small = wsc_shaped_cover(8);
+  graph::SetCoverWorkspace ws;
+  graph::greedy_weighted_set_cover(big, ws);
+  graph::greedy_weighted_set_cover(small, ws);
+  EXPECT_EQ(allocations_during([&] {
+              graph::greedy_weighted_set_cover(big, ws);
+              graph::greedy_weighted_set_cover(small, ws);
+            }),
+            2 * kAuditCoverAllocs);
+}
+
+/// A SystemView over the paper's 180-disk placement with seeded mixed disk
+/// states, as the batch scheduler sees it mid-run.
+class MixedStateView final : public core::SystemView {
+ public:
+  explicit MixedStateView(std::uint64_t seed)
+      : placement_(placement::make_zipf_placement({})),
+        snapshots_(placement_.num_disks()) {
+    util::Rng rng(seed);
+    for (auto& s : snapshots_) {
+      s.state = rng.bernoulli(0.6) ? disk::DiskState::Standby
+                                   : disk::DiskState::Idle;
+      s.last_request_time = rng.uniform(0.0, 100.0);
+      s.queued_requests = static_cast<std::size_t>(rng.next_below(4));
+    }
+  }
+  double now() const override { return 100.0; }
+  const placement::PlacementMap& placement() const override {
+    return placement_;
+  }
+  core::DiskSnapshot snapshot(DiskId k) const override {
+    return snapshots_[k];
+  }
+  const disk::DiskPowerParams& power_params() const override {
+    return power_;
+  }
+
+ private:
+  placement::PlacementMap placement_;
+  std::vector<core::DiskSnapshot> snapshots_;
+  disk::DiskPowerParams power_ = disk::example_power_params();
+};
+
+TEST(SolverAllocation, WarmWscAssignAllocatesOnlyTheReturnedAssignment) {
+  const MixedStateView view(3);
+  util::Rng rng(11);
+  std::vector<disk::Request> burst(128);
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    burst[i].id = i;
+    burst[i].data = static_cast<DataId>(
+        rng.next_below(view.placement().num_data()));
+  }
+  core::WscBatchScheduler sched(0.1);
+  const auto first = sched.assign(burst, view);
+  sched.assign(burst, view);
+  std::vector<DiskId> warm;
+  // The returned assignment; an audit build also checks the cover twice
+  // (after the greedy and in assign).
+  EXPECT_EQ(allocations_during([&] { warm = sched.assign(burst, view); }),
+            1 + 2 * kAuditCoverAllocs);
+  EXPECT_EQ(warm, first);
 }
 
 // --- memory bounds -----------------------------------------------------------

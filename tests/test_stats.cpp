@@ -1,7 +1,11 @@
 // Tests for summary statistics, sample stores and the log histogram.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "stats/histogram.hpp"
@@ -114,6 +118,93 @@ TEST(SampleStore, MeanMatchesSum) {
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
 }
 
+// quantile() selects in the cache buffer while it is unsorted and indexes
+// it once sorted() has run; the two paths must agree bit for bit.
+struct StoreShape {
+  std::string name;
+  std::vector<double> samples;
+};
+
+std::vector<StoreShape> store_shapes() {
+  util::Rng rng(17);
+  std::vector<StoreShape> shapes(4);
+  shapes[0].name = "all-distinct";
+  for (int i = 0; i < 1001; ++i) {
+    shapes[0].samples.push_back(rng.uniform(0.0, 3.0));
+  }
+  shapes[1].name = "duplicate-heavy";
+  for (int i = 0; i < 1000; ++i) {
+    shapes[1].samples.push_back(0.25 * static_cast<double>(rng.next_below(5)));
+  }
+  shapes[2] = {"single-sample", {0.75}};
+  shapes[3] = {"two-samples", {2.5, 0.5}};
+  return shapes;
+}
+
+SampleStore store_of(const std::vector<double>& samples) {
+  SampleStore s;
+  for (double x : samples) s.add(x);
+  return s;
+}
+
+constexpr double kQs[] = {0.0, 0.5, 0.9, 0.99, 1.0};
+
+TEST(SampleStore, SelectedQuantilesMatchSortedOnesBitForBit) {
+  for (const StoreShape& shape : store_shapes()) {
+    const SampleStore s = store_of(shape.samples);
+    const double mean_before = s.mean();
+    std::vector<std::uint64_t> selected;
+    for (double q : kQs) {
+      selected.push_back(std::bit_cast<std::uint64_t>(s.quantile(q)));
+    }
+    std::vector<double> expected = shape.samples;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(s.sorted(), expected) << shape.name;
+    for (std::size_t i = 0; i < std::size(kQs); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.quantile(kQs[i])), selected[i])
+          << shape.name << " q=" << kQs[i];
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.mean()),
+              std::bit_cast<std::uint64_t>(mean_before))
+        << shape.name;
+  }
+}
+
+TEST(SampleStore, SelectionInAnyQueryOrderMatchesInterpolatedSortedValues) {
+  for (const StoreShape& shape : store_shapes()) {
+    std::vector<double> sorted = shape.samples;
+    std::sort(sorted.begin(), sorted.end());
+    const SampleStore s = store_of(shape.samples);
+    // Each query starts from the buffer the previous selection left; the
+    // scrambled sweep lands `lo` both inside and at the edge of the
+    // partitions earlier selections left behind.
+    std::vector<double> qs = {0.99, 0.0, 1.0, 0.5, 0.9, 0.5};
+    for (int k = 0; k <= 40; ++k) qs.push_back((k * 17 % 41) / 40.0);
+    for (double q : qs) {
+      const double pos = q * static_cast<double>(sorted.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const double frac = pos - static_cast<double>(lo);
+      const double want =
+          lo + 1 >= sorted.size()
+              ? sorted.back()
+              : sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.quantile(q)),
+                std::bit_cast<std::uint64_t>(want))
+          << shape.name << " q=" << q;
+    }
+  }
+}
+
+TEST(SampleStore, AddAfterSelectionInvalidatesTheCache) {
+  SampleStore s = store_of({3.0, 1.0, 2.0});
+  EXPECT_EQ(s.quantile(1.0), 3.0);
+  s.add(4.0);
+  EXPECT_EQ(s.quantile(1.0), 4.0);
+  EXPECT_EQ(s.median(), 2.5);
+  s.add(0.0);
+  EXPECT_EQ(s.sorted(), (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
+}
+
 TEST(Histogram, CountsLandInTheRightBins) {
   Histogram h(0.001, 100.0, 10);
   h.add(0.005);
@@ -215,7 +306,7 @@ TEST(ShardMerge, SampleStoreAppendsInInsertionOrder) {
 TEST(ShardMerge, SampleStoreMergeAfterSortedQueryStaysCorrect) {
   SampleStore a, b;
   a.add(2.0);
-  EXPECT_DOUBLE_EQ(a.median(), 2.0);  // materializes the sort cache
+  EXPECT_DOUBLE_EQ(a.median(), 2.0);  // fills the cache before the merge
   b.add(1.0);
   a += b;
   EXPECT_EQ(a.count(), 2u);
