@@ -50,38 +50,6 @@ void BM_GreedySetCover(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySetCover)->Arg(64)->Arg(512)->Arg(4096);
 
-/// Random edge list with expected average degree 8 (weights via `rng` too).
-std::vector<std::pair<std::size_t, std::size_t>> random_edges(
-    std::size_t n, util::Rng& rng, std::vector<double>& weights) {
-  weights.clear();
-  for (std::size_t v = 0; v < n; ++v) weights.push_back(rng.uniform(1, 10));
-  const double density = 8.0 / static_cast<double>(n);  // avg degree ~8
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t v = u + 1; v < n; ++v) {
-      if (rng.bernoulli(density)) edges.emplace_back(u, v);
-    }
-  }
-  return edges;
-}
-
-graph::WeightedGraph random_graph(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<double> weights;
-  const auto edges = random_edges(n, rng, weights);
-  graph::WeightedGraphBuilder b(std::move(weights));
-  for (const auto& [u, v] : edges) b.add_edge(u, v);
-  return b.build();
-}
-
-void BM_GwminExplicit(benchmark::State& state) {
-  const auto g = random_graph(static_cast<std::size_t>(state.range(0)), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::gwmin(g));
-  }
-}
-BENCHMARK(BM_GwminExplicit)->Arg(256)->Arg(1024);
-
 /// CSR construction from a pre-generated edge list: items/sec should stay
 /// flat as n grows (linear counting-sort build — the old representation's
 /// per-insertion O(deg) duplicate probe made this superlinear).
@@ -146,10 +114,18 @@ void BM_SolveGwminConflict(benchmark::State& state) {
   pc.num_data = static_cast<DataId>(n / 2);
   pc.replication_factor = 3;
   const auto placement = placement::make_zipf_placement(pc);
-  const auto g =
+  const auto built =
       core::build_conflict_graph(t, placement, disk::DiskPowerParams{}, {});
+  core::GwminWorkspace ws;
+  std::vector<std::uint32_t> selected;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_gwmin(g));
+    // The solve consumes the graph's degrees, so each iteration solves a
+    // fresh copy, made outside the timed region.
+    state.PauseTiming();
+    auto g = built;
+    state.ResumeTiming();
+    core::solve_gwmin_in_place(g, /*use_gwmin2=*/false, ws, selected);
+    benchmark::DoNotOptimize(selected.data());
   }
 }
 BENCHMARK(BM_SolveGwminConflict)->Arg(2000)->Arg(10000)->Arg(100000);

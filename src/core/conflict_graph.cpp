@@ -35,7 +35,22 @@ double ConflictGraph::selection_weight(
   return selection_weight(selected, in);
 }
 
+namespace {
+
+/// Both readers of `degrees` check it first: an earlier
+/// solve_gwmin_in_place released it, and indexing the empty array would
+/// read past its end.
+void require_degrees(const ConflictGraph& g) {
+  EAS_REQUIRE_MSG(g.degrees.size() == g.size(),
+                  "conflict graph degrees were consumed by an earlier "
+                  "solve_gwmin_in_place; solve a copy of the graph to keep "
+                  "them");
+}
+
+}  // namespace
+
 graph::WeightedGraph ConflictGraph::to_weighted_graph() const {
+  require_degrees(*this);
   // Rows are written in for_each_neighbor order straight into the CSR
   // arrays the graph layer adopts; the WeightedGraph constructor audits the
   // structure in bulk under EASCHED_AUDIT.
@@ -238,9 +253,12 @@ namespace {
 /// liveness test its u == v skip; and in row j a member with v's first
 /// request has v's (i, j), so the pair skip is the first-request test.
 template <typename Fn>
-void walk_live_neighbors(const ConflictGraph& g, std::span<std::uint32_t> inc,
-                         GwminWorkspace& ws, std::uint32_t v, Fn&& fn) {
+void walk_live_neighbors(ConflictGraph& g, GwminWorkspace& ws,
+                         std::uint32_t v, Fn&& fn) {
   const auto& heap = ws.heap;
+  // A local view, so pushes to the callers' vectors cannot force a reload
+  // of the row array's address.
+  const std::span<std::uint32_t> inc(g.inc_nodes);
   auto& row_end = ws.row_end;
   const std::uint32_t xi = g.first[v];
   const std::uint32_t xj = g.second[v];
@@ -281,11 +299,10 @@ void walk_live_neighbors(const ConflictGraph& g, std::span<std::uint32_t> inc,
 /// before, so every score is the bit-identical double. Every row walk goes
 /// through walk_live_neighbors, which visits live members in the full
 /// walk's order and skips only dead ones, whose visits changed nothing.
-void gwmin_select_loop(const ConflictGraph& g, std::span<std::uint32_t> inc,
-                       std::span<std::uint32_t> degree, bool use_gwmin2,
-                       GwminWorkspace& ws,
+void gwmin_select_loop(ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                        std::vector<std::uint32_t>& selected) {
   auto& heap = ws.heap;
+  const std::span<std::uint32_t> degree(g.degrees);
   auto& doomed = ws.doomed;
   const auto& weight = g.weight;
   auto& nbr_weight = ws.nbr_weight;
@@ -299,7 +316,7 @@ void gwmin_select_loop(const ConflictGraph& g, std::span<std::uint32_t> inc,
     // in this walk, so only the neighbours' walks below can reach a
     // survivor.
     doomed.clear();
-    walk_live_neighbors(g, inc, ws, top.v, [&](std::uint32_t u) {
+    walk_live_neighbors(g, ws, top.v, [&](std::uint32_t u) {
       heap.remove(u);
       doomed.push_back(u);
     });
@@ -313,7 +330,7 @@ void gwmin_select_loop(const ConflictGraph& g, std::span<std::uint32_t> inc,
     touch_list.clear();
     for (const std::uint32_t u : doomed) {
       const double uw = weight[u];
-      walk_live_neighbors(g, inc, ws, u, [&](std::uint32_t w) {
+      walk_live_neighbors(g, ws, u, [&](std::uint32_t w) {
         --degree[w];
         if (use_gwmin2) nbr_weight[w] -= uw;
         if (!ws.touched.marked(w)) {
@@ -333,41 +350,6 @@ void gwmin_select_loop(const ConflictGraph& g, std::span<std::uint32_t> inc,
       heap.increase(w, s);
     }
   }
-}
-
-/// The solve over caller-chosen incidence rows (initially the graph's;
-/// compacted as nodes die) and live-degree array (initially the build's
-/// degrees; decremented as neighbours die).
-void gwmin_solve(const ConflictGraph& g, std::span<std::uint32_t> inc,
-                 std::span<std::uint32_t> degree, bool use_gwmin2,
-                 GwminWorkspace& ws, std::vector<std::uint32_t>& selected) {
-  selected.clear();
-  const auto n = static_cast<std::uint32_t>(g.size());
-  const auto& weight = g.weight;
-  auto& nbr_weight = ws.nbr_weight;
-  if (use_gwmin2) nbr_weight.assign(n, 0.0);
-  std::uint32_t max_deg = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    max_deg = std::max(max_deg, degree[v]);
-    if (use_gwmin2) {
-      g.for_each_neighbor(v,
-                          [&](std::uint32_t u) { nbr_weight[v] += weight[u]; });
-    }
-  }
-  ws.doomed.clear();
-  ws.doomed.reserve(max_deg);
-
-  ws.heap.assign(n, [&](std::uint32_t v) {
-    if (use_gwmin2) {
-      const double denom = weight[v] + nbr_weight[v];
-      return denom == 0.0 ? 1.0 : weight[v] / denom;
-    }
-    return weight[v] / static_cast<double>(degree[v] + 1);
-  });
-
-  ws.row_end.assign(g.inc_offsets.begin() + 1, g.inc_offsets.end());
-  gwmin_select_loop(g, inc, degree, use_gwmin2, ws, selected);
-  std::sort(selected.begin(), selected.end());
 }
 
 /// Puts every row the solve compacted back in ascending node id, so the
@@ -392,30 +374,38 @@ void restore_rows(ConflictGraph& g, const std::vector<std::uint32_t>& row_end) {
 
 }  // namespace
 
-std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
-                                       bool use_gwmin2) {
-  GwminWorkspace ws;
-  return solve_gwmin(g, use_gwmin2, ws);
-}
-
-std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
-                                       GwminWorkspace& ws) {
-  std::vector<std::uint32_t> selected;
-  solve_gwmin(g, use_gwmin2, ws, selected);
-  return selected;
-}
-
-void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
-                 std::vector<std::uint32_t>& selected) {
-  ws.inc_nodes.assign(g.inc_nodes.begin(), g.inc_nodes.end());
-  ws.degree.assign(g.degrees.begin(), g.degrees.end());
-  gwmin_solve(g, ws.inc_nodes, ws.degree, use_gwmin2, ws, selected);
-}
-
 void solve_gwmin_in_place(ConflictGraph& g, bool use_gwmin2,
                           GwminWorkspace& ws,
                           std::vector<std::uint32_t>& selected) {
-  gwmin_solve(g, g.inc_nodes, g.degrees, use_gwmin2, ws, selected);
+  require_degrees(g);
+  selected.clear();
+  const auto n = static_cast<std::uint32_t>(g.size());
+  const auto& weight = g.weight;
+  const auto& degree = g.degrees;
+  auto& nbr_weight = ws.nbr_weight;
+  if (use_gwmin2) nbr_weight.assign(n, 0.0);
+  std::uint32_t max_deg = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    max_deg = std::max(max_deg, degree[v]);
+    if (use_gwmin2) {
+      g.for_each_neighbor(v,
+                          [&](std::uint32_t u) { nbr_weight[v] += weight[u]; });
+    }
+  }
+  ws.doomed.clear();
+  ws.doomed.reserve(max_deg);
+
+  ws.heap.assign(n, [&](std::uint32_t v) {
+    if (use_gwmin2) {
+      const double denom = weight[v] + nbr_weight[v];
+      return denom == 0.0 ? 1.0 : weight[v] / denom;
+    }
+    return weight[v] / static_cast<double>(degree[v] + 1);
+  });
+
+  ws.row_end.assign(g.inc_offsets.begin() + 1, g.inc_offsets.end());
+  gwmin_select_loop(g, use_gwmin2, ws, selected);
+  std::sort(selected.begin(), selected.end());
   restore_rows(g, ws.row_end);
   std::vector<std::uint32_t>().swap(g.degrees);
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "disk/params.hpp"
+#include "graph/indexed_heap.hpp"
 #include "graph/mwis.hpp"
 #include "placement/placement.hpp"
 #include "trace/trace.hpp"
@@ -75,7 +76,10 @@ struct ConflictGraph {
   /// Conflict degree of each node and the edge count (sum of degrees / 2),
   /// computed once at build time in closed form from per-row role counts
   /// (DESIGN.md §12), not by walking the neighbours.
-  /// solve_gwmin_in_place consumes `degrees`.
+  /// solve_gwmin_in_place consumes `degrees` as its live-degree array and
+  /// releases it: after a solve, degree(), to_weighted_graph() and a second
+  /// solve have no degrees to read (the last two throw). Solve a copy to
+  /// keep them.
   std::vector<std::uint32_t> degrees;
   std::size_t edge_count = 0;
 
@@ -138,6 +142,7 @@ struct ConflictGraph {
 
   /// Materialises the adjacency as an explicit graph::WeightedGraph: O(m)
   /// memory, so small instances only (tests, exact solves, ablations).
+  /// Needs `degrees`, so call it before solve_gwmin_in_place.
   graph::WeightedGraph to_weighted_graph() const;
 };
 
@@ -184,23 +189,16 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
                                    const ConflictGraphOptions& options,
                                    ConflictGraphWorkspace& ws);
 
-/// Reusable scratch for solve_gwmin (the indexed selection heap,
-/// incremental degrees, neighbourhood weights, and the per-selection doomed
-/// list). Liveness is the heap's membership set — no separate alive array.
-/// Weights are read straight from the graph's dense `weight` array.
+/// Reusable scratch for solve_gwmin_in_place (the indexed selection heap,
+/// neighbourhood weights, row live ends and the per-selection doomed list).
+/// Liveness is the heap's membership set — no separate alive array. Weights
+/// are read straight from the graph's dense `weight` array.
 struct GwminWorkspace {
-  graph::IndexedScoreHeap<graph::TieOrder::kHighIndexWins> heap;
-  /// Live degrees for the copying solves; solve_gwmin_in_place decrements
-  /// the graph's own array instead and leaves this one empty.
-  std::vector<std::uint32_t> degree;
+  graph::IndexedScoreHeap heap;
   /// Live end of each incidence row: the solve keeps row r's heap-live
   /// members in [inc_offsets[r], row_end[r]) in walk order and parks the
   /// dead ones behind it, so a walk never rescans a dead entry.
   std::vector<std::uint32_t> row_end;
-  /// The rows the copying solves compact (a copy of the graph's
-  /// inc_nodes); solve_gwmin_in_place compacts the graph's own rows and
-  /// restores them, leaving this one empty.
-  std::vector<std::uint32_t> inc_nodes;
   std::vector<double> nbr_weight;
   std::vector<std::uint32_t> doomed;
   /// Survivors adjacent to this round's kills, deduplicated — each gets one
@@ -209,37 +207,25 @@ struct GwminWorkspace {
   std::vector<std::uint32_t> touch_list;
 };
 
-/// Scalable GWMIN/GWMIN2 over a ConflictGraph: indexed max-heap keyed by
-/// (score, node id), degrees and neighbourhood weights maintained
-/// incrementally: O((V+E) log V) heap work with no tombstone traffic, plus
-/// one walk of each dying node's two incidence rows. The walks compact the
-/// rows as they go (dead members are parked behind a per-row live end), so
-/// each walk scans only the members still in the heap — the live graph,
-/// not every edge the graph ever had — in for_each_neighbor's order.
-/// Selection order (including the higher-id tie-break the historical lazy
-/// pair-heap had) is pinned by the sweep fingerprints and test_graph_diff.
-/// Returns selected node ids.
-std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
-                                       bool use_gwmin2 = false);
-
-/// As above, reusing `ws` buffers across calls (no steady-state allocation
-/// beyond the returned selection).
-std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
-                                       GwminWorkspace& ws);
-
-/// Out-parameter form: with a warmed workspace and a reused `selected`
-/// buffer, a solve performs no heap allocation at all (pinned by the
-/// counting-allocator test in test_graph_diff).
-void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
-                 std::vector<std::uint32_t>& selected);
-
-/// As the out-parameter form, but the solve decrements g.degrees in place
-/// as its live-degree array and compacts g.inc_nodes' rows in place instead
-/// of copying either into `ws`, so only one copy of each is resident.
-/// g.degrees is released on return (degree() must not be called
-/// afterwards); the rows are restored to ascending order before return and
-/// every other field is untouched, so for_each_neighbor and
-/// selection_weight still work.
+/// Scalable GWMIN/GWMIN2 over a ConflictGraph, writing the selected node ids
+/// (ascending) into `selected`: indexed max-heap keyed by (score, node id),
+/// degrees and neighbourhood weights maintained incrementally: O((V+E) log V)
+/// heap work with no tombstone traffic, plus one walk of each dying node's
+/// two incidence rows. The walks compact the rows as they go (dead members
+/// are parked behind a per-row live end), so each walk scans only the
+/// members still in the heap — the live graph, not every edge the graph ever
+/// had — in for_each_neighbor's order. Selection order (including the
+/// higher-id tie-break the historical lazy pair-heap had) is pinned by the
+/// sweep fingerprints and test_graph_diff.
+///
+/// The solve works on the graph itself, so only one copy of each array is
+/// resident: it decrements g.degrees as its live-degree array and releases
+/// it on return, and it compacts g.inc_nodes' rows in place and restores
+/// them to ascending order before return. Every other field is untouched,
+/// so for_each_neighbor and selection_weight still work afterwards. A graph
+/// whose degrees an earlier solve consumed is rejected. With a warmed
+/// workspace and a reused `selected` buffer, a solve performs no heap
+/// allocation (pinned by the counting-allocator test in test_graph_diff).
 void solve_gwmin_in_place(ConflictGraph& g, bool use_gwmin2,
                           GwminWorkspace& ws,
                           std::vector<std::uint32_t>& selected);

@@ -1,5 +1,5 @@
 // Indexed 8-ary max-heap over (score, vertex) keys — the selection engine
-// behind the greedy solvers (GWMIN/GWMIN2 over both graph representations).
+// behind the conflict-graph GWMIN/GWMIN2 solve (core/conflict_graph.hpp).
 //
 // Why indexed rather than lazy: the greedy deletes the closed neighbourhood
 // N[v] on every selection and bumps the score of each survivor adjacent to a
@@ -19,14 +19,9 @@
 //
 // Determinism contract: keys are (score, vertex index) compared
 // lexicographically, so the heap's maximum is a *total-order* argmax — heap
-// shape never influences which vertex ranks first. `TieOrder` selects the
-// direction of the index tie-break so each caller reproduces its historical
-// selection sequence exactly:
-//   * kLowIndexWins  — matches a linear argmax scan keeping the first
-//     strictly-better vertex (graph::gwmin / graph::gwmin2);
-//   * kHighIndexWins — matches a max-heap of std::pair<double, uint32_t>
-//     (core::solve_gwmin), whose lexicographic pair compare prefers the
-//     higher index on equal scores.
+// shape never influences which vertex ranks first. Equal scores go to the
+// higher index, the order a max-heap of std::pair<double, uint32_t> pops,
+// which the conflict solve's historical lazy heap was.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +32,6 @@
 
 namespace eas::graph {
 
-enum class TieOrder { kLowIndexWins, kHighIndexWins };
-
-template <TieOrder kTie>
 class IndexedScoreHeap {
  public:
   struct Entry {
@@ -70,7 +62,7 @@ class IndexedScoreHeap {
   std::size_t size() const { return slots_.size(); }
   bool contains(std::uint32_t v) const { return pos_[v] != kAbsent; }
 
-  /// The (score, vertex) maximum under the tie order. Heap must be non-empty.
+  /// The (score, vertex) maximum. Heap must be non-empty.
   Entry top() const {
     EAS_ASSERT(!slots_.empty());
     return slots_[0];
@@ -126,11 +118,7 @@ class IndexedScoreHeap {
   /// Strict total order: does `a` rank above `b`?
   static bool precedes(const Entry& a, const Entry& b) {
     if (a.score != b.score) return a.score > b.score;
-    if constexpr (kTie == TieOrder::kLowIndexWins) {
-      return a.v < b.v;
-    } else {
-      return a.v > b.v;
-    }
+    return a.v > b.v;
   }
 
   void sift_up(std::size_t i) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
@@ -147,141 +146,6 @@ void check_independent(const WeightedGraph& g,
                                             << " has both endpoints selected");
     }
   }
-}
-
-namespace {
-
-/// Hot selection loop shared by the heap-driven greedies ([[hotpath]]: no
-/// allocation, no throw): pop the (score, lowest-index) maximum, delete its
-/// closed neighbourhood from the heap, apply `dec(u)` per (kill, surviving
-/// neighbour) incidence — the incremental bookkeeping, in doomed-major CSR
-/// order — then re-key each touched survivor once via `rescore(u)`, its
-/// final post-round score (scores only grow as neighbours die, so every
-/// re-key is an increase). The touched-set dedup matters twice over: a
-/// survivor adjacent to several kills pays one sift-up instead of several,
-/// and GWMIN2's O(deg) fresh rescan runs once per survivor per round.
-/// Phase order matters: all kills land before any re-key, so `rescore`
-/// sees the post-kill alive set via heap.contains().
-template <typename DecFn, typename RescoreFn>
-void mwis_select_loop(const WeightedGraph& g, MwisWorkspace& ws, DecFn dec,
-                      RescoreFn rescore, MwisSolution& sol) {
-  auto& heap = ws.heap;
-  auto& doomed = ws.doomed;
-  auto& touch_list = ws.touch_list;
-  while (!heap.empty()) {
-    const auto top = heap.top();
-    heap.pop_top();
-    sol.vertices.push_back(top.v);
-    sol.total_weight += g.weight(top.v);
-
-    doomed.clear();
-    doomed.push_back(top.v);
-    for (const std::uint32_t u : g.neighbors(top.v)) {
-      if (heap.contains(u)) {
-        heap.remove(u);
-        doomed.push_back(u);
-      }
-    }
-    ws.touched.begin(g.size());
-    touch_list.clear();
-    for (const std::uint32_t dead : doomed) {
-      for (const std::uint32_t u : g.neighbors(dead)) {
-        if (!heap.contains(u)) continue;
-        dec(u);
-        if (!ws.touched.marked(u)) {
-          ws.touched.mark(u);
-          touch_list.push_back(u);
-        }
-      }
-    }
-    for (const std::uint32_t u : touch_list) heap.increase(u, rescore(u));
-  }
-}
-
-/// Common prologue/epilogue of the heap solvers: size the workspace, run
-/// the selection loop, canonicalise the solution order.
-template <typename InitScoreFn, typename DecFn, typename RescoreFn>
-void mwis_heap_solve(const WeightedGraph& g, MwisWorkspace& ws,
-                     InitScoreFn init_score, DecFn dec, RescoreFn rescore,
-                     MwisSolution& out) {
-  out.vertices.clear();
-  out.total_weight = 0.0;
-  const auto n = static_cast<std::uint32_t>(g.size());
-  std::size_t max_deg = 0;
-  for (std::uint32_t v = 0; v < n; ++v) max_deg = std::max(max_deg, g.degree(v));
-  ws.doomed.clear();
-  ws.doomed.reserve(max_deg + 1);
-  ws.heap.assign(n, init_score);
-  mwis_select_loop(g, ws, dec, rescore, out);
-  std::sort(out.vertices.begin(), out.vertices.end());
-  if constexpr (audit_enabled()) check_independent(g, out.vertices);
-}
-
-}  // namespace
-
-void gwmin(const WeightedGraph& g, MwisWorkspace& ws, MwisSolution& out) {
-  const auto n = static_cast<std::uint32_t>(g.size());
-  ws.degree.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    ws.degree[v] = static_cast<std::uint32_t>(g.degree(v));
-  }
-  auto score = [&g, &ws](std::uint32_t v) {
-    return g.weight(v) / static_cast<double>(ws.degree[v] + 1);
-  };
-  // Alive-degrees drop by one per adjacent kill — identical integer
-  // sequence to the reference scan's alive_degree bookkeeping, so scores
-  // are bit-identical doubles.
-  auto dec = [&ws](std::uint32_t u) { --ws.degree[u]; };
-  mwis_heap_solve(g, ws, score, dec, score, out);
-}
-
-void gwmin2(const WeightedGraph& g, MwisWorkspace& ws, MwisSolution& out) {
-  // GWMIN2 re-scores a touched survivor by summing its *currently alive*
-  // neighbours afresh, in CSR row order — exactly the sum the reference
-  // scan computes (same subset, same order, hence the same double), rather
-  // than an incrementally-maintained total whose rounding would drift from
-  // the specification.
-  auto score = [&g, &ws](std::uint32_t v) {
-    double nbr = 0.0;
-    for (const std::uint32_t u : g.neighbors(v)) {
-      if (ws.heap.contains(u)) nbr += g.weight(u);
-    }
-    const double denom = g.weight(v) + nbr;
-    // An isolated zero-weight vertex is harmless to take: score 1.
-    return denom == 0.0 ? 1.0 : g.weight(v) / denom;
-  };
-  // Initial scores must not consult the half-built heap: all vertices are
-  // alive before the first selection, so sum entire rows.
-  auto init_score = [&g](std::uint32_t v) {
-    double nbr = 0.0;
-    for (const std::uint32_t u : g.neighbors(v)) nbr += g.weight(u);
-    const double denom = g.weight(v) + nbr;
-    return denom == 0.0 ? 1.0 : g.weight(v) / denom;
-  };
-  auto no_dec = [](std::uint32_t) {};
-  mwis_heap_solve(g, ws, init_score, no_dec, score, out);
-}
-
-MwisSolution gwmin(const WeightedGraph& g, MwisWorkspace& ws) {
-  MwisSolution sol;
-  gwmin(g, ws, sol);
-  return sol;
-}
-
-MwisSolution gwmin(const WeightedGraph& g) {
-  MwisWorkspace ws;
-  return gwmin(g, ws);
-}
-
-MwisSolution gwmin2(const WeightedGraph& g, MwisWorkspace& ws) {
-  MwisSolution sol;
-  gwmin2(g, ws, sol);
-  return sol;
-}
-
-MwisSolution gwmin2(const WeightedGraph& g) {
-  MwisWorkspace ws;
-  return gwmin2(g, ws);
 }
 
 namespace {

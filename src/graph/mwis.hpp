@@ -3,33 +3,23 @@
 //
 // Theorem 1 reduces the offline energy-saving problem to MWIS on the
 // conflict graph over X(i,j,k) nodes. The paper solves it with GMIN, the
-// greedy of Sakai, Togasaki & Yamazaki [22]; we provide:
-//  * gwmin   — repeatedly take argmax weight(v) / (degree(v) + 1);
-//  * gwmin2  — the companion greedy using neighbourhood weight sums,
-//              often stronger on weight-skewed graphs;
-//  * exact_mwis — branch-and-bound for optimality-gap ablations on small
-//              instances.
-//
-// gwmin/gwmin2 select through an indexed 8-ary heap (indexed_heap.hpp) in
-// O((n+m) log n). The original O(n·k) linear-scan greedies live in
-// tests/reference_solvers.cpp as executable specifications, and
-// tests/test_graph_diff.cpp proves the two produce *identical* vertex sets
-// (the heap's (score, lowest-index) tie-break replicates the scan exactly).
-//
-// The scheduling-specific conflict graph (core/conflict_graph.hpp) stores
-// no edges: it derives each node's neighbours from per-request incidence
-// lists, and core::solve_gwmin runs the same heap greedy over those
-// implicit rows. ConflictGraph::to_weighted_graph materialises one as a
-// WeightedGraph for the exact solver and for tests on small instances.
+// greedy of Sakai, Togasaki & Yamazaki [22]. The scheduler's GWMIN/GWMIN2
+// is core::solve_gwmin_in_place, which runs over the conflict graph's
+// implicit rows (core/conflict_graph.hpp) and never builds an adjacency.
+// This header holds what remains for small explicit instances:
+//  * WeightedGraph — an explicit CSR graph; ConflictGraph::to_weighted_graph
+//    materialises one;
+//  * exact_mwis — branch-and-bound, for the kExact algorithm, the paper
+//    walkthrough and optimality-gap ablations on small instances.
+// The linear-scan GWMIN/GWMIN2 specifications live in
+// tests/reference_solvers.cpp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
-
-#include "graph/indexed_heap.hpp"
-#include "util/epoch_marker.hpp"
 
 namespace eas::graph {
 
@@ -102,43 +92,10 @@ struct MwisSolution {
 
 /// Executable independence contract: throws InvariantError naming the first
 /// adjacent (or duplicate / out-of-range) pair when `vertices` is not an
-/// independent set in `g`. Solvers call this as a postcondition under
+/// independent set in `g`. exact_mwis calls this as a postcondition under
 /// EASCHED_AUDIT; tests call it directly to prove the contract fires.
 void check_independent(const WeightedGraph& g,
                        const std::vector<std::size_t>& vertices);
-
-/// Reusable scratch for the heap-driven gwmin/gwmin2: the selection heap,
-/// incremental alive-degrees, and the per-selection doomed list. Callers
-/// solving a stream of instances keep one alive so steady-state solves are
-/// allocation-free beyond the returned solution.
-struct MwisWorkspace {
-  IndexedScoreHeap<TieOrder::kLowIndexWins> heap;
-  std::vector<std::uint32_t> degree;
-  std::vector<std::uint32_t> doomed;
-  /// Survivors adjacent to this round's kills, deduplicated — each gets one
-  /// heap re-key with its final post-round score.
-  util::EpochMarker touched;
-  std::vector<std::uint32_t> touch_list;
-};
-
-/// GWMIN of Sakai et al. [22]: take v maximising w(v)/(d(v)+1) among the
-/// surviving vertices, add it, delete N[v]; repeat. Guarantees total weight
-/// >= sum_v w(v)/(d(v)+1). Heap-driven O((n+m) log n); selections
-/// (including score ties, broken toward the lowest vertex index) are
-/// identical to the linear-scan specification in tests/.
-MwisSolution gwmin(const WeightedGraph& g);
-MwisSolution gwmin(const WeightedGraph& g, MwisWorkspace& ws);
-/// Out-parameter form: with a warmed workspace and a reused `out`, a solve
-/// performs no heap allocation at all (pinned by the counting-allocator
-/// test in test_graph_diff).
-void gwmin(const WeightedGraph& g, MwisWorkspace& ws, MwisSolution& out);
-
-/// GWMIN2 of Sakai et al.: take v maximising w(v) / (w(v) + sum of N(v)
-/// weights); stronger when weights are highly skewed. Same heap engine and
-/// tie-break contract as gwmin.
-MwisSolution gwmin2(const WeightedGraph& g);
-MwisSolution gwmin2(const WeightedGraph& g, MwisWorkspace& ws);
-void gwmin2(const WeightedGraph& g, MwisWorkspace& ws, MwisSolution& out);
 
 /// Exact MWIS via branch-and-bound (branch on max-degree vertex; bound by
 /// the remaining weight sum). Exponential worst case; `max_vertices` guards

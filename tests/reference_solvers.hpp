@@ -1,10 +1,12 @@
 // Executable specifications of the library's optimised solvers.
 //
 // Each function here is the straightforward original implementation of an
-// algorithm the library ships in a faster form. They live in tests/ only:
-// the differential suites (test_graph_diff, test_refine_diff) run both
-// forms on seeded instances and require identical results, bit for bit,
-// because the sweep fingerprints and goldens pin the historical outputs.
+// algorithm the library ships in a faster form (GWMIN/GWMIN2 over an
+// explicit graph excepted: the library's GWMIN is the conflict-graph
+// solve). They live in tests/ only: the differential suites
+// (test_graph_diff, test_refine_diff) run both forms on seeded instances
+// and require identical results, bit for bit, because the sweep
+// fingerprints and goldens pin the historical outputs.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +25,9 @@
 namespace eas::graph {
 
 /// GWMIN by full linear rescan per selection, O(n·k): first strictly-better
-/// score wins, so equal scores keep the lowest vertex index.
+/// score wins, so equal scores keep the lowest vertex index. The library's
+/// only GWMIN is the conflict-graph solve (replicated in test_graph_diff);
+/// these two serve as feasible comparands for exact_mwis.
 MwisSolution gwmin_reference(const WeightedGraph& g);
 
 /// GWMIN2 by full linear rescan, same tie-break as gwmin_reference.

@@ -1,9 +1,10 @@
 // Tests for conflict-graph construction and the scalable GWMIN solver,
-// cross-validated against the explicit-graph reference algorithms.
+// cross-validated against exact_mwis on the explicit graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/conflict_graph.hpp"
@@ -27,6 +28,16 @@ std::vector<std::uint32_t> neighbors(const ConflictGraph& g,
   std::vector<std::uint32_t> row;
   g.for_each_neighbor(v, [&](std::uint32_t u) { row.push_back(u); });
   return row;
+}
+
+/// The in-place solve run on a copy of `g`, so `g` keeps its degrees.
+std::vector<std::uint32_t> solve_copy(const ConflictGraph& g,
+                                      bool use_gwmin2) {
+  ConflictGraph copy = g;
+  GwminWorkspace ws;
+  std::vector<std::uint32_t> selected;
+  solve_gwmin_in_place(copy, use_gwmin2, ws, selected);
+  return selected;
 }
 
 ConflictGraph paper_graph(std::size_t horizon = 2) {
@@ -129,7 +140,7 @@ TEST(ConflictGraph, ToWeightedGraphRoundTrips) {
 
 TEST(SolveGwmin, MatchesExplicitReferenceOnThePaperInstance) {
   const auto g = paper_graph();
-  const auto fast = solve_gwmin(g, false);
+  const auto fast = solve_copy(g, false);
   EXPECT_NO_THROW(g.selection_weight(fast));
   // Both implementations satisfy the same GWMIN lower bound.
   double bound = 0.0;
@@ -137,6 +148,31 @@ TEST(SolveGwmin, MatchesExplicitReferenceOnThePaperInstance) {
     bound += g.weight[v] / static_cast<double>(g.degree(v) + 1);
   }
   EXPECT_GE(g.selection_weight(fast), bound - 1e-9);
+}
+
+TEST(SolveGwmin, ConsumedDegreesAreRejectedNamingTheEarlierSolve) {
+  // The in-place solve releases `degrees`; both of its readers must refuse
+  // the solved graph rather than index the empty array.
+  auto g = paper_graph();
+  ASSERT_GT(g.num_edges(), 0u);
+  GwminWorkspace ws;
+  std::vector<std::uint32_t> selected;
+  solve_gwmin_in_place(g, false, ws, selected);
+  ASSERT_TRUE(g.degrees.empty());
+  auto expect_consumed = [](auto&& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "consumed by an earlier solve_gwmin_in_place"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_consumed([&] { solve_gwmin_in_place(g, true, ws, selected); },
+                  "second solve");
+  expect_consumed([&] { (void)g.to_weighted_graph(); }, "to_weighted_graph");
 }
 
 class RandomConflictGraphTest
@@ -166,8 +202,17 @@ TEST_P(RandomConflictGraphTest, GwminIsIndependentMaximalAndBounded) {
       build_conflict_graph(trace, placement, example_power(), opts);
 
   for (const bool gw2 : {false, true}) {
-    const auto sel = solve_gwmin(g, gw2);
+    const auto sel = solve_copy(g, gw2);
     const double w = g.selection_weight(sel);  // checks independence
+
+    // Sakai et al.'s guarantee: GWMIN >= sum_v w(v) / (d(v)+1).
+    if (!gw2) {
+      double bound = 0.0;
+      for (std::uint32_t v = 0; v < g.size(); ++v) {
+        bound += g.weight[v] / static_cast<double>(g.degree(v) + 1);
+      }
+      EXPECT_GE(w, bound - 1e-9);
+    }
 
     // Maximality: no alive vertex could be added.
     std::vector<bool> in(g.size(), false);
