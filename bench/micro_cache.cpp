@@ -16,10 +16,13 @@ using namespace eas;
 namespace {
 
 constexpr std::size_t kCapacity = 4096;
+/// Block-id range the caches and buffer are sized for; the miss and destage
+/// streams wrap inside it.
+constexpr std::size_t kNumData = std::size_t{1} << 20;
 
 void BM_CacheLookup(benchmark::State& state,
                     cache::CachePolicy policy) {
-  auto c = cache::BlockCache::make(policy, kCapacity);
+  auto c = cache::BlockCache::make(policy, kCapacity, kNumData);
   for (DataId b = 0; b < kCapacity; ++b) {
     c->insert(b);
     c->lookup(b);  // seat ARC's working set in T2
@@ -37,10 +40,11 @@ void BM_CacheLookup(benchmark::State& state,
 void BM_CacheMissInsert(benchmark::State& state,
                         cache::CachePolicy policy) {
   // Cold-miss insert + eviction churn: the worst-case per-request cost.
-  auto c = cache::BlockCache::make(policy, kCapacity);
+  auto c = cache::BlockCache::make(policy, kCapacity, kNumData);
   DataId b = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(c->insert(b++));
+    benchmark::DoNotOptimize(c->insert(b));
+    b = (b + 1) & (kNumData - 1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -50,19 +54,20 @@ void BM_DestageBatch(benchmark::State& state) {
   // the default size over a 64-disk group spread.
   constexpr std::size_t kDisks = 64;
   constexpr std::size_t kBatch = 8;
-  cache::WriteBackBuffer wb(kCapacity, kDisks);
+  cache::WriteBackBuffer wb(kCapacity, kDisks, kNumData);
   std::vector<DataId> batch;
   batch.reserve(kBatch);
   DataId b = 0;
+  RequestId id = 0;
   double now = 0.0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < kBatch; ++i) {
       wb.put(static_cast<DataId>(b + i), static_cast<DiskId>(b % kDisks), now);
     }
     batch.clear();
-    wb.begin_destage(static_cast<DiskId>(b % kDisks), kBatch, batch);
-    for (const DataId d : batch) wb.complete(d);
-    b += kBatch;
+    wb.begin_destage(static_cast<DiskId>(b % kDisks), kBatch, id, batch);
+    for (const DataId d : batch) wb.complete(d, id++);
+    b = static_cast<DataId>((b + kBatch) & (kNumData - 1));
     now += 1.0;
   }
   state.SetItemsProcessed(

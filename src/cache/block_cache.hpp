@@ -3,20 +3,25 @@
 // Replacement state is a pure function of the lookup/insert call sequence —
 // no clocks, no randomness, no address-dependent ordering — so any run that
 // feeds the same request stream gets the same hit/miss/eviction sequence
-// regardless of thread count. Unordered containers are used for O(1) point
-// lookups only; every *iteration* walks a std::list whose order is the
-// recency order itself (the eascheck determinism rules ban range-for over
-// unordered containers in this module, same as the other decision layers).
+// regardless of thread count.
 //
-// Steady-state lookups and repeat-insert promotions are allocation-free
-// (splice moves list nodes in place); only a miss-insert allocates the new
-// node. test_cache pins this with the counting-allocator pattern.
+// The LRU is the one the request path runs, so it holds no hash map and no
+// list nodes: an intrusive doubly linked recency list threads a node array
+// of `capacity` entries, and a per-DataId index (sized once from the
+// placement's num_data) maps a block to its node. A miss-insert on a full
+// cache reuses the evicted node, so lookup, insert and erase allocate
+// nothing once constructed (test_cache pins this with the counting
+// allocator). ARC keeps std::list recency lists behind a hash index: it
+// serves the replacement ablations, not a benchmarked path; its iterations
+// still walk only the lists, never the unordered index.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "util/ids.hpp"
 
@@ -51,30 +56,53 @@ class BlockCache {
   /// was resident.
   virtual bool erase(DataId b) = 0;
 
+  /// `num_data` bounds the block ids the cache will ever see (ids are dense
+  /// in [0, num_data)); the LRU sizes its index by it.
   static std::unique_ptr<BlockCache> make(CachePolicy policy,
-                                          std::size_t capacity_blocks);
+                                          std::size_t capacity_blocks,
+                                          std::size_t num_data);
 };
 
-/// Classic LRU: recency list + hash index. lookup() splices the hit node to
-/// the front (no allocation); insert() on a full cache evicts the back.
+/// Classic LRU over dense block ids: an intrusive recency list through a
+/// node array of min(capacity, num_data) entries plus a per-DataId node
+/// index. lookup() relinks the hit node at the front; insert() on a full
+/// cache reuses the back node for the newcomer. Nothing allocates after
+/// construction.
 class LruBlockCache final : public BlockCache {
  public:
-  explicit LruBlockCache(std::size_t capacity_blocks)
-      : capacity_(capacity_blocks) {}
+  /// Blocks `b` must satisfy b < num_data.
+  LruBlockCache(std::size_t capacity_blocks, std::size_t num_data);
 
   const char* name() const override { return "lru"; }
   std::size_t capacity() const override { return capacity_; }
-  std::size_t size() const override { return list_.size(); }
-  bool contains(DataId b) const override { return index_.count(b) > 0; }
+  std::size_t size() const override { return size_; }
+  bool contains(DataId b) const override { return node_of(b) != kNone; }
   bool lookup(DataId b) override;
   DataId insert(DataId b) override;
   bool erase(DataId b) override;
 
  private:
-  using List = std::list<DataId>;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Node {
+    DataId block;
+    std::uint32_t prev;  // toward the MRU end; kNone at the head
+    std::uint32_t next;  // toward the LRU end; kNone at the tail
+  };
+
+  std::uint32_t node_of(DataId b) const {
+    return b < index_.size() ? index_[b] : kNone;
+  }
+  void unlink(std::uint32_t n);
+  void push_front(std::uint32_t n);
+
   std::size_t capacity_;
-  List list_;  // front = MRU, back = LRU
-  std::unordered_map<DataId, List::iterator> index_;
+  std::vector<Node> nodes_;           // min(capacity, num_data), fixed
+  std::vector<std::uint32_t> index_;  // DataId -> node, kNone when absent
+  std::uint32_t head_ = kNone;        // MRU
+  std::uint32_t tail_ = kNone;        // LRU
+  std::uint32_t free_ = kNone;        // erased nodes, chained through next
+  std::uint32_t used_ = 0;            // nodes ever handed out (prefix)
+  std::size_t size_ = 0;
 };
 
 /// Adaptive Replacement Cache (Megiddo & Modha, FAST'03). Two resident

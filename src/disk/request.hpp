@@ -26,6 +26,9 @@ enum class RequestKind : std::uint8_t {
 /// foreground response-time and availability metrics.
 constexpr bool is_internal(RequestKind k) { return k >= RequestKind::kRebuild; }
 
+/// Request::slot of a request without an in-flight table entry.
+inline constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
 /// A read request for one data block (the paper: ~512 KB file block).
 struct Request {
   RequestId id = 0;
@@ -38,12 +41,20 @@ struct Request {
   /// Disk an internal transfer serves (the rebuild target); kInvalidDisk
   /// for every other kind.
   DiskId target = kInvalidDisk;
+  /// The storage system's in-flight table slot of a foreground request (and
+  /// of its hedge copy) under the reliability tier; kNoSlot otherwise.
+  /// Slots are reused, so the slot and the id together name the entry.
+  std::uint32_t slot = kNoSlot;
   unsigned long size_bytes = 512 * 1024;
   /// When the request entered the storage system.
   sim::SimTime arrival_time = 0.0;
   /// When the scheduler dispatched it to a disk (>= arrival under batching).
   sim::SimTime dispatch_time = 0.0;
 };
+
+// The slot sits in what was padding after `target`; requests are copied
+// through every disk queue, so they must not grow.
+static_assert(sizeof(Request) == 48);
 
 /// Completion record emitted by a disk.
 struct Completion {

@@ -55,6 +55,19 @@ class InlineCallback {
     construct<F, D>(std::forward<F>(fn));
   }
 
+  /// True when scheduling an `F` costs no heap allocation: it fits the
+  /// inline buffer, or it already is an InlineCallback (moved, not
+  /// re-wrapped).
+  template <typename F>
+  static constexpr bool stores_inline() {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineCallback>) {
+      return true;
+    } else {
+      return fits_inline<D>();
+    }
+  }
+
   InlineCallback(InlineCallback&& other) noexcept { move_from(other); }
 
   InlineCallback& operator=(InlineCallback&& other) noexcept {

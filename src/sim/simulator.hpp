@@ -125,6 +125,10 @@ class Simulator {
   /// returned handle works with cancel() and pending() like any other.
   template <typename F>
   EventHandle schedule_on(LaneId lane, F&& fn) {
+    // Lanes carry the per-request tier timers: a capture that spills to the
+    // heap would cost an allocation per request.
+    static_assert(Callback::stores_inline<F>(),
+                  "lane callbacks must fit InlineCallback's inline buffer");
     EAS_REQUIRE_MSG(lane != kArrivalLane && lane < lanes_.size(),
                     "unknown delay lane " << lane);
     const SimTime when = now_ + lanes_[lane].delay;
@@ -141,6 +145,9 @@ class Simulator {
   /// scheduled later. The lane event cannot be cancelled.
   template <typename F>
   void schedule_arrival(SimTime when, F&& fn) {
+    static_assert(Callback::stores_inline<F>(),
+                  "the arrival callback must fit InlineCallback's inline "
+                  "buffer (it re-arms once per trace record)");
     EAS_REQUIRE_MSG(std::isfinite(when), "arrival time must be finite");
     EAS_REQUIRE_MSG(when >= now_, "cannot schedule an arrival in the past: when="
                                       << when << " now=" << now_);

@@ -1,8 +1,8 @@
 #include "storage/storage_system.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
-#include <unordered_map>
 
 #include "cache/block_cache.hpp"
 #include "cache/write_back.hpp"
@@ -253,11 +253,13 @@ class System final : public core::SystemView {
       dram_lane_ = sim_.delay_lane(config_.cache.dram_latency_seconds);
       if (config_.cache.capacity_blocks > 0) {
         read_cache_ = cache::BlockCache::make(config_.cache.policy,
-                                              config_.cache.capacity_blocks);
+                                              config_.cache.capacity_blocks,
+                                              placement.num_data());
       }
       if (config_.cache.dirty_capacity_blocks > 0) {
         wb_ = std::make_unique<cache::WriteBackBuffer>(
-            config_.cache.dirty_capacity_blocks, placement.num_disks());
+            config_.cache.dirty_capacity_blocks, placement.num_disks(),
+            placement.num_data());
         // Force-destage thresholds in blocks; high is clamped to >= 1 so a
         // tiny buffer still destages under pressure.
         high_blocks_ = std::max<std::size_t>(
@@ -315,6 +317,7 @@ class System final : public core::SystemView {
     }
     if (config_.fault.enabled()) {
       view_ = std::make_unique<fault::FailureView>(placement.num_disks());
+      rebuilds_.resize(placement.num_disks());
       injector_ = std::make_unique<fault::FaultInjector>(sim_, *view_,
                                                          config_.fault);
       injector_->set_on_disk_down(
@@ -444,9 +447,7 @@ class System final : public core::SystemView {
       dispatch(r, k);
       return;
     }
-    auto [it, inserted] = inflight_.try_emplace(r.id, InFlight{r, {}});
-    EAS_ASSERT_MSG(inserted, "duplicate foreground request id");
-    attempt(r.id, it->second, k);
+    attempt(acquire_inflight(r), k);
   }
 
   /// Routes a request to disk k, notifying the power policy first so stale
@@ -531,6 +532,7 @@ class System final : public core::SystemView {
     std::vector<DataId> items;
     std::size_t next = 0;
     std::uint32_t epoch = 0;   ///< guards against stale completions
+    bool active = false;       ///< a rebuild or scrub onto this disk runs
     bool scrub = false;
     bool writing = false;      ///< current item's phase
   };
@@ -705,10 +707,10 @@ class System final : public core::SystemView {
   /// Completes an absorbed request at DRAM latency: it never touches a
   /// disk, but it is a foreground completion like any other.
   void complete_from_cache(const disk::Request& r) {
-    sim_.schedule_on(dram_lane_, [this, r] {
+    sim_.schedule_on(dram_lane_, [this, arrival = r.arrival_time] {
       const double t = sim_.now();
       last_completion_ = std::max(last_completion_, t);
-      count_completion(t - r.arrival_time);
+      count_completion(t - arrival);
     });
   }
 
@@ -730,8 +732,10 @@ class System final : public core::SystemView {
     EAS_ASSERT(wb_ != nullptr);
     EAS_ASSERT(view_ == nullptr || view_->accepts_io(k));
     destage_buf_.clear();
+    // Block i of the batch is issued under destage id destage_seq_ + i,
+    // the ids the loop below gives the writes.
     const std::size_t n = wb_->begin_destage(
-        k, config_.cache.max_destage_batch, destage_buf_);
+        k, config_.cache.max_destage_batch, destage_seq_, destage_buf_);
     if (n == 0) return;
     ++cache_stats_.destage_batches;
     cache_stats_.destaged_blocks += n;
@@ -776,8 +780,10 @@ class System final : public core::SystemView {
 
   void on_destage_complete(const disk::Completion& c) {
     const DataId b = c.request.data;
-    // Stale after a disk death drained and re-homed the block.
-    if (wb_ == nullptr || !wb_->complete(b)) return;
+    // Stale after a disk death drained and re-homed the block, or after a
+    // re-put superseded this write (the block may be in flight again under
+    // a newer destage id, which alone may retire the slot).
+    if (wb_ == nullptr || !wb_->complete(b, c.request.id)) return;
     EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kDestageDone,
                                          c.disk, b));
     if (m_dirty_occupancy_ != nullptr) {
@@ -790,13 +796,46 @@ class System final : public core::SystemView {
   // ---- reliability tier ----
 
   /// Per-request in-flight entry: the original request (arrival time and
-  /// all) plus its reliability state. Lives from dispatch_foreground until
-  /// the first completion, shed, or abandonment.
+  /// all, with `request.slot` naming this entry) plus its reliability
+  /// state. Lives from dispatch_foreground until the first completion,
+  /// shed, or abandonment; a free entry has request.id == kInvalidRequest.
   struct InFlight {
     disk::Request request;
     reliability::RequestState st;
   };
-  using InFlightMap = std::unordered_map<RequestId, InFlight>;
+
+  /// Takes a free in-flight slot for `r` (the most recently released one
+  /// first) and fills it. The table grows only past its peak live count.
+  std::uint32_t acquire_inflight(const disk::Request& r) {
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(inflight_.size());
+      inflight_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    InFlight& f = inflight_[slot];
+    f.request = r;
+    f.request.slot = slot;
+    f.st = {};
+    return slot;
+  }
+
+  /// Frees `slot`; timers and copies that still name it go stale.
+  void release_inflight(std::uint32_t slot) {
+    inflight_[slot].request.id = kInvalidRequest;
+    free_slots_.push_back(slot);
+  }
+
+  /// The live entry of request `id` in `slot`, or null when the request
+  /// was closed since (a stale timer, a late completion, a shed victim
+  /// already retired) — the slot may hold another request by then.
+  InFlight* live_entry(std::uint32_t slot, RequestId id) {
+    EAS_ASSERT(slot < inflight_.size());
+    InFlight& f = inflight_[slot];
+    return f.request.id == id ? &f : nullptr;
+  }
 
   /// Releases one planned-hedge pin on `k`. If that was the last pin and
   /// the disk sits idle with nothing queued, the power policy is re-kicked
@@ -811,10 +850,10 @@ class System final : public core::SystemView {
     }
   }
 
-  /// Stops request `id`'s hedge: cancels the hedge timer, releases the
+  /// Stops the entry's hedge: cancels the hedge timer, releases the
   /// planned-hedge pin, and pulls a still-queued hedge copy back from its
   /// disk (no-op when it already completed or its disk drained).
-  void drop_hedge(RequestId id, InFlight& f) {
+  void drop_hedge(InFlight& f) {
     sim_.cancel(f.st.hedge_timer);
     f.st.hedge_timer = {};
     if (f.st.hedge_planned != kInvalidDisk) {
@@ -822,43 +861,47 @@ class System final : public core::SystemView {
       f.st.hedge_planned = kInvalidDisk;
     }
     if (f.st.hedge_disk != kInvalidDisk) {
-      disks_[f.st.hedge_disk]->remove_pending(id, disk::RequestKind::kHedge);
+      disks_[f.st.hedge_disk]->remove_pending(f.request.id,
+                                              disk::RequestKind::kHedge);
       f.st.hedge_disk = kInvalidDisk;
     }
   }
 
-  /// Cancels the deadline, drops the hedge and erases the entry. Every path
+  /// Cancels the deadline, drops the hedge and frees the slot. Every path
   /// that retires a request — completion, shed, abandonment — funnels
   /// through here, so no closed request can leave a stray copy in a queue.
-  void close_entry(InFlightMap::iterator it) {
-    sim_.cancel(it->second.st.deadline);
-    it->second.st.deadline = {};
-    drop_hedge(it->first, it->second);
-    inflight_.erase(it);
+  void close_entry(std::uint32_t slot) {
+    InFlight& f = inflight_[slot];
+    sim_.cancel(f.st.deadline);
+    f.st.deadline = {};
+    drop_hedge(f);
+    release_inflight(slot);
   }
 
   /// Admission control dropped the request at disk `k`: counted, traced,
   /// closed.
-  void shed(InFlightMap::iterator it, DiskId k) {
+  void shed(std::uint32_t slot, DiskId k) {
     ++rel_stats_.shed;
     EAS_OBS(sim_.recorder(),
-            reliability_event(sim_.now(), obs::Ev::kShed, it->first, k));
-    close_entry(it);
+            reliability_event(sim_.now(), obs::Ev::kShed,
+                              inflight_[slot].request.id, k));
+    close_entry(slot);
   }
 
   /// The request is given up at disk `k` — its attempt budget is spent, or
   /// no live replica is left — and counted in exactly one bucket (abandoned
   /// or unavailable), traced, closed.
-  void abandon(InFlightMap::iterator it, DiskId k, bool unavailable = false) {
+  void abandon(std::uint32_t slot, DiskId k, bool unavailable = false) {
     if (unavailable) {
       note_unavailable();
     } else {
       ++rel_stats_.abandoned;
     }
     EAS_OBS(sim_.recorder(),
-            reliability_event(sim_.now(), obs::Ev::kAbandon, it->first, k,
-                              it->second.st.attempts));
-    close_entry(it);
+            reliability_event(sim_.now(), obs::Ev::kAbandon,
+                              inflight_[slot].request.id, k,
+                              inflight_[slot].st.attempts));
+    close_entry(slot);
   }
 
   /// Admission-control eviction of one queued entry on disk `k` to make
@@ -869,24 +912,28 @@ class System final : public core::SystemView {
     [[maybe_unused]] const bool removed =
         disks_[k]->remove_pending(victim.id, victim.kind);
     EAS_ASSERT_MSG(removed, "shed victim vanished from the queue");
-    auto vit = inflight_.find(victim.id);
-    if (vit == inflight_.end()) return;
+    InFlight* v = live_entry(victim.slot, victim.id);
+    if (v == nullptr) return;
     if (victim.kind == disk::RequestKind::kHedge) {
-      vit->second.st.hedge_disk = kInvalidDisk;
+      v->st.hedge_disk = kInvalidDisk;
       return;
     }
-    shed(vit, k);
+    shed(victim.slot, k);
   }
 
-  /// One dispatch attempt of the entry for `id` onto disk `k`: admission
+  /// One dispatch attempt of the entry in `slot` onto disk `k`: admission
   /// control first (bounded queue: writes degrade to write-through and are
   /// always admitted; reads shed the oldest queued read — or themselves
   /// when the backlog is all writes), then attempt accounting, deadline and
   /// hedge arming, and the actual dispatch. The attempt counter is the
   /// *shared* budget: deadline retries and fault failovers both spend from
   /// it, so a fault during a retry can never double-dispatch past the cap.
-  void attempt(RequestId id, InFlight& f, DiskId k) {
+  /// The table's deque never moves an entry, so `f` survives the victim's
+  /// release.
+  void attempt(std::uint32_t slot, DiskId k) {
     EAS_ASSERT(k != kInvalidDisk);
+    InFlight& f = inflight_[slot];
+    const RequestId id = f.request.id;
     const std::uint32_t cap = config_.reliability.max_queue_depth;
     if (cap > 0 && disks_[k]->queued_requests() >= cap) {
       if (!f.request.is_read) {
@@ -898,7 +945,7 @@ class System final : public core::SystemView {
         shed_victim(*victim, k);
       } else {
         // The backlog is writes/in-service work: shed the incoming read.
-        shed(inflight_.find(id), k);
+        shed(slot, k);
         return;
       }
     }
@@ -907,17 +954,17 @@ class System final : public core::SystemView {
     f.st.retry_scheduled = false;
     if (config_.reliability.deadline_seconds > 0.0) {
       sim_.cancel(f.st.deadline);
-      f.st.deadline =
-          sim_.schedule_on(deadline_lane_, [this, id] { on_deadline(id); });
+      f.st.deadline = sim_.schedule_on(
+          deadline_lane_, [this, slot, id] { on_deadline(slot, id); });
     }
-    arm_hedge(id, f, k);
+    arm_hedge(slot, f, k);
     dispatch(f.request, k);
   }
 
   /// Plans a hedge for a read attempt on `k`: pins the first alternate live
   /// replica (so the power policy keeps it warm through the delay window)
   /// and arms the hedge timer. Re-attempts release the previous plan first.
-  void arm_hedge(RequestId id, InFlight& f, DiskId k) {
+  void arm_hedge(std::uint32_t slot, InFlight& f, DiskId k) {
     if (config_.reliability.hedge_delay_seconds <= 0.0 || !f.request.is_read) {
       return;
     }
@@ -932,18 +979,19 @@ class System final : public core::SystemView {
     if (alt == kInvalidDisk) return;  // un-replicated (or all alternates dead)
     ++hedge_pins_[alt];
     f.st.hedge_planned = alt;
-    f.st.hedge_timer =
-        sim_.schedule_on(hedge_lane_, [this, id] { on_hedge_fire(id); });
+    f.st.hedge_timer = sim_.schedule_on(
+        hedge_lane_,
+        [this, slot, id = f.request.id] { on_hedge_fire(slot, id); });
   }
 
   /// Hedge timer fired: the primary attempt is still in flight after the
   /// hedge delay, so dispatch a second copy to the planned alternate (or a
   /// repick when it died during the window). First completion wins; the
   /// loser is cancelled in on_completion / shed_victim.
-  void on_hedge_fire(RequestId id) {
-    auto it = inflight_.find(id);
-    if (it == inflight_.end()) return;  // stale (entry closed under the timer)
-    InFlight& f = it->second;
+  void on_hedge_fire(std::uint32_t slot, RequestId id) {
+    InFlight* live = live_entry(slot, id);
+    if (live == nullptr) return;  // stale (entry closed under the timer)
+    InFlight& f = *live;
     f.st.hedge_timer = {};
     DiskId target = f.st.hedge_planned;
     EAS_ASSERT(target != kInvalidDisk);
@@ -969,7 +1017,7 @@ class System final : public core::SystemView {
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kHedgeIssue, id, target));
     f.st.hedge_disk = target;
-    disk::Request copy = f.request;
+    disk::Request copy = f.request;  // carries the slot
     copy.kind = disk::RequestKind::kHedge;
     dispatch(copy, target);
   }
@@ -978,19 +1026,19 @@ class System final : public core::SystemView {
   /// in-service transfer completes regardless and simply wins the race if
   /// it lands before the retry), then retry with deterministic backoff or
   /// abandon once the budget is spent.
-  void on_deadline(RequestId id) {
-    auto it = inflight_.find(id);
-    if (it == inflight_.end()) return;  // stale (entry closed under the timer)
-    InFlight& f = it->second;
+  void on_deadline(std::uint32_t slot, RequestId id) {
+    InFlight* live = live_entry(slot, id);
+    if (live == nullptr) return;  // stale (entry closed under the timer)
+    InFlight& f = *live;
     f.st.deadline = {};
     ++rel_stats_.deadline_misses;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kDeadlineMiss, id,
                               f.st.primary, f.st.attempts));
     disks_[f.st.primary]->remove_pending(id, disk::RequestKind::kForeground);
-    drop_hedge(id, f);
+    drop_hedge(f);
     if (f.st.attempts >= config_.reliability.max_attempts) {
-      abandon(it, f.st.primary);
+      abandon(slot, f.st.primary);
       return;
     }
     f.st.retry_scheduled = true;
@@ -998,15 +1046,15 @@ class System final : public core::SystemView {
     // attempt), so the retry timeline is bit-identical across EAS_THREADS
     // and repeated runs.
     sim_.schedule_in(retry_->backoff_delay(id, f.st.attempts + 1),
-                     [this, id] { on_retry(id); });
+                     [this, slot, id] { on_retry(slot, id); });
   }
 
   /// Backoff elapsed: re-dispatch to the first live replica, preferring one
   /// that is not the attempt that just timed out.
-  void on_retry(RequestId id) {
-    auto it = inflight_.find(id);
-    if (it == inflight_.end()) return;  // a late completion won the race
-    InFlight& f = it->second;
+  void on_retry(std::uint32_t slot, RequestId id) {
+    InFlight* live = live_entry(slot, id);
+    if (live == nullptr) return;  // a late completion won the race
+    InFlight& f = *live;
     DiskId pick = first_readable(f.request.data, f.st.primary);
     if (pick == kInvalidDisk &&
         (view_ == nullptr ||
@@ -1014,14 +1062,14 @@ class System final : public core::SystemView {
       pick = f.st.primary;  // the timed-out replica is the only live one
     }
     if (pick == kInvalidDisk) {
-      abandon(it, f.st.primary, /*unavailable=*/true);
+      abandon(slot, f.st.primary, /*unavailable=*/true);
       return;
     }
     ++rel_stats_.retries;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kRetry, id, pick,
                               f.st.attempts + 1));
-    attempt(id, f, pick);
+    attempt(slot, pick);
   }
 
   fault::FaultStats& stats() { return injector_->stats(); }
@@ -1043,8 +1091,8 @@ class System final : public core::SystemView {
         break;
     }
     if (config_.reliability.enabled) {
-      auto it = inflight_.find(c.request.id);
-      if (it == inflight_.end()) {
+      InFlight* f = live_entry(c.request.slot, c.request.id);
+      if (f == nullptr) {
         // Entry already closed: a shed/abandoned request's in-service copy
         // landing late, or the race's loser completing after the winner.
         // Not counted — the request's fate was already accounted.
@@ -1055,10 +1103,11 @@ class System final : public core::SystemView {
         EAS_OBS(sim_.recorder(), reliability_event(sim_.now(),
                                                    obs::Ev::kHedgeWin,
                                                    c.request.id, c.disk));
-        disks_[it->second.st.primary]->remove_pending(
-            c.request.id, disk::RequestKind::kForeground);
+        disks_[f->st.primary]->remove_pending(c.request.id,
+                                              disk::RequestKind::kForeground);
       }
-      close_entry(it);  // cancels timers, pulls back a racing hedge copy
+      close_entry(c.request.slot);  // cancels timers, pulls back a racing
+                                    // hedge copy
     }
     if (c.waited_for_spinup) ++waited_spinup_;
     count_completion(c.response_seconds());
@@ -1076,10 +1125,10 @@ class System final : public core::SystemView {
   /// drain its queue, and fail the drained work over to live replicas.
   void on_disk_down(DiskId k, fault::ScriptedFault::Kind /*kind*/) {
     EAS_OBS(sim_.recorder(), record(sim_.now(), obs::Ev::kDiskDown, k));
-    if (auto it = rebuilds_.find(k); it != rebuilds_.end()) {
+    if (rebuilds_[k].active) {
       // The disk being repaired died again (scrub target): abort. Items not
       // yet restored stay in the lost set; a later full rebuild covers them.
-      rebuilds_.erase(it);
+      rebuilds_[k].active = false;
       view_->set_rebuild_pin(sim_.now(), k, false);
     }
     for (const disk::Request& r : disks_[k]->take_pending()) {
@@ -1093,9 +1142,9 @@ class System final : public core::SystemView {
           // queued here retries from another surviving replica (or counts
           // the item lost).
           if (r.target == k) continue;
-          if (auto rit = rebuilds_.find(r.target);
-              rit != rebuilds_.end() && rit->second.epoch == r.id) {
-            rit->second.writing = false;
+          if (RebuildState& rs = rebuilds_[r.target];
+              rs.active && rs.epoch == r.id) {
+            rs.writing = false;
             advance_rebuild(r.target);
           }
           continue;
@@ -1107,25 +1156,24 @@ class System final : public core::SystemView {
         // Failover shares the reliability attempt budget: re-dispatch goes
         // through attempt() so a request bouncing between a dying disk and
         // its deadline can never exceed max_attempts or double-dispatch.
-        auto fit = inflight_.find(r.id);
-        if (fit == inflight_.end()) continue;  // already closed elsewhere
-        InFlight& f = fit->second;
+        InFlight* f = live_entry(r.slot, r.id);
+        if (f == nullptr) continue;  // already closed elsewhere
         if (r.kind == disk::RequestKind::kHedge) {
           // The hedge copy died with the disk; the primary races on alone.
-          f.st.hedge_disk = kInvalidDisk;
+          f->st.hedge_disk = kInvalidDisk;
           continue;
         }
-        if (f.st.attempts >= config_.reliability.max_attempts) {
-          abandon(fit, k);
+        if (f->st.attempts >= config_.reliability.max_attempts) {
+          abandon(r.slot, k);
           continue;
         }
         const DiskId alt = view_->first_live(placement_, r.data);
         if (alt == kInvalidDisk) {
-          abandon(fit, k, /*unavailable=*/true);
+          abandon(r.slot, k, /*unavailable=*/true);
           continue;
         }
         note_failover();
-        attempt(r.id, f, alt);
+        attempt(r.slot, alt);
         continue;
       }
       const DiskId alt = view_->first_live(placement_, r.data);
@@ -1165,13 +1213,11 @@ class System final : public core::SystemView {
   void start_rebuild(DiskId k) {
     EAS_REQUIRE_MSG(view_->health(k) == fault::DiskHealth::kRebuilding,
                     "rebuild target " << k << " is not in rebuilding state");
-    RebuildState st;
-    st.epoch = ++rebuild_epoch_;
+    RebuildState& st = begin_rebuild(k, /*scrub=*/false);
     for (DataId b = 0; b < placement_.num_data(); ++b) {
       if (placement_.stores(b, k)) st.items.push_back(b);
     }
     view_->set_rebuild_pin(sim_.now(), k, true);
-    rebuilds_[k] = std::move(st);
     advance_rebuild(k);
   }
 
@@ -1179,27 +1225,36 @@ class System final : public core::SystemView {
   /// the (still live) disk that holds them.
   void start_scrub(DiskId k, DataId lo, DataId hi) {
     if (!view_->disk_up(k)) return;       // disk died before the scrub ran
-    if (rebuilds_.contains(k)) return;    // already repairing this disk
-    RebuildState st;
-    st.epoch = ++rebuild_epoch_;
-    st.scrub = true;
+    if (rebuilds_[k].active) return;      // already repairing this disk
+    RebuildState& st = begin_rebuild(k, /*scrub=*/true);
     for (DataId b = lo; b <= hi && b != kInvalidData; ++b) {
       if (placement_.stores(b, k) && !view_->replica_readable(b, k)) {
         st.items.push_back(b);
       }
     }
     view_->set_rebuild_pin(sim_.now(), k, true);
-    rebuilds_[k] = std::move(st);
     advance_rebuild(k);
+  }
+
+  /// Restarts disk `k`'s rebuild slot under a fresh epoch, so completions
+  /// of an aborted earlier run go stale. Its item list keeps its capacity.
+  RebuildState& begin_rebuild(DiskId k, bool scrub) {
+    RebuildState& st = rebuilds_[k];
+    st.items.clear();
+    st.next = 0;
+    st.epoch = ++rebuild_epoch_;
+    st.active = true;
+    st.scrub = scrub;
+    st.writing = false;
+    return st;
   }
 
   /// Issues the next internal read of the rebuild on `target`, skipping
   /// items with no surviving replica; completes the rebuild when items run
   /// out.
   void advance_rebuild(DiskId target) {
-    auto it = rebuilds_.find(target);
-    EAS_ASSERT(it != rebuilds_.end());
-    RebuildState& st = it->second;
+    RebuildState& st = rebuilds_[target];
+    EAS_ASSERT(st.active);
     while (st.next < st.items.size()) {
       const DataId b = st.items[st.next];
       const DiskId src = first_readable(b, target);
@@ -1226,11 +1281,10 @@ class System final : public core::SystemView {
 
   void on_rebuild_complete(const disk::Completion& c) {
     const DiskId target = c.request.target;
-    auto it = rebuilds_.find(target);
-    if (it == rebuilds_.end() || it->second.epoch != c.request.id) {
+    RebuildState& st = rebuilds_[target];
+    if (!st.active || st.epoch != c.request.id) {
       return;  // rebuild was aborted while this transfer was in flight
     }
-    RebuildState& st = it->second;
     if (!st.writing) {
       // Source read done; copy onto the target. The target is kRebuilding
       // (or kUp for a scrub) — never kDown: on_disk_down aborts first.
@@ -1259,7 +1313,7 @@ class System final : public core::SystemView {
     const double t = sim_.now();
     EAS_OBS(sim_.recorder(),
             rebuild_event(t, obs::Ev::kRebuildDone, target, 0, scrub));
-    rebuilds_.erase(target);
+    rebuilds_[target].active = false;
     ++stats().rebuilds_completed;
     view_->set_rebuild_pin(t, target, false);
     if (!scrub) {
@@ -1282,7 +1336,9 @@ class System final : public core::SystemView {
   /// Null in fault-free runs: zero overhead, bit-identical behavior.
   std::unique_ptr<fault::FailureView> view_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unordered_map<DiskId, RebuildState> rebuilds_;
+  /// One rebuild slot per disk (sized with the fault view); `active` marks
+  /// a running rebuild or scrub onto that disk.
+  std::vector<RebuildState> rebuilds_;
   std::uint32_t rebuild_epoch_ = 0;
 
   /// Cache tier; both null (and every hook a single branch) when the config
@@ -1325,11 +1381,14 @@ class System final : public core::SystemView {
   stats::SummaryStats* m_dirty_occupancy_ = nullptr;
 
   /// Reliability tier; retry_ null (and every hook a single branch) when the
-  /// config leaves the tier disabled. inflight_ is only ever accessed by
-  /// key (find/erase/try_emplace) — never iterated — so the unordered map's
-  /// traversal order cannot leak into results. A primary and its hedge
-  /// copy share one entry under the primary's id.
-  InFlightMap inflight_;
+  /// config leaves the tier disabled. inflight_ is a slab of entries
+  /// reached by the slot each request carries (disk::Request::slot), with
+  /// released slots reused from free_slots_; a deque, so growth never moves
+  /// a live entry. A primary and its hedge copy share one entry. Timers
+  /// capture {slot, id} and a late arrival checks the id (live_entry), so
+  /// slot reuse cannot misdirect them.
+  std::deque<InFlight> inflight_;
+  std::vector<std::uint32_t> free_slots_;
   std::unique_ptr<reliability::RetryPolicy> retry_;
   reliability::ReliabilityStats rel_stats_{};
   /// Per-disk count of planned hedges whose timer is still running; the

@@ -1,11 +1,14 @@
 // Cache & destage tier tests: golden LRU/ARC replacement sequences, the
-// write-back buffer lifecycle, and the power-aware destage path end to end
-// (piggyback on an already-spinning disk, watermark/deadline force-destage,
-// dirty-data redirect on disk death, and the cache-off bit-identity
-// contract).
+// write-back buffer lifecycle, seeded differentials of the dense LRU and
+// write-back buffer against the naive models in reference_cache.hpp, and
+// the power-aware destage path end to end (piggyback on an already-spinning
+// disk, watermark/deadline force-destage, dirty-data redirect on disk death,
+// and the cache-off bit-identity contract).
 //
 // This binary also links the counting operator new shim (alloc_counter.cpp)
-// to pin the zero-allocation steady-state lookup promise literally.
+// to pin the zero-allocation promises literally: cache lookups and
+// miss-inserts, warm write-back cycles, and a tiers cell's per-request
+// allocations at run level.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,12 +22,16 @@
 #include "core/basic_schedulers.hpp"
 #include "core/cost_scheduler.hpp"
 #include "paper_example.hpp"
+#include "reference_cache.hpp"
 #include "power/fixed_threshold.hpp"
 #include "power/policy.hpp"
 #include "runner/experiment.hpp"
+#include "runner/registry.hpp"
 #include "sim/simulator.hpp"
 #include "storage/storage_system.hpp"
+#include "trace/synthetic.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace eas::cache {
 namespace {
@@ -111,7 +118,7 @@ TEST(CacheConfig, MemoryEnergyChargesBothHalvesOverTheHorizon) {
 // -------------------------------------------------------------------- LRU
 
 TEST(LruCache, GoldenEvictionSequence) {
-  LruBlockCache c(2);
+  LruBlockCache c(2, /*num_data=*/16);
   EXPECT_EQ(c.insert(1), kInvalidData);
   EXPECT_EQ(c.insert(2), kInvalidData);
   EXPECT_EQ(c.size(), 2u);
@@ -134,12 +141,61 @@ TEST(LruCache, GoldenEvictionSequence) {
 }
 
 TEST(LruCache, ZeroCapacityDegeneratesCleanly) {
-  LruBlockCache c(0);
+  LruBlockCache c(0, /*num_data=*/16);
   EXPECT_EQ(c.insert(1), kInvalidData);
   EXPECT_FALSE(c.lookup(1));
   EXPECT_FALSE(c.contains(1));
   EXPECT_EQ(c.size(), 0u);
 }
+
+TEST(LruCache, IdsOutsideTheIndexAreNeverResidentAndCannotBeInserted) {
+  LruBlockCache c(4, /*num_data=*/8);
+  EXPECT_FALSE(c.contains(8));
+  EXPECT_FALSE(c.lookup(kInvalidData));
+  EXPECT_FALSE(c.erase(100));
+  EXPECT_THROW(c.insert(8), InvariantError);
+  EXPECT_EQ(c.size(), 0u);
+}
+
+// The dense LRU against a std::list reference: seeded random lookup /
+// insert / erase streams over a small id range (so ids repeat constantly),
+// at capacities 0, 1 and 1024. Every return value must agree, and the
+// resident sets are compared in full at intervals.
+class LruDiffTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(LruDiffTest, MatchesTheListReference) {
+  const auto [capacity, seed] = GetParam();
+  const std::size_t num_data = 2 * capacity + 9;
+  LruBlockCache lru(capacity, num_data);
+  testing::ReferenceLru ref(capacity);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + capacity);
+  for (int step = 0; step < 6000; ++step) {
+    const auto b = static_cast<DataId>(rng.next_below(num_data));
+    const std::uint64_t op = rng.next_below(10);
+    SCOPED_TRACE(::testing::Message()
+                 << "step " << step << " op " << op << " block " << b);
+    if (op < 4) {
+      ASSERT_EQ(lru.lookup(b), ref.lookup(b));
+    } else if (op < 9) {
+      ASSERT_EQ(lru.insert(b), ref.insert(b));
+    } else {
+      ASSERT_EQ(lru.erase(b), ref.erase(b));
+    }
+    ASSERT_EQ(lru.size(), ref.size());
+    if (step % 97 == 0) {
+      for (DataId x = 0; x < num_data; ++x) {
+        ASSERT_EQ(lru.contains(x), ref.contains(x)) << "block " << x;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LruDiffTest,
+    ::testing::Combine(::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{1024}),
+                       ::testing::Range(1, 6)));
 
 // -------------------------------------------------------------------- ARC
 
@@ -182,7 +238,7 @@ TEST(ArcCache, ScanResistanceBeatsLru) {
   // ARC sacrifices the one-shot scan blocks against each other; LRU loses
   // the whole working set.
   ArcBlockCache arc(4);
-  LruBlockCache lru(4);
+  LruBlockCache lru(4, /*num_data=*/128);
   for (DataId b = 0; b < 4; ++b) {
     arc.insert(b);
     arc.lookup(b);  // promote to T2 (seen twice)
@@ -259,8 +315,8 @@ TEST(ArcCache, GhostHitsAfterEraseDrainsResidentsDoNotEvict) {
 }
 
 TEST(BlockCacheFactory, MakesBothPolicies) {
-  auto lru = BlockCache::make(CachePolicy::kLru, 8);
-  auto arc = BlockCache::make(CachePolicy::kArc, 8);
+  auto lru = BlockCache::make(CachePolicy::kLru, 8, /*num_data=*/16);
+  auto arc = BlockCache::make(CachePolicy::kArc, 8, /*num_data=*/16);
   EXPECT_STREQ(lru->name(), "lru");
   EXPECT_STREQ(arc->name(), "arc");
   EXPECT_EQ(lru->capacity(), 8u);
@@ -274,8 +330,8 @@ using testing::allocations_during;
 TEST(CacheAllocation, SteadyStateLookupsAreAllocationFree) {
   // Warm both caches to capacity, then hammer hits and resident-promotions:
   // splice moves list nodes in place, so the steady state allocates nothing.
-  auto lru = BlockCache::make(CachePolicy::kLru, 64);
-  auto arc = BlockCache::make(CachePolicy::kArc, 64);
+  auto lru = BlockCache::make(CachePolicy::kLru, 64, /*num_data=*/64);
+  auto arc = BlockCache::make(CachePolicy::kArc, 64, /*num_data=*/64);
   for (DataId b = 0; b < 64; ++b) {
     lru->insert(b);
     arc->insert(b);
@@ -295,10 +351,78 @@ TEST(CacheAllocation, SteadyStateLookupsAreAllocationFree) {
   EXPECT_EQ(hits, 2u * 200 * 64);
 }
 
+TEST(CacheAllocation, LruMissInsertsWithEvictionAreAllocationFree) {
+  // A full LRU over 4x its capacity in ids: every insert of a non-resident
+  // block evicts, and the evicted node carries the newcomer. Erase and
+  // re-insert recycle nodes through the free list.
+  LruBlockCache lru(64, /*num_data=*/256);
+  for (DataId b = 0; b < 64; ++b) lru.insert(b);
+  std::uint64_t evictions = 0;
+  const std::uint64_t n = allocations_during([&] {
+    for (int round = 0; round < 50; ++round) {
+      for (DataId b = 0; b < 256; ++b) {
+        evictions += lru.insert(b) != kInvalidData ? 1 : 0;
+        if (b % 5 == 0) lru.erase((b + 128) % 256);
+      }
+    }
+  });
+  EXPECT_EQ(n, 0u) << "miss-inserts allocated";
+  EXPECT_GT(evictions, 0u);
+}
+
+TEST(CacheAllocation, WarmWriteBackCycleIsAllocationFree) {
+  // put -> re-put -> begin_destage -> re-put of an in-flight block ->
+  // complete (stale and current) -> drain, over a buffer warmed once. The
+  // caller's batch vector is warm too, so nothing may allocate.
+  constexpr std::size_t kDisks = 8;
+  WriteBackBuffer wb(64, kDisks, /*num_data=*/512);
+  std::vector<DataId> batch;
+  batch.reserve(64);
+  RequestId id = 0;
+  double now = 0.0;
+  std::uint64_t completed = 0;
+  const auto cycle = [&](DataId base) {
+    for (DataId i = 0; i < 48; ++i) {
+      wb.put(base + i, static_cast<DiskId>(i % kDisks), now);
+    }
+    wb.put(base, 0, now);  // refresh in place
+    for (DiskId k = 0; k < kDisks; ++k) {
+      batch.clear();
+      const RequestId first = id;
+      id += wb.begin_destage(k, 4, first, batch);
+      if (k == 1) wb.put(batch.front(), k, now);  // supersede one write
+      for (std::size_t j = 0; j < batch.size(); ++j) {
+        completed += wb.complete(batch[j], first + j) ? 1 : 0;
+      }
+    }
+    batch.clear();
+    wb.drain(3, batch);
+    for (DiskId k = 0; k < kDisks; ++k) {
+      batch.clear();
+      const RequestId first = id;
+      id += wb.begin_destage(k, 64, first, batch);
+      for (std::size_t j = 0; j < batch.size(); ++j) {
+        completed += wb.complete(batch[j], first + j) ? 1 : 0;
+      }
+    }
+    now += 1.0;
+  };
+  cycle(0);  // warm-up
+  ASSERT_EQ(wb.size(), 0u);
+  const std::uint64_t n = allocations_during([&] {
+    for (int round = 0; round < 100; ++round) {
+      cycle(static_cast<DataId>((round % 8) * 64));
+    }
+  });
+  EXPECT_EQ(n, 0u) << "warm write-back cycle allocated";
+  EXPECT_EQ(wb.size(), 0u);
+  EXPECT_GT(completed, 0u);
+}
+
 // -------------------------------------------------------- WriteBackBuffer
 
 TEST(WriteBackBuffer, LifecycleAndPerDiskFifoOrder) {
-  WriteBackBuffer wb(/*capacity=*/4, /*num_disks=*/2);
+  WriteBackBuffer wb(/*capacity=*/4, /*num_disks=*/2, /*num_data=*/32);
   EXPECT_TRUE(wb.put(10, 0, 1.0));
   EXPECT_TRUE(wb.put(11, 0, 2.0));
   EXPECT_TRUE(wb.put(20, 1, 3.0));
@@ -316,22 +440,23 @@ TEST(WriteBackBuffer, LifecycleAndPerDiskFifoOrder) {
 
   // Destage hands out disk 0's blocks in admission order.
   std::vector<DataId> batch;
-  EXPECT_EQ(wb.begin_destage(0, 8, batch), 2u);
+  EXPECT_EQ(wb.begin_destage(0, 8, /*first_id=*/100, batch), 2u);
   EXPECT_EQ(batch, (std::vector<DataId>{10, 11}));
   EXPECT_EQ(wb.pending(0), 0u);
   EXPECT_EQ(wb.size(), 3u);  // in-flight blocks still occupy slots
   EXPECT_TRUE(wb.contains(10));
   EXPECT_FALSE(wb.is_pending(10));
 
-  EXPECT_TRUE(wb.complete(10));
-  EXPECT_FALSE(wb.complete(10));  // stale completion tolerated
-  EXPECT_TRUE(wb.complete(11));
+  EXPECT_FALSE(wb.complete(10, 101));  // 101 is 11's write, not 10's
+  EXPECT_TRUE(wb.complete(10, 100));
+  EXPECT_FALSE(wb.complete(10, 100));  // stale completion tolerated
+  EXPECT_TRUE(wb.complete(11, 101));
   EXPECT_EQ(wb.size(), 1u);
   EXPECT_EQ(wb.pending_total(), 1u);
 }
 
 TEST(WriteBackBuffer, FullBufferRejectsAndCallerFallsBackToWriteThrough) {
-  WriteBackBuffer wb(2, 1);
+  WriteBackBuffer wb(2, 1, 8);
   EXPECT_TRUE(wb.put(1, 0, 0.0));
   EXPECT_TRUE(wb.put(2, 0, 0.0));
   EXPECT_TRUE(wb.full());
@@ -340,32 +465,56 @@ TEST(WriteBackBuffer, FullBufferRejectsAndCallerFallsBackToWriteThrough) {
 }
 
 TEST(WriteBackBuffer, OverwriteOfInFlightBlockReenters) {
-  WriteBackBuffer wb(4, 1);
+  WriteBackBuffer wb(4, 1, 8);
   EXPECT_TRUE(wb.put(7, 0, 1.0));
   std::vector<DataId> batch;
-  EXPECT_EQ(wb.begin_destage(0, 1, batch), 1u);
+  EXPECT_EQ(wb.begin_destage(0, 1, /*first_id=*/1, batch), 1u);
   // A new write lands while the destage is in flight: the block re-enters
   // pending with a fresh admission time; the racing write is stale.
   EXPECT_TRUE(wb.put(7, 0, 2.0));
   EXPECT_TRUE(wb.is_pending(7));
   EXPECT_DOUBLE_EQ(wb.buffered_at(7), 2.0);
   EXPECT_EQ(wb.pending(0), 1u);
-  EXPECT_FALSE(wb.complete(7));  // stale destage completion is ignored
+  EXPECT_FALSE(wb.complete(7, 1));  // stale destage completion is ignored
   EXPECT_TRUE(wb.contains(7));
   // The re-entered copy destages normally.
   batch.clear();
-  EXPECT_EQ(wb.begin_destage(0, 1, batch), 1u);
-  EXPECT_TRUE(wb.complete(7));
+  EXPECT_EQ(wb.begin_destage(0, 1, /*first_id=*/2, batch), 1u);
+  EXPECT_TRUE(wb.complete(7, 2));
+  EXPECT_EQ(wb.size(), 0u);
+}
+
+TEST(WriteBackBuffer, SupersededDestageCannotRetireTheNewerOne) {
+  // Regression: put b, destage it (W1), put b again, force-destage it (W2,
+  // queued behind W1), then W1 lands. Matching completions on the block
+  // alone let W1 free the slot while W2 was still in flight, so a home-disk
+  // death afterwards never drained b and the dirty block vanished uncounted.
+  WriteBackBuffer wb(4, 2, 16);
+  std::vector<DataId> batch;
+  ASSERT_TRUE(wb.put(5, 1, 0.0));
+  ASSERT_EQ(wb.begin_destage(1, 8, /*first_id=*/10, batch), 1u);  // W1
+  ASSERT_TRUE(wb.put(5, 1, 1.0));  // W1 is stale now
+  batch.clear();
+  ASSERT_EQ(wb.begin_destage(1, 8, /*first_id=*/11, batch), 1u);  // W2
+  EXPECT_FALSE(wb.complete(5, 10));  // W1 lands: ignored
+  EXPECT_TRUE(wb.contains(5));
+  EXPECT_EQ(wb.size(), 1u);
+  // The home disk dies before W2 lands: the block is still drained, so the
+  // caller can re-home it or count it lost.
+  std::vector<DataId> drained;
+  EXPECT_EQ(wb.drain(1, drained), 1u);
+  EXPECT_EQ(drained, (std::vector<DataId>{5}));
+  EXPECT_FALSE(wb.complete(5, 11));  // the dead disk's W2 never counts
   EXPECT_EQ(wb.size(), 0u);
 }
 
 TEST(WriteBackBuffer, DrainEmptiesPendingAndInFlight) {
-  WriteBackBuffer wb(8, 2);
+  WriteBackBuffer wb(8, 2, 16);
   wb.put(1, 0, 0.0);
   wb.put(2, 0, 0.0);
   wb.put(9, 1, 0.0);
   std::vector<DataId> batch;
-  wb.begin_destage(0, 1, batch);  // 1 goes in flight
+  wb.begin_destage(0, 1, /*first_id=*/5, batch);  // 1 goes in flight
   std::vector<DataId> drained;
   EXPECT_EQ(wb.drain(0, drained), 2u);
   EXPECT_EQ(drained, (std::vector<DataId>{1, 2}));  // in-flight first
@@ -374,8 +523,81 @@ TEST(WriteBackBuffer, DrainEmptiesPendingAndInFlight) {
   EXPECT_EQ(wb.pending(0), 0u);
   EXPECT_EQ(wb.pending_total(), 1u);  // disk 1 untouched
   EXPECT_TRUE(wb.contains(9));
-  EXPECT_FALSE(wb.complete(1));  // the dead disk's write never completes
+  EXPECT_FALSE(wb.complete(1, 5));  // the dead disk's write never completes
 }
+
+// The slab buffer against the std::map reference: seeded streams of put,
+// re-put (often of an in-flight block), begin_destage, complete (current,
+// superseded and drained writes alike) and drain, over a few disks and a
+// small id range. Every return value, batch and observer must agree.
+class WriteBackDiffTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(WriteBackDiffTest, MatchesTheMapReference) {
+  const auto [capacity, seed] = GetParam();
+  constexpr std::size_t kDisks = 3;
+  constexpr std::size_t kNumData = 24;
+  WriteBackBuffer wb(capacity, kDisks, kNumData);
+  testing::ReferenceWriteBack ref(capacity, kDisks);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + capacity);
+  // Every destage write issued and not yet completed: (block, id).
+  std::vector<std::pair<DataId, RequestId>> issued;
+  RequestId next_id = 0;
+  double now = 0.0;
+  std::vector<DataId> got;
+  std::vector<DataId> want;
+  for (int step = 0; step < 4000; ++step) {
+    now += 0.5;
+    const std::uint64_t op = rng.next_below(12);
+    const auto k = static_cast<DiskId>(rng.next_below(kDisks));
+    SCOPED_TRACE(::testing::Message() << "step " << step << " op " << op);
+    got.clear();
+    want.clear();
+    if (op < 5) {
+      const auto b = static_cast<DataId>(rng.next_below(kNumData));
+      ASSERT_EQ(wb.put(b, k, now), ref.put(b, k, now)) << "block " << b;
+    } else if (op < 6 && !issued.empty()) {
+      // Re-put a block whose write is (or was) racing to disk.
+      const DataId b = issued[rng.next_below(issued.size())].first;
+      ASSERT_EQ(wb.put(b, k, now), ref.put(b, k, now)) << "block " << b;
+    } else if (op < 8) {
+      const std::size_t max = 1 + rng.next_below(4);
+      const std::size_t n = wb.begin_destage(k, max, next_id, got);
+      ASSERT_EQ(n, ref.begin_destage(k, max, next_id, want));
+      ASSERT_EQ(got, want);
+      for (std::size_t i = 0; i < n; ++i) issued.emplace_back(got[i], next_id + i);
+      next_id += n;
+    } else if (op < 11 && !issued.empty()) {
+      const std::size_t i = rng.next_below(issued.size());
+      const auto [b, id] = issued[i];
+      issued.erase(issued.begin() + static_cast<std::ptrdiff_t>(i));
+      ASSERT_EQ(wb.complete(b, id), ref.complete(b, id))
+          << "block " << b << " id " << id;
+    } else if (op == 11) {
+      ASSERT_EQ(wb.drain(k, got), ref.drain(k, want));
+      ASSERT_EQ(got, want);
+    }
+    ASSERT_EQ(wb.size(), ref.size());
+    ASSERT_EQ(wb.pending_total(), ref.pending_total());
+    for (DiskId d = 0; d < kDisks; ++d) {
+      ASSERT_EQ(wb.pending(d), ref.pending(d)) << "disk " << d;
+    }
+    for (DataId b = 0; b < kNumData; ++b) {
+      ASSERT_EQ(wb.contains(b), ref.contains(b)) << "block " << b;
+      ASSERT_EQ(wb.is_pending(b), ref.is_pending(b)) << "block " << b;
+      if (ref.contains(b)) {
+        ASSERT_EQ(wb.home_of(b), ref.home_of(b)) << "block " << b;
+        ASSERT_EQ(wb.buffered_at(b), ref.buffered_at(b)) << "block " << b;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, WriteBackDiffTest,
+    ::testing::Combine(::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{6}, std::size_t{64}),
+                       ::testing::Range(1, 6)));
 
 }  // namespace
 }  // namespace eas::cache
@@ -649,6 +871,60 @@ TEST(CacheRun, MemoryEnergyIsChargedOverTheHorizon) {
   EXPECT_DOUBLE_EQ(r.cache_stats.memory_energy_joules,
                    cfg.cache.memory_energy_joules(r.horizon));
   EXPECT_GT(r.cache_stats.memory_energy_joules, 0.0);
+}
+
+// A tiers cell shaped like the end-to-end benchmark's: LRU 1,024 / dirty
+// 256, reliability with deadlines, hedges and a bounded queue, one failed and
+// repaired disk, Financial-like traffic with 30% writes.
+runner::ExperimentParams tiers_cell(std::size_t requests) {
+  CacheConfig cc;
+  cc.policy = cache::CachePolicy::kLru;
+  cc.capacity_blocks = 1024;
+  cc.dirty_capacity_blocks = 256;
+  reliability::ReliabilityConfig rc;
+  rc.deadline_seconds = 5.0;
+  rc.max_attempts = 3;
+  rc.hedge_delay_seconds = 0.5;
+  rc.max_queue_depth = 16;
+  runner::ExperimentBuilder b(runner::Workload::kFinancial);
+  b.requests(requests).disks(180).replication(3).cache(cc).reliability(rc)
+      .fail_disk_at(7, 100.0, 100.0);
+  return b.build();
+}
+
+/// Allocations of one run_cell of tiers_cell(requests), trace and
+/// placement built outside the count.
+std::uint64_t tiers_cell_allocations(std::size_t requests) {
+  const runner::ExperimentParams p = tiers_cell(requests);
+  trace::SyntheticTraceConfig tc = trace::financial_like_config(1);
+  tc.num_requests = requests;
+  tc.write_fraction = 0.3;
+  const trace::Trace trace = trace::make_synthetic_trace(tc);
+  const auto placement = runner::make_shared_placement(p);
+  std::uint64_t completed = 0;
+  const std::uint64_t n = testing::allocations_during([&] {
+    completed = runner::run_cell(runner::SchedulerRegistry::global(),
+                                 "heuristic", p, trace, *placement)
+                    .total_requests;
+  });
+  EXPECT_GT(completed, requests * 9 / 10);
+  return n;
+}
+
+// Run-level allocation pin. The disk fails and is repaired inside the first
+// N requests' span (~440 s at 45 req/s), so the difference between the N-
+// and 2N-request runs is what N more steady-state requests cost: cache hits
+// and misses, buffered writes and destages, deadlines, hedges and sheds.
+TEST(CacheRun, TiersCellAllocatesLittlePerSteadyStateRequest) {
+  constexpr std::size_t kN = 20000;
+  const std::uint64_t once = tiers_cell_allocations(kN);
+  const std::uint64_t twice = tiers_cell_allocations(2 * kN);
+  ASSERT_GE(twice, once);
+  const double per_request =
+      static_cast<double>(twice - once) / static_cast<double>(kN);
+  RecordProperty("allocations_per_request", std::to_string(per_request));
+  EXPECT_LE(per_request, 0.25)
+      << (twice - once) << " allocations for " << kN << " more requests";
 }
 
 // --------------------------------------------- scheduler & policy coupling

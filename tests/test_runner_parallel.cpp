@@ -255,7 +255,7 @@ const char* const kAllTiersMetricsGolden =
     R"("destage_batches":{"kind":"counter","value":506},)"
     R"("destaged_blocks":{"kind":"counter","value":543},)"
     R"("dirty_occupancy":{"kind":"summary","count":1096,)"
-    R"("mean":17.054744525547424,"min":0,"max":64},)"
+    R"("mean":17.058394160583926,"min":0,"max":64},)"
     R"("cache_hit_ratio":{"kind":"gauge","value":0.2624113475177305},)"
     R"("cache_memory_energy_joules":{"kind":"gauge",)"
     R"("value":194.43210614670608},"deadline_misses":{"kind":"counter",)"
@@ -268,6 +268,11 @@ const char* const kAllTiersMetricsGolden =
 // The all-tiers heuristic cell's metric registry, recorded before the tier
 // counters moved from live increments to one publication at the end of the
 // run. Every counter, summary and histogram must come out byte-identical.
+// One value has moved since, on purpose: the dirty_occupancy mean. This cell
+// re-puts blocks whose destage is in flight and destages them again, and a
+// superseded write landing first used to free the slot the newer write still
+// held; WriteBackBuffer::complete now matches the destage id, so the slot
+// stays counted until the newer write lands (the 1,096 samples sum 4 higher).
 TEST(KernelGolden, AllTiersMetricsJsonIsStable) {
   const trace::Trace trace = all_tiers_trace();
   const auto p = all_tiers_builder().metrics().build();
