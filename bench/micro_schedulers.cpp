@@ -13,42 +13,6 @@ using namespace eas;
 
 namespace {
 
-/// Static view with synthetic per-disk snapshots for decision benchmarks.
-class BenchView final : public core::SystemView {
- public:
-  BenchView(placement::PlacementMap placement, std::uint64_t seed)
-      : placement_(std::move(placement)) {
-    util::Rng rng(seed);
-    snapshots_.resize(placement_.num_disks());
-    for (auto& s : snapshots_) {
-      s.state = static_cast<disk::DiskState>(rng.next_below(5));
-      if (s.state == disk::DiskState::SpinningUp ||
-          s.state == disk::DiskState::SpinningDown) {
-        s.state = disk::DiskState::Idle;
-      }
-      s.last_request_time = rng.uniform(0.0, 100.0);
-      s.queued_requests = static_cast<std::size_t>(rng.next_below(8));
-    }
-  }
-  double now() const override { return 100.0; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  core::DiskSnapshot snapshot(DiskId k) const override {
-    return snapshots_[k];
-  }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-  const fault::FailureView* failure_view() const override { return view_; }
-
-  void attach(const fault::FailureView* v) { view_ = v; }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<core::DiskSnapshot> snapshots_;
-  disk::DiskPowerParams power_;
-  const fault::FailureView* view_ = nullptr;
-};
-
 placement::PlacementMap bench_placement() {
   placement::ZipfPlacementConfig cfg;
   cfg.num_disks = 180;
@@ -57,14 +21,42 @@ placement::PlacementMap bench_placement() {
   return placement::make_zipf_placement(cfg);
 }
 
+/// A static fleet for decision benchmarks: the bench placement, seeded
+/// synthetic disk status rows and the view over them at t = 100 s.
+struct BenchFleet {
+  explicit BenchFleet(std::uint64_t seed)
+      : placement(bench_placement()),
+        rows(placement.num_disks()),
+        view(placement, power, rows) {
+    util::Rng rng(seed);
+    for (auto& s : rows) {
+      s.state = static_cast<disk::DiskState>(rng.next_below(5));
+      if (s.state == disk::DiskState::SpinningUp ||
+          s.state == disk::DiskState::SpinningDown) {
+        s.state = disk::DiskState::Idle;
+      }
+      s.last_request_time = rng.uniform(0.0, 100.0);
+      s.queued_requests = static_cast<std::size_t>(rng.next_below(8));
+    }
+    view.set_now(100.0);
+  }
+  BenchFleet(const BenchFleet&) = delete;
+  BenchFleet& operator=(const BenchFleet&) = delete;
+
+  placement::PlacementMap placement;
+  disk::DiskPowerParams power;
+  std::vector<disk::DiskStatus> rows;
+  core::SystemView view;
+};
+
 template <typename Scheduler>
 void run_pick(benchmark::State& state, Scheduler& sched) {
-  const BenchView view(bench_placement(), 3);
+  const BenchFleet fleet(3);
   util::Rng rng(9);
   for (auto _ : state) {
     disk::Request r;
     r.data = static_cast<DataId>(rng.next_below(32768));
-    benchmark::DoNotOptimize(sched.pick(r, view));
+    benchmark::DoNotOptimize(sched.pick(r, fleet.view));
   }
 }
 
@@ -91,22 +83,22 @@ BENCHMARK(BM_PickHeuristic);
 // view. The delta against the fault-free twin above is the price of the
 // degraded-mode branch — tracked in BENCH_micro.json.
 void BM_PickHeuristicDegraded(benchmark::State& state) {
-  BenchView view(bench_placement(), 3);
+  BenchFleet fleet(3);
   fault::FailureView fv(180);
   fv.set_health(0.0, 7, fault::DiskHealth::kDown);
-  view.attach(&fv);
+  fleet.view.set_failure_view(&fv);
   core::CostFunctionScheduler sched;
   util::Rng rng(9);
   for (auto _ : state) {
     disk::Request r;
     r.data = static_cast<DataId>(rng.next_below(32768));
-    benchmark::DoNotOptimize(sched.pick(r, view));
+    benchmark::DoNotOptimize(sched.pick(r, fleet.view));
   }
 }
 BENCHMARK(BM_PickHeuristicDegraded);
 
 void BM_WscAssignBatch(benchmark::State& state) {
-  const BenchView view(bench_placement(), 3);
+  const BenchFleet fleet(3);
   core::WscBatchScheduler sched(0.1);
   util::Rng rng(11);
   const auto batch_size = static_cast<std::size_t>(state.range(0));
@@ -118,7 +110,7 @@ void BM_WscAssignBatch(benchmark::State& state) {
     batch.push_back(r);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched.assign(batch, view));
+    benchmark::DoNotOptimize(sched.assign(batch, fleet.view));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch_size));
@@ -126,10 +118,10 @@ void BM_WscAssignBatch(benchmark::State& state) {
 BENCHMARK(BM_WscAssignBatch)->Arg(4)->Arg(32)->Arg(256);
 
 void BM_WscAssignBatchDegraded(benchmark::State& state) {
-  BenchView view(bench_placement(), 3);
+  BenchFleet fleet(3);
   fault::FailureView fv(180);
   fv.set_health(0.0, 7, fault::DiskHealth::kDown);
-  view.attach(&fv);
+  fleet.view.set_failure_view(&fv);
   core::WscBatchScheduler sched(0.1);
   util::Rng rng(11);
   const auto batch_size = static_cast<std::size_t>(state.range(0));
@@ -141,7 +133,7 @@ void BM_WscAssignBatchDegraded(benchmark::State& state) {
     batch.push_back(r);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched.assign(batch, view));
+    benchmark::DoNotOptimize(sched.assign(batch, fleet.view));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch_size));

@@ -8,7 +8,7 @@ namespace eas::cache {
 
 WriteBackBuffer::WriteBackBuffer(std::size_t capacity_blocks,
                                  std::size_t num_disks, std::size_t num_data)
-    : capacity_(capacity_blocks), groups_(num_disks) {
+    : capacity_(capacity_blocks), groups_(num_disks), pending_(num_disks) {
   EAS_REQUIRE_MSG(num_data <= kInvalidData,
                   num_data << " block ids exceed the 32-bit DataId range");
   // At most num_data distinct blocks can be buffered at once.
@@ -65,7 +65,7 @@ bool WriteBackBuffer::put(DataId b, DiskId k, double now) {
     x.in_flight = false;
     x.admitted = now;
     append(g.pending, s);
-    ++g.pending_count;
+    ++pending_[x.home];
     ++pending_total_;
     return true;
   }
@@ -88,9 +88,8 @@ bool WriteBackBuffer::put(DataId b, DiskId k, double now) {
   x.in_flight = false;
   slot_of_[b] = s;
   ++size_;
-  Group& g = groups_[k];
-  append(g.pending, s);
-  ++g.pending_count;
+  append(groups_[k].pending, s);
+  ++pending_[k];
   ++pending_total_;
   return true;
 }
@@ -112,7 +111,7 @@ std::size_t WriteBackBuffer::begin_destage(DiskId k, std::size_t max_blocks,
     out.push_back(x.block);
     ++issued;
   }
-  g.pending_count -= issued;
+  pending_[k] -= issued;
   pending_total_ -= issued;
   return issued;
 }
@@ -144,8 +143,8 @@ std::size_t WriteBackBuffer::drain(DiskId k, std::vector<DataId>& out) {
     }
     *l = SlotList{};
   }
-  pending_total_ -= g.pending_count;
-  g.pending_count = 0;
+  pending_total_ -= pending_[k];
+  pending_[k] = 0;
   return drained;
 }
 

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -61,7 +62,9 @@ class WriteBackBuffer {
 
   /// Pending (not yet issued) blocks homed on disk `k` — the dirty-set
   /// pressure the schedulers read.
-  std::uint64_t pending(DiskId k) const { return groups_[k].pending_count; }
+  std::uint64_t pending(DiskId k) const { return pending_[k]; }
+  /// pending(k) of every disk, by disk; valid as long as the buffer.
+  std::span<const std::uint64_t> pending_counts() const { return pending_; }
   /// Pending blocks across all disks = what would remain resident after
   /// every in-flight destage lands.
   std::uint64_t pending_total() const { return pending_total_; }
@@ -126,7 +129,6 @@ class WriteBackBuffer {
   struct Group {
     SlotList pending;
     SlotList inflight;
-    std::uint64_t pending_count = 0;
   };
 
   std::uint32_t slot_of(DataId b) const {
@@ -140,6 +142,7 @@ class WriteBackBuffer {
   std::vector<Slot> slots_;             // min(capacity, num_data), fixed
   std::vector<std::uint32_t> slot_of_;  // DataId -> slot, kNone when absent
   std::vector<Group> groups_;           // one per home disk
+  std::vector<std::uint64_t> pending_;  // pending(k) per home disk
   std::uint32_t free_ = kNone;          // released slots, chained by next
   std::uint32_t used_ = 0;              // slots ever handed out (prefix)
   std::size_t size_ = 0;

@@ -18,14 +18,15 @@ DiskId CostFunctionScheduler::pick(const disk::Request& r,
   const auto& locs = view.placement().locations(r.data);
   EAS_DCHECK(!locs.empty());
   const fault::FailureView* fv = view.degraded() ? view.failure_view() : nullptr;
+  const double now = view.now();
+  const disk::DiskPowerParams& power = view.power_params();
   double best_cost = std::numeric_limits<double>::infinity();
   bool best_sleeping = true;
   DiskId best = kInvalidDisk;
   for (DiskId k : locs) {
     if (fv != nullptr && !fv->replica_readable(r.data, k)) continue;
-    const auto snap = view.snapshot(k);
-    const double base =
-        composite_cost(snap, view.now(), view.power_params(), params_);
+    const disk::DiskStatus& d = view.disk(k);
+    const double base = composite_cost(d, now, power, params_);
     // Dirty-set pressure discount: a disk holding pending destage work
     // amortizes its wake cost across the foreground read *and* the flush,
     // so its effective cost shrinks. Exactly the identity when no cache
@@ -38,8 +39,8 @@ DiskId CostFunctionScheduler::pick(const disk::Request& r,
     const double c =
         pressured / (1.0 + kDestagePressureWeight *
                                static_cast<double>(view.pending_destage(k)));
-    const bool sleeping = snap.state == disk::DiskState::Standby ||
-                          snap.state == disk::DiskState::SpinningDown;
+    const bool sleeping = d.state == disk::DiskState::Standby ||
+                          d.state == disk::DiskState::SpinningDown;
     // Lexicographic (cost, sleeping?, replica order): equal-cost ties go to
     // a spinning disk — same joules, but no multi-second wake delay — and
     // then to the earliest replica for reproducibility.

@@ -17,16 +17,7 @@ double pairwise_energy_consumption(double ti, double tj,
   return p.max_request_energy() - pairwise_energy_saving(ti, tj, p);
 }
 
-DiskSnapshot snapshot_of(const disk::Disk& d) {
-  DiskSnapshot s;
-  s.state = d.state();
-  s.state_since = d.state_since();
-  s.last_request_time = d.has_served_any() ? d.last_request_time() : -1.0;
-  s.queued_requests = d.queued_requests();
-  return s;
-}
-
-double marginal_energy_cost(const DiskSnapshot& s, double now,
+double marginal_energy_cost(const disk::DiskStatus& s, double now,
                             const disk::DiskPowerParams& p) {
   switch (s.state) {
     case disk::DiskState::Active:
@@ -52,7 +43,7 @@ double marginal_energy_cost(const DiskSnapshot& s, double now,
   return 0.0;
 }
 
-double composite_cost(const DiskSnapshot& s, double now,
+double composite_cost(const disk::DiskStatus& s, double now,
                       const disk::DiskPowerParams& p, const CostParams& cp) {
   EAS_REQUIRE_MSG(cp.beta > 0.0, "beta must be positive");
   EAS_REQUIRE_MSG(cp.alpha >= 0.0 && cp.alpha <= 1.0,

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
 
 #include "disk/disk.hpp"
 #include "disk/params.hpp"
@@ -66,20 +65,6 @@ class PairwiseEnergy {
   double ceiling_;
 };
 
-/// What a scheduler may know about one disk at decision time — exactly the
-/// §2.2 online information model: power state, queue depth and the time the
-/// disk last received a request (T_last of Eq. 5).
-struct DiskSnapshot {
-  disk::DiskState state = disk::DiskState::Standby;
-  double state_since = 0.0;
-  /// T_last; negative if the disk has not received any request yet.
-  double last_request_time = -1.0;
-  std::size_t queued_requests = 0;
-};
-
-/// Takes a consistent snapshot of a live disk.
-DiskSnapshot snapshot_of(const disk::Disk& d);
-
 /// Eq. 5: the additional energy E(d_k) incurred by routing a request to the
 /// disk right now:
 ///   active / spin-up  -> 0                 (rides on already-sunk energy)
@@ -87,7 +72,7 @@ DiskSnapshot snapshot_of(const disk::Disk& d);
 ///   idle              -> (T_now - T_last)·P_I  (idle window extension)
 /// For an idle disk that has never served a request, the start of the idle
 /// period stands in for T_last.
-double marginal_energy_cost(const DiskSnapshot& s, double now,
+double marginal_energy_cost(const disk::DiskStatus& s, double now,
                             const disk::DiskPowerParams& p);
 
 /// Eq. 6/7 parameters. alpha = 1 optimises energy only; alpha = 0 response
@@ -100,7 +85,7 @@ struct CostParams {
 
 /// Eq. 6: C(d_k) = E(d_k)·alpha/beta + P(d_k)·(1-alpha), with P(d_k) the
 /// disk's current queue depth (Eq. 7).
-double composite_cost(const DiskSnapshot& s, double now,
+double composite_cost(const disk::DiskStatus& s, double now,
                       const disk::DiskPowerParams& p, const CostParams& cp);
 
 }  // namespace eas::core

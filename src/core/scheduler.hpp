@@ -7,61 +7,80 @@
 // its run is evaluated afterwards).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/energy_model.hpp"
+#include "disk/disk.hpp"
 #include "disk/params.hpp"
 #include "disk/request.hpp"
 #include "fault/failure_view.hpp"
 #include "placement/placement.hpp"
 #include "trace/trace.hpp"
+#include "util/check.hpp"
 #include "util/ids.hpp"
 
 namespace eas::core {
 
-/// Read-only view of the running storage system offered to online/batch
-/// schedulers: placement, the clock, and per-disk snapshots.
+/// What online and batch schedulers see of the running system: placement,
+/// power model, clock and each disk's live status row, read in place. The
+/// tier overlays (failure view, pending destage, backpressure) start off.
 class SystemView {
  public:
-  virtual ~SystemView() = default;
+  SystemView(const placement::PlacementMap& placement,
+             const disk::DiskPowerParams& power,
+             std::span<const disk::DiskStatus> disks)
+      : placement_(&placement), power_(&power), disks_(disks) {
+    EAS_REQUIRE(disks.size() == placement.num_disks());
+  }
 
-  virtual double now() const = 0;
-  virtual const placement::PlacementMap& placement() const = 0;
-  virtual DiskSnapshot snapshot(DiskId k) const = 0;
-  /// Power model shared by all disks in the system.
-  virtual const disk::DiskPowerParams& power_params() const = 0;
-  /// Live health overlay, or nullptr in a fault-free run. Schedulers must
-  /// restrict candidate replica sets to readable ones when the view exists
-  /// and reports degraded(); when it is null or healthy the raw placement
-  /// lists are authoritative (and the fast path keeps fault-capable runs
-  /// bit-identical to fault-free ones).
-  virtual const fault::FailureView* failure_view() const { return nullptr; }
-  /// True when replica filtering is required right now.
+  void set_now(double t) { now_ = t; }
+  void set_failure_view(const fault::FailureView* fv) { failure_view_ = fv; }
+  /// One count per disk, read in place.
+  void set_pending_destage(std::span<const std::uint64_t> per_disk) {
+    pending_destage_ = per_disk;
+  }
+  /// Queue depth at which a disk is backpressured; 0 turns it off.
+  void set_backpressure_watermark(std::size_t depth) { watermark_ = depth; }
+
+  double now() const { return now_; }
+  const placement::PlacementMap& placement() const { return *placement_; }
+  DiskId num_disks() const { return placement_->num_disks(); }
+  const disk::DiskPowerParams& power_params() const { return *power_; }
+  const disk::DiskStatus& disk(DiskId k) const {
+    EAS_DCHECK(k < disks_.size());
+    return disks_[k];
+  }
+
+  /// Live health overlay, or nullptr in a fault-free run. While it reports
+  /// degraded(), schedulers must pick readable replicas only; otherwise the
+  /// raw placement lists are authoritative (keeping the fast path exact).
+  const fault::FailureView* failure_view() const { return failure_view_; }
   bool degraded() const {
-    const fault::FailureView* fv = failure_view();
-    return fv != nullptr && fv->degraded();
+    return failure_view_ != nullptr && failure_view_->degraded();
   }
-  /// Dirty blocks buffered in the cache tier awaiting destage onto disk
-  /// `k` (0 when no cache tier exists). Cost-based schedulers use this to
-  /// bias replica choice toward disks with pending destage work: waking
-  /// such a disk pays for the foreground read *and* flushes its dirty
-  /// group on the same spin-up. Kept as a plain count so core never
-  /// depends on the cache layer.
-  virtual std::uint64_t pending_destage(DiskId k) const {
-    (void)k;
-    return 0;
+  /// Dirty blocks awaiting destage onto disk `k` (0 without a cache tier):
+  /// waking that disk also flushes them, so cost schedulers discount it.
+  std::uint64_t pending_destage(DiskId k) const {
+    return pending_destage_.empty() ? 0 : pending_destage_[k];
   }
-  /// True while the reliability tier's admission control reports disk `k`
-  /// above its backpressure watermark (false when no reliability tier
-  /// exists). Cost-based schedulers multiply a penalty into backpressured
-  /// candidates so load drains toward disks with queue headroom; with the
-  /// tier disabled this is identically false and scheduling is untouched.
-  virtual bool backpressured(DiskId k) const {
-    (void)k;
-    return false;
+  /// True while disk `k`'s queue, in-service request included, has reached
+  /// the watermark (never without the reliability tier): cost schedulers
+  /// penalise it so load drains toward disks with headroom.
+  bool backpressured(DiskId k) const {
+    return watermark_ > 0 && disk(k).queued_requests >= watermark_;
   }
-  DiskId num_disks() const { return placement().num_disks(); }
+
+ private:
+  const placement::PlacementMap* placement_;
+  const disk::DiskPowerParams* power_;
+  double now_ = 0.0;
+  const fault::FailureView* failure_view_ = nullptr;
+  std::span<const disk::DiskStatus> disks_;
+  std::span<const std::uint64_t> pending_destage_;
+  std::size_t watermark_ = 0;
 };
 
 /// §2.2 online model: one request, immediate decision.

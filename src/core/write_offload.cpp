@@ -12,7 +12,7 @@ DiskId WriteOffloadManager::route_write(const disk::Request& r,
 
   // A spinning home disk absorbs the write directly; this also retires any
   // stale diversion (the fresh version now lives at home again).
-  if (is_spinning(view.snapshot(home))) {
+  if (is_spinning(view.disk(home))) {
     ++stats_.writes_home;
     if (diverted_.erase(r.data) > 0) ++stats_.reclaims;
     return home;
@@ -24,20 +24,22 @@ DiskId WriteOffloadManager::route_write(const disk::Request& r,
     return home;
   }
 
-  // Preferred diversion: a spinning replica location — the block already
-  // belongs there, so a later reclaim is free.
+  // The cheapest spinning disk seen so far is the diversion target.
   DiskId best = kInvalidDisk;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (DiskId k : placement.locations(r.data)) {
-    const auto snap = view.snapshot(k);
-    if (!is_spinning(snap)) continue;
+  const auto consider = [&](DiskId k) {
+    const disk::DiskStatus& d = view.disk(k);
+    if (!is_spinning(d)) return;
     const double c =
-        composite_cost(snap, view.now(), view.power_params(), options_.cost);
+        composite_cost(d, view.now(), view.power_params(), options_.cost);
     if (c < best_cost) {
       best_cost = c;
       best = k;
     }
-  }
+  };
+  // Preferred diversion: a spinning replica location — the block already
+  // belongs there, so a later reclaim is free.
+  for (DiskId k : placement.locations(r.data)) consider(k);
   if (best != kInvalidDisk) {
     // Version lives on a replica that is not the original: reads must not
     // consult stale copies elsewhere, so record the diversion.
@@ -52,16 +54,7 @@ DiskId WriteOffloadManager::route_write(const disk::Request& r,
 
   // Any spinning disk in the data centre will do (write off-loading's core
   // move): pick the cheapest one.
-  for (DiskId k = 0; k < view.num_disks(); ++k) {
-    const auto snap = view.snapshot(k);
-    if (!is_spinning(snap)) continue;
-    const double c =
-        composite_cost(snap, view.now(), view.power_params(), options_.cost);
-    if (c < best_cost) {
-      best_cost = c;
-      best = k;
-    }
-  }
+  for (DiskId k = 0; k < view.num_disks(); ++k) consider(k);
   if (best != kInvalidDisk) {
     diverted_[r.data] = best;
     ++stats_.writes_diverted;
@@ -83,7 +76,7 @@ std::optional<DiskId> WriteOffloadManager::read_override(
   // back now (the write-back rides on already-paid energy) and serve reads
   // from placement again.
   const DiskId home = view.placement().original(data);
-  if (is_spinning(view.snapshot(home))) {
+  if (is_spinning(view.disk(home))) {
     diverted_.erase(it);
     ++stats_.reclaims;
     return std::nullopt;

@@ -63,7 +63,7 @@ class WriteOffloadManager {
   const WriteOffloadStats& stats() const { return stats_; }
 
  private:
-  static bool is_spinning(const DiskSnapshot& s) {
+  static bool is_spinning(const disk::DiskStatus& s) {
     return s.state == disk::DiskState::Idle ||
            s.state == disk::DiskState::Active ||
            s.state == disk::DiskState::SpinningUp;

@@ -65,10 +65,10 @@ const graph::SetCoverInstance& WscBatchScheduler::build_instance_into(
           spare_elements_.pop_back();
         }
         candidate_disks.push_back(k);
-        const DiskSnapshot snap = view.snapshot(k);
+        const disk::DiskStatus& d = view.disk(k);
         set.weight = mode_ == WeightMode::kPureEnergy
-                         ? marginal_energy_cost(snap, now, power)
-                         : composite_cost(snap, now, power, cost_);
+                         ? marginal_energy_cost(d, now, power)
+                         : composite_cost(d, now, power, cost_);
       }
       instance.sets[idx].elements.push_back(e);
       coverable = true;

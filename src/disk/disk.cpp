@@ -28,13 +28,12 @@ double DiskStats::total_joules() const {
 }
 
 Disk::Disk(DiskId id, sim::Simulator& sim, DiskPowerParams power,
-           DiskPerfParams perf, DiskState initial_state)
+           DiskPerfParams perf, DiskState initial_state, DiskStatus* status)
     : id_(id),
       sim_(sim),
       power_(power),
       perf_(perf),
-      state_(initial_state),
-      state_since_(sim.now()),
+      status_(status != nullptr ? *status : own_status_),
       accounted_until_(sim.now()),
       head_cylinder_(perf.num_cylinders / 2) {
   power_.validate();
@@ -42,6 +41,7 @@ Disk::Disk(DiskId id, sim::Simulator& sim, DiskPowerParams power,
   EAS_CHECK_MSG(initial_state == DiskState::Standby ||
                     initial_state == DiskState::Idle,
                 "disks must start settled (standby or idle)");
+  status_ = DiskStatus{initial_state, sim.now(), -1.0, 0};
 }
 
 double Disk::power_of(DiskState s) const {
@@ -61,13 +61,13 @@ void Disk::flush_accounting() {
                  "accounting horizon ahead of the clock");
   const double dt = now - accounted_until_;
   if (dt > 0.0) {
-    const int s = static_cast<int>(state_);
+    const int s = static_cast<int>(state());
     stats_.seconds_in_state[s] += dt;
-    stats_.joules_in_state[s] += dt * power_of(state_);
+    stats_.joules_in_state[s] += dt * power_of(state());
     // Powers and dt are non-negative, so the meters can only grow; a
     // negative reading means the accounting itself is corrupt.
     EAS_ASSERT_MSG(stats_.joules_in_state[s] >= 0.0,
-                   "negative energy meter in state " << to_string(state_));
+                   "negative energy meter in state " << to_string(state()));
   }
   accounted_until_ = now;
 }
@@ -90,15 +90,15 @@ constexpr bool kLegalTransition[kNumDiskStates][kNumDiskStates] = {
 
 void Disk::transition_to(DiskState next) {
   EAS_CHECK_MSG(
-      kLegalTransition[static_cast<int>(state_)][static_cast<int>(next)],
-      "illegal power transition " << to_string(state_) << " -> "
+      kLegalTransition[static_cast<int>(state())][static_cast<int>(next)],
+      "illegal power transition " << to_string(state()) << " -> "
                                   << to_string(next) << " on disk " << id_);
   flush_accounting();
   EAS_OBS(sim_.recorder(),
-          power_transition(sim_.now(), id_, static_cast<std::uint32_t>(state_),
+          power_transition(sim_.now(), id_, static_cast<std::uint32_t>(state()),
                            static_cast<std::uint32_t>(next)));
-  state_ = next;
-  state_since_ = sim_.now();
+  status_.state = next;
+  status_.state_since = sim_.now();
 }
 
 unsigned Disk::cylinder_of(DataId data, unsigned num_cylinders) {
@@ -107,6 +107,10 @@ unsigned Disk::cylinder_of(DataId data, unsigned num_cylinders) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return static_cast<unsigned>((z ^ (z >> 31)) % num_cylinders);
+}
+
+void Disk::check_depth() const {
+  EAS_ASSERT(status_.queued_requests == queue_.size() + (in_service_ ? 1 : 0));
 }
 
 std::size_t Disk::next_to_serve() const {
@@ -137,19 +141,21 @@ void Disk::submit(const Request& r) {
   // entry meaningful.
   EAS_REQUIRE_MSG(r.size_bytes > 0,
                   "zero-size request " << r.id << " submitted to disk " << id_);
-  last_request_time_ = sim_.now();
+  status_.last_request_time = sim_.now();
   // A request submitted while the platters are not spinning will have waited
   // on a power transition by the time it is serviced.
-  const bool disk_was_down = state_ == DiskState::Standby ||
-                             state_ == DiskState::SpinningUp ||
-                             state_ == DiskState::SpinningDown;
+  const bool disk_was_down = state() == DiskState::Standby ||
+                             state() == DiskState::SpinningUp ||
+                             state() == DiskState::SpinningDown;
   queue_.push_back(Pending{r, disk_was_down});
+  ++status_.queued_requests;
+  check_depth();
   EAS_OBS(sim_.recorder(),
           request_event(sim_.now(), obs::Ev::kQueue, r.id, id_,
                         static_cast<std::uint32_t>(queued_requests()),
                         static_cast<std::uint16_t>(r.kind)));
 
-  switch (state_) {
+  switch (state()) {
     case DiskState::Idle:
       start_service();
       break;
@@ -172,6 +178,8 @@ std::vector<Request> Disk::take_pending() {
   drained.reserve(queue_.size());
   for (const Pending& p : queue_) drained.push_back(p.request);
   queue_.clear();
+  status_.queued_requests -= drained.size();
+  check_depth();
   // The only reason to bounce back from a spin-down was the queued work
   // that just left.
   wake_after_spindown_ = false;
@@ -182,6 +190,8 @@ bool Disk::remove_pending(RequestId id, RequestKind kind) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->request.id == id && it->request.kind == kind) {
       queue_.erase(it);
+      --status_.queued_requests;
+      check_depth();
       // Mirror take_pending(): if the removed entry was the only reason to
       // bounce back from an in-flight spin-down, drop the wake.
       if (queue_.empty()) wake_after_spindown_ = false;
@@ -199,7 +209,7 @@ const Request* Disk::oldest_queued_read() const {
 }
 
 void Disk::spin_up() {
-  switch (state_) {
+  switch (state()) {
     case DiskState::Standby: {
       transition_to(DiskState::SpinningUp);
       ++stats_.spin_ups;
@@ -217,8 +227,8 @@ void Disk::spin_up() {
 }
 
 void Disk::spin_down() {
-  EAS_REQUIRE_MSG(state_ == DiskState::Idle,
-                  "spin_down from " << to_string(state_) << " on disk "
+  EAS_REQUIRE_MSG(state() == DiskState::Idle,
+                  "spin_down from " << to_string(state()) << " on disk "
                                     << id_);
   EAS_REQUIRE_MSG(queue_.empty() && !in_service_,
                   "spin_down with queued work on disk " << id_);
@@ -228,7 +238,7 @@ void Disk::spin_down() {
 }
 
 void Disk::on_spinup_done() {
-  EAS_CHECK(state_ == DiskState::SpinningUp);
+  EAS_CHECK(state() == DiskState::SpinningUp);
   if (!queue_.empty()) {
     start_service();
   } else {
@@ -238,7 +248,7 @@ void Disk::on_spinup_done() {
 }
 
 void Disk::on_spindown_done() {
-  EAS_CHECK(state_ == DiskState::SpinningDown);
+  EAS_CHECK(state() == DiskState::SpinningDown);
   transition_to(DiskState::Standby);
   if (wake_after_spindown_) {
     wake_after_spindown_ = false;
@@ -249,7 +259,7 @@ void Disk::on_spindown_done() {
 void Disk::start_service() {
   EAS_CHECK(!in_service_);
   EAS_CHECK(!queue_.empty());
-  if (state_ != DiskState::Active) transition_to(DiskState::Active);
+  if (state() != DiskState::Active) transition_to(DiskState::Active);
   const std::size_t pick = next_to_serve();
   current_ = queue_[pick].request;
   current_waited_spinup_ = queue_[pick].waited_for_spin;
@@ -272,9 +282,11 @@ void Disk::start_service() {
 }
 
 void Disk::complete_service() {
-  EAS_CHECK(state_ == DiskState::Active);
+  EAS_CHECK(state() == DiskState::Active);
   EAS_CHECK(in_service_);
   in_service_ = false;
+  --status_.queued_requests;
+  check_depth();
   ++stats_.requests_served;
   EAS_OBS(sim_.recorder(),
           request_event(sim_.now(), obs::Ev::kServiceEnd, current_.id, id_, 0,
@@ -292,7 +304,7 @@ void Disk::complete_service() {
   if (!in_service_) {
     if (!queue_.empty()) {
       start_service();
-    } else if (state_ == DiskState::Active) {
+    } else if (state() == DiskState::Active) {
       transition_to(DiskState::Idle);
       if (on_idle_) on_idle_(*this);
     }
@@ -304,9 +316,9 @@ void Disk::finalize(sim::SimTime horizon) {
                   "finalize horizon precedes accounted time");
   const double dt = horizon - accounted_until_;
   if (dt > 0.0) {
-    const int s = static_cast<int>(state_);
+    const int s = static_cast<int>(state());
     stats_.seconds_in_state[s] += dt;
-    stats_.joules_in_state[s] += dt * power_of(state_);
+    stats_.joules_in_state[s] += dt * power_of(state());
   }
   accounted_until_ = horizon;
   EAS_ENSURE_MSG(stats_.total_joules() >= 0.0 && stats_.total_seconds() >= 0.0,

@@ -42,6 +42,15 @@ enum class DiskState : int {
 inline constexpr int kNumDiskStates = 5;
 const char* to_string(DiskState s);
 
+/// A disk's live status row — the §2.2 online information model, and all a
+/// scheduler may know of the disk. The disk keeps these facts here only.
+struct DiskStatus {
+  DiskState state = DiskState::Standby;
+  double state_since = 0.0;         ///< when the disk entered `state`
+  double last_request_time = -1.0;  ///< T_last (Eq. 5); < 0 before any
+  std::size_t queued_requests = 0;  ///< P(d_k) (Eq. 7), in service included
+};
+
 /// Per-disk counters; all times/energies are cumulative since construction
 /// and exact as of the last flush (finalize() flushes to a horizon).
 struct DiskStats {
@@ -69,16 +78,19 @@ class Disk {
   /// their spin-down timers off this.
   using IdleCallback = std::function<void(Disk&)>;
 
+  /// `status` is the disk's row in its owner's table; without one the disk
+  /// keeps its own.
   Disk(DiskId id, sim::Simulator& sim, DiskPowerParams power,
-       DiskPerfParams perf, DiskState initial_state = DiskState::Standby);
+       DiskPerfParams perf, DiskState initial_state = DiskState::Standby,
+       DiskStatus* status = nullptr);
 
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
   DiskId id() const { return id_; }
-  DiskState state() const { return state_; }
+  DiskState state() const { return status_.state; }
+  const DiskStatus& status() const { return status_; }
   const DiskPowerParams& power_params() const { return power_; }
-  const DiskPerfParams& perf_params() const { return perf_; }
 
   void set_completion_callback(CompletionCallback cb) {
     on_completion_ = std::move(cb);
@@ -120,19 +132,8 @@ class Disk {
   /// SpinningDown it marks a wake-up so the disk bounces back afterwards.
   void spin_up();
 
-  /// Queue depth including the in-service request — the paper's P(d_k)
-  /// performance cost (Eq. 7).
-  std::size_t queued_requests() const {
-    return queue_.size() + (in_service_ ? 1 : 0);
-  }
-
-  /// Arrival time of the most recent request submitted to this disk, or a
-  /// negative sentinel if none yet — the paper's T_last (Eq. 5).
-  sim::SimTime last_request_time() const { return last_request_time_; }
-  bool has_served_any() const { return last_request_time_ >= 0.0; }
-
-  /// Time the disk entered its current state.
-  sim::SimTime state_since() const { return state_since_; }
+  /// P(d_k), the in-service request included.
+  std::size_t queued_requests() const { return status_.queued_requests; }
 
   /// Current head cylinder (position model only; otherwise the initial
   /// mid-stroke position).
@@ -155,14 +156,16 @@ class Disk {
   void complete_service();
   void on_spinup_done();
   void on_spindown_done();
+  /// The row's depth is counted at each queue change; asserts it is right.
+  void check_depth() const;
 
   DiskId id_;
   sim::Simulator& sim_;
   DiskPowerParams power_;
   DiskPerfParams perf_;
 
-  DiskState state_;
-  sim::SimTime state_since_ = 0.0;
+  DiskStatus own_status_;
+  DiskStatus& status_;
   sim::SimTime accounted_until_ = 0.0;
 
   struct Pending {
@@ -182,7 +185,6 @@ class Disk {
   bool current_waited_spinup_ = false;
   bool wake_after_spindown_ = false;
 
-  sim::SimTime last_request_time_ = -1.0;
   unsigned head_cylinder_;
 
   DiskStats stats_;

@@ -190,11 +190,15 @@ namespace {
 /// queue drain + failover on disk death, unavailability accounting, and a
 /// rebuild driver that synthesizes internal re-replication I/O competing
 /// with the foreground stream.
-class System final : public core::SystemView {
+class System {
  public:
   System(const SystemConfig& config, const placement::PlacementMap& placement,
          power::PowerPolicy& policy)
-      : config_(config), placement_(placement), policy_(policy) {
+      : config_(config),
+        placement_(placement),
+        policy_(policy),
+        status_(placement.num_disks()),
+        sched_view_(placement_, config_.power, status_) {
     config_.power.validate();
     config_.perf.validate();
     config_.obs.validate();
@@ -272,6 +276,7 @@ class System final : public core::SystemView {
         destage_lane_ = sim_.delay_lane(config_.cache.destage_deadline_seconds);
         policy_.set_destage_probe(
             [this](DiskId k) { return wb_->pending(k); });
+        sched_view_.set_pending_destage(wb_->pending_counts());
       }
     }
     if (config_.reliability.enabled) {
@@ -280,10 +285,10 @@ class System final : public core::SystemView {
           config_.reliability.backoff_cap_seconds,
           config_.reliability.jitter_fraction, config_.reliability.seed);
       if (config_.reliability.max_queue_depth > 0) {
-        watermark_depth_ = std::max<std::size_t>(
+        sched_view_.set_backpressure_watermark(std::max<std::size_t>(
             1, static_cast<std::size_t>(
                    config_.reliability.backpressure_watermark *
-                   static_cast<double>(config_.reliability.max_queue_depth)));
+                   static_cast<double>(config_.reliability.max_queue_depth))));
       }
       if (config_.reliability.deadline_seconds > 0.0) {
         deadline_lane_ = sim_.delay_lane(config_.reliability.deadline_seconds);
@@ -298,7 +303,8 @@ class System final : public core::SystemView {
     disk_ptrs_.reserve(placement.num_disks());
     for (DiskId k = 0; k < placement.num_disks(); ++k) {
       disks_.push_back(std::make_unique<disk::Disk>(
-          k, sim_, config_.power, config_.perf, config_.initial_state));
+          k, sim_, config_.power, config_.perf, config_.initial_state,
+          &status_[k]));
       disk_ptrs_.push_back(disks_.back().get());
       disks_.back()->set_completion_callback(
           [this](const disk::Completion& c) { on_completion(c); });
@@ -337,36 +343,17 @@ class System final : public core::SystemView {
             }
           });
       policy_.set_failure_view(view_.get());
+      sched_view_.set_failure_view(view_.get());
     }
   }
 
-  // ---- core::SystemView ----
-  double now() const override { return sim_.now(); }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  core::DiskSnapshot snapshot(DiskId k) const override {
-    return core::snapshot_of(*disks_.at(k));
-  }
-  const disk::DiskPowerParams& power_params() const override {
-    return config_.power;
-  }
-  const fault::FailureView* failure_view() const override {
-    return view_.get();
-  }
-  std::uint64_t pending_destage(DiskId k) const override {
-    return wb_ != nullptr ? wb_->pending(k) : 0;
-  }
-  bool backpressured(DiskId k) const override {
-    // Computed lazily from the live queue depth; identically false without
-    // the reliability tier (watermark_depth_ stays 0), so scheduler picks
-    // are bit-identical to pre-reliability builds.
-    return watermark_depth_ > 0 &&
-           disks_[k]->queued_requests() >= watermark_depth_;
+  /// The schedulers' view of the live disks, stamped with the clock.
+  const core::SystemView& sched_view() {
+    sched_view_.set_now(sim_.now());
+    return sched_view_;
   }
 
   sim::Simulator& simulator() { return sim_; }
-  const std::vector<disk::Disk*>& disk_ptrs() const { return disk_ptrs_; }
 
   /// Called by the run_* drivers when a request enters the system (before
   /// any scheduling decision).
@@ -1330,6 +1317,9 @@ class System final : public core::SystemView {
   const placement::PlacementMap& placement_;
   power::PowerPolicy& policy_;
   sim::Simulator sim_;
+  /// The disks' status rows (sized once), which sched_view_ reads in place.
+  std::vector<disk::DiskStatus> status_;
+  core::SystemView sched_view_;
   std::vector<std::unique_ptr<disk::Disk>> disks_;
   std::vector<disk::Disk*> disk_ptrs_;
 
@@ -1394,9 +1384,6 @@ class System final : public core::SystemView {
   /// Per-disk count of planned hedges whose timer is still running; the
   /// power policy probes this to keep the alternate warm through the window.
   std::vector<std::uint64_t> hedge_pins_;
-  /// Queue depth at which schedulers see the disk as backpressured;
-  /// 0 disables both the watermark and the bounded queue entirely.
-  std::size_t watermark_depth_ = 0;
 };
 
 disk::Request make_request(RequestId id, const trace::TraceRecord& rec) {
@@ -1461,7 +1448,8 @@ struct BatchTick {
     if (!pending->empty()) {
       batch->swap(*pending);
       system->note_batch(batch->size());
-      const std::vector<DiskId> assignment = sched->assign(*batch, *system);
+      const std::vector<DiskId> assignment =
+          sched->assign(*batch, system->sched_view());
       EAS_ENSURE_MSG(assignment.size() == batch->size(),
                      "batch scheduler returned " << assignment.size()
                                                  << " picks for "
@@ -1492,7 +1480,7 @@ RunResult run_online(const SystemConfig& config,
   System system(config, placement, policy);
   auto on_arrival = [&system, &sched](const disk::Request& r) {
     if (system.cache_absorb(r)) return;
-    system.route(r, sched.pick(r, system));
+    system.route(r, sched.pick(r, system.sched_view()));
   };
   stream_arrivals(system, trace, on_arrival);
   system.start(trace.end_time());
@@ -1581,18 +1569,19 @@ RunResult run_online_mixed(const SystemConfig& config,
                   "write-offload runs do not support the reliability tier");
   System system(config, placement, policy);
   auto on_arrival = [&system, &sched, &offloader](const disk::Request& r) {
+    const core::SystemView& view = system.sched_view();
     if (!r.is_read) {
-      system.dispatch_unchecked(r, offloader.route_write(r, system));
+      system.dispatch_unchecked(r, offloader.route_write(r, view));
       return;
     }
     // A freshly written block may live away from placement until
     // reclaimed; such reads bypass the scheduler (there is exactly one
     // valid location).
-    if (const auto diverted = offloader.read_override(r.data, system)) {
+    if (const auto diverted = offloader.read_override(r.data, view)) {
       system.dispatch_unchecked(r, *diverted);
       return;
     }
-    system.dispatch(r, sched.pick(r, system));
+    system.dispatch(r, sched.pick(r, view));
   };
   stream_arrivals(system, trace, on_arrival);
   system.start(trace.end_time());

@@ -23,6 +23,7 @@
 #include "core/cost_scheduler.hpp"
 #include "paper_example.hpp"
 #include "reference_cache.hpp"
+#include "scripted_fleet.hpp"
 #include "power/fixed_threshold.hpp"
 #include "power/policy.hpp"
 #include "runner/experiment.hpp"
@@ -579,9 +580,14 @@ TEST_P(WriteBackDiffTest, MatchesTheMapReference) {
     }
     ASSERT_EQ(wb.size(), ref.size());
     ASSERT_EQ(wb.pending_total(), ref.pending_total());
+    std::vector<std::uint64_t> want_pending(kDisks);
     for (DiskId d = 0; d < kDisks; ++d) {
       ASSERT_EQ(wb.pending(d), ref.pending(d)) << "disk " << d;
+      want_pending[d] = ref.pending(d);
     }
+    const auto counts = wb.pending_counts();
+    ASSERT_EQ(std::vector<std::uint64_t>(counts.begin(), counts.end()),
+              want_pending);
     for (DataId b = 0; b < kNumData; ++b) {
       ASSERT_EQ(wb.contains(b), ref.contains(b)) << "block " << b;
       ASSERT_EQ(wb.is_pending(b), ref.is_pending(b)) << "block " << b;
@@ -929,47 +935,21 @@ TEST(CacheRun, TiersCellAllocatesLittlePerSteadyStateRequest) {
 
 // --------------------------------------------- scheduler & policy coupling
 
-/// Minimal SystemView: all disks standby at t=0, with a configurable
-/// pending-destage count on one favored disk.
-class FakeView final : public core::SystemView {
- public:
-  explicit FakeView(const placement::PlacementMap& pm)
-      : pm_(pm), power_(disk::example_power_params()) {}
-  double now() const override { return 0.0; }
-  const placement::PlacementMap& placement() const override { return pm_; }
-  core::DiskSnapshot snapshot(DiskId) const override {
-    core::DiskSnapshot s;
-    s.state = disk::DiskState::Standby;
-    return s;
-  }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-  std::uint64_t pending_destage(DiskId k) const override {
-    return k == favored ? pending : 0;
-  }
-
-  DiskId favored = kInvalidDisk;
-  std::uint64_t pending = 0;
-
- private:
-  const placement::PlacementMap& pm_;
-  disk::DiskPowerParams power_;
-};
-
 TEST(DestagePressure, CostSchedulerBiasesTowardDisksWithPendingWork) {
   // b3 (data 2) lives on {0, 1, 3}, all standby => equal base cost, tie
   // broken to replica 0. Pending destage work on disk 3 discounts it below
   // the tie and wins the pick; with no pending work the pick is unchanged
   // (exact identity, the cache-off bit-identity hinges on it).
-  const auto pm = testing::example_placement();
-  FakeView view(pm);
+  testing::ScriptedFleet fleet(testing::example_placement());
+  std::vector<std::uint64_t> pending(fleet.placement.num_disks(), 0);
+  fleet.view.set_pending_destage(pending);
   core::CostFunctionScheduler sched;
   disk::Request r;
   r.id = 1;
   r.data = 2;
-  EXPECT_EQ(sched.pick(r, view), 0u);
-  view.favored = 3;
-  view.pending = 2;
-  EXPECT_EQ(sched.pick(r, view), 3u);
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
+  pending[3] = 2;
+  EXPECT_EQ(sched.pick(r, fleet.view), 3u);
 }
 
 TEST(DestagePressure, FixedThresholdDefersSpinDownWhileDestagePending) {

@@ -214,11 +214,10 @@ TEST(Disk, StateTimesSumToFinalizeHorizon) {
 TEST(Disk, LastRequestTimeTracksSubmissions) {
   sim::Simulator sim;
   Disk d(0, sim, test_power(), test_perf(), DiskState::Idle);
-  EXPECT_FALSE(d.has_served_any());
+  EXPECT_LT(d.status().last_request_time, 0.0);  // none yet
   sim.schedule_at(4.0, [&] { d.submit(make_request(1, 0, 4.0)); });
   sim.run();
-  EXPECT_TRUE(d.has_served_any());
-  EXPECT_DOUBLE_EQ(d.last_request_time(), 4.0);
+  EXPECT_DOUBLE_EQ(d.status().last_request_time, 4.0);
 }
 
 TEST(Disk, FinalizeBeforeAccountedTimeThrows) {

@@ -4,6 +4,8 @@
 // the analytic Lemma-1 evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/offline_eval.hpp"
@@ -150,6 +152,77 @@ INSTANTIATE_TEST_SUITE_P(PowerModels, DiskPowerCaseTest,
                            }
                            return name;
                          });
+
+// The status row's queue depth is a count the disk keeps at every queue
+// change, not a size it measures. Seeded streams of submit, remove_pending,
+// take_pending and simulator steps check it after every call against a
+// count kept here: the requests submitted and not yet completed, removed or
+// taken back. remove_pending of a request the test knows has left must
+// fail; of a live one it may (the request is in service) or may not.
+TEST(DiskQueueDepthProperty, RowDepthMatchesTheCountKeptByTheTest) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    sim::Simulator sim;
+    DiskStatus row;
+    Disk d(0, sim, DiskPowerParams{}, DiskPerfParams{}, DiskState::Standby,
+           &row);
+    ASSERT_EQ(&d.status(), &row);
+    power::FixedThresholdPolicy policy;
+    d.set_idle_callback([&](Disk& disk) { policy.on_disk_idle(sim, disk); });
+    // Submitted and not yet completed, removed or taken: (id, kind).
+    std::vector<std::pair<RequestId, RequestKind>> live;
+    const auto erase_live = [&live](RequestId id, RequestKind kind) {
+      const auto it = std::find(live.begin(), live.end(),
+                                std::pair<RequestId, RequestKind>{id, kind});
+      if (it == live.end()) return false;
+      live.erase(it);
+      return true;
+    };
+    d.set_completion_callback([&](const Completion& c) {
+      EXPECT_TRUE(erase_live(c.request.id, c.request.kind));
+    });
+    util::Rng rng(seed);
+    RequestId next_id = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const std::uint64_t op = rng.next_below(10);
+      SCOPED_TRACE(::testing::Message() << "step " << step << " op " << op);
+      if (op < 4) {
+        Request r;
+        r.id = next_id++;
+        // A primary and its hedge share an id; queue one of each sometimes.
+        r.kind = rng.bernoulli(0.2) ? RequestKind::kHedge
+                                    : RequestKind::kForeground;
+        policy.on_disk_activity(sim, d);
+        d.submit(r);
+        live.emplace_back(r.id, r.kind);
+      } else if (op < 6 && next_id > 0) {
+        const RequestId id = rng.next_below(next_id);
+        const RequestKind kind = rng.bernoulli(0.5) ? RequestKind::kHedge
+                                                    : RequestKind::kForeground;
+        const bool was_live =
+            std::find(live.begin(), live.end(),
+                      std::pair<RequestId, RequestKind>{id, kind}) !=
+            live.end();
+        if (d.remove_pending(id, kind)) {
+          ASSERT_TRUE(was_live) << "removed request " << id << " twice";
+          erase_live(id, kind);
+        }
+      } else if (op == 6) {
+        for (const Request& r : d.take_pending()) {
+          ASSERT_TRUE(erase_live(r.id, r.kind)) << "took request " << r.id;
+        }
+      } else {
+        // Steps short and long: service completions, spin-ups, spin-downs.
+        sim.run_until(sim.now() + rng.uniform(0.0, 40.0));
+      }
+      ASSERT_EQ(row.queued_requests, live.size());
+      ASSERT_EQ(d.queued_requests(), live.size());
+    }
+    sim.run();
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(row.queued_requests, 0u);
+  }
+}
 
 }  // namespace
 }  // namespace eas::disk

@@ -22,7 +22,7 @@ disk::DiskPowerParams power() {
 }
 
 TEST(IdleCap, BelowBreakevenTheCapIsInvisible) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Idle;
   s.last_request_time = 100.0;
   for (double dt : {0.0, 1.0, 8.0, 15.9}) {
@@ -32,7 +32,7 @@ TEST(IdleCap, BelowBreakevenTheCapIsInvisible) {
 }
 
 TEST(IdleCap, LongIdleDisksCostAtMostOneWakeCycle) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Idle;
   s.last_request_time = 0.0;
   const double cap = power().transition_energy() +
@@ -45,10 +45,10 @@ TEST(IdleCap, LongIdleDisksCostAtMostOneWakeCycle) {
 TEST(IdleCap, PinnedIdleDiskNeverBeatenByStandby) {
   // The property that motivated the cap: at any idle age, scheduling on the
   // idle disk must cost no more than waking a standby disk.
-  DiskSnapshot idle;
+  disk::DiskStatus idle;
   idle.state = disk::DiskState::Idle;
   idle.last_request_time = 0.0;
-  DiskSnapshot standby;
+  disk::DiskStatus standby;
   standby.state = disk::DiskState::Standby;
   for (double now = 0.5; now < 200.0; now += 0.5) {
     EXPECT_LE(marginal_energy_cost(idle, now, power()),
@@ -58,7 +58,7 @@ TEST(IdleCap, PinnedIdleDiskNeverBeatenByStandby) {
 }
 
 TEST(IdleCap, CostIsMonotoneNonDecreasingInIdleAge) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Idle;
   s.last_request_time = 0.0;
   double prev = 0.0;

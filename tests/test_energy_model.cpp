@@ -87,7 +87,7 @@ TEST(PairwiseConsumption, InWindowConsumptionIsIdleEnergy) {
 // ------------------------------------------------------------------ Eq. 5
 
 TEST(MarginalCost, ActiveAndSpinningUpAreFree) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Active;
   EXPECT_DOUBLE_EQ(marginal_energy_cost(s, 100.0, power()), 0.0);
   s.state = disk::DiskState::SpinningUp;
@@ -95,7 +95,7 @@ TEST(MarginalCost, ActiveAndSpinningUpAreFree) {
 }
 
 TEST(MarginalCost, StandbyCostsAFullWakeCycle) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Standby;
   EXPECT_DOUBLE_EQ(marginal_energy_cost(s, 100.0, power()),
                    160.0 + 16.0 * 10.0);
@@ -104,14 +104,14 @@ TEST(MarginalCost, StandbyCostsAFullWakeCycle) {
 }
 
 TEST(MarginalCost, IdleCostsTheWindowExtension) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Idle;
   s.last_request_time = 90.0;
   EXPECT_DOUBLE_EQ(marginal_energy_cost(s, 100.0, power()), 100.0);
 }
 
 TEST(MarginalCost, FreshIdleDiskUsesIdleStartAsReference) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Idle;
   s.last_request_time = -1.0;  // never served
   s.state_since = 95.0;
@@ -119,7 +119,7 @@ TEST(MarginalCost, FreshIdleDiskUsesIdleStartAsReference) {
 }
 
 TEST(MarginalCost, JustServedIdleDiskIsNearlyFree) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   s.state = disk::DiskState::Idle;
   s.last_request_time = 100.0;
   EXPECT_DOUBLE_EQ(marginal_energy_cost(s, 100.0, power()), 0.0);
@@ -128,9 +128,9 @@ TEST(MarginalCost, JustServedIdleDiskIsNearlyFree) {
 TEST(MarginalCost, SchedulerPreference) {
   // §3.3's observation: spinning-up beats idle beats standby for a loaded
   // choice; an idle disk with a long-open window approaches standby cost.
-  DiskSnapshot spinning_up{disk::DiskState::SpinningUp, 0.0, -1.0, 0};
-  DiskSnapshot idle{disk::DiskState::Idle, 0.0, 95.0, 0};
-  DiskSnapshot standby{disk::DiskState::Standby, 0.0, -1.0, 0};
+  disk::DiskStatus spinning_up{disk::DiskState::SpinningUp, 0.0, -1.0, 0};
+  disk::DiskStatus idle{disk::DiskState::Idle, 0.0, 95.0, 0};
+  disk::DiskStatus standby{disk::DiskState::Standby, 0.0, -1.0, 0};
   const double now = 100.0;
   EXPECT_LT(marginal_energy_cost(spinning_up, now, power()),
             marginal_energy_cost(idle, now, power()));
@@ -141,19 +141,19 @@ TEST(MarginalCost, SchedulerPreference) {
 // ------------------------------------------------------------------ Eq. 6
 
 TEST(CompositeCost, AlphaOneIsPureEnergy) {
-  DiskSnapshot s{disk::DiskState::Standby, 0.0, -1.0, 7};
+  disk::DiskStatus s{disk::DiskState::Standby, 0.0, -1.0, 7};
   const double c = composite_cost(s, 0.0, power(), CostParams{1.0, 100.0});
   EXPECT_DOUBLE_EQ(c, 320.0 / 100.0);
 }
 
 TEST(CompositeCost, AlphaZeroIsPureQueueLength) {
-  DiskSnapshot s{disk::DiskState::Standby, 0.0, -1.0, 7};
+  disk::DiskStatus s{disk::DiskState::Standby, 0.0, -1.0, 7};
   const double c = composite_cost(s, 0.0, power(), CostParams{0.0, 100.0});
   EXPECT_DOUBLE_EQ(c, 7.0);
 }
 
 TEST(CompositeCost, BetaScalesOnlyTheEnergyTerm) {
-  DiskSnapshot s{disk::DiskState::Standby, 0.0, -1.0, 2};
+  disk::DiskStatus s{disk::DiskState::Standby, 0.0, -1.0, 2};
   const CostParams a{0.5, 10.0}, b{0.5, 1000.0};
   const double ca = composite_cost(s, 0.0, power(), a);
   const double cb = composite_cost(s, 0.0, power(), b);
@@ -161,7 +161,7 @@ TEST(CompositeCost, BetaScalesOnlyTheEnergyTerm) {
 }
 
 TEST(CompositeCost, RejectsBadParams) {
-  DiskSnapshot s;
+  disk::DiskStatus s;
   EXPECT_THROW(composite_cost(s, 0.0, power(), CostParams{-0.1, 100.0}),
                InvariantError);
   EXPECT_THROW(composite_cost(s, 0.0, power(), CostParams{1.1, 100.0}),

@@ -11,35 +11,11 @@
 #include "core/wsc_scheduler.hpp"
 #include "fault/failure_view.hpp"
 #include "paper_example.hpp"
+#include "scripted_fleet.hpp"
 #include "util/check.hpp"
 
 namespace eas::core {
 namespace {
-
-/// Scriptable SystemView (same pattern as test_schedulers.cpp) that can
-/// carry a FailureView overlay.
-class FaultyView final : public SystemView {
- public:
-  explicit FaultyView(placement::PlacementMap placement)
-      : placement_(std::move(placement)),
-        snapshots_(placement_.num_disks()) {}
-
-  double now() const override { return 0.0; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  DiskSnapshot snapshot(DiskId k) const override { return snapshots_.at(k); }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-  const fault::FailureView* failure_view() const override { return view_; }
-
-  void attach(const fault::FailureView* v) { view_ = v; }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<DiskSnapshot> snapshots_;
-  disk::DiskPowerParams power_ = testing::example_power();
-  const fault::FailureView* view_ = nullptr;
-};
 
 std::vector<disk::Request> batch_for(std::initializer_list<DataId> data) {
   std::vector<disk::Request> batch;
@@ -69,26 +45,26 @@ void expect_valid_assignment(const std::vector<DiskId>& assignment,
 }
 
 TEST(WscUnderFaults, HealthyOverlayMatchesTheFaultFreePath) {
-  FaultyView bare(testing::example_placement());
-  FaultyView overlaid(testing::example_placement());
+  testing::ScriptedFleet bare(testing::example_placement());
+  testing::ScriptedFleet overlaid(testing::example_placement());
   fault::FailureView healthy(4);
-  overlaid.attach(&healthy);
+  overlaid.view.set_failure_view(&healthy);
   WscBatchScheduler a, b;
   const auto batch = batch_for({0, 1, 2, 3, 4, 5});
-  EXPECT_EQ(a.assign(batch, bare), b.assign(batch, overlaid));
+  EXPECT_EQ(a.assign(batch, bare.view), b.assign(batch, overlaid.view));
 }
 
 TEST(WscUnderFaults, SingleDiskDeathFallsBackToAValidCover) {
   // Disk 0 holds data {0,1,2,4}; with it down, every block except data 0
   // still has a live replica and the cover must use only those.
-  FaultyView view(testing::example_placement());
+  testing::ScriptedFleet fleet(testing::example_placement());
   fault::FailureView fv(4);
   fv.set_health(0.0, 0, fault::DiskHealth::kDown);
-  view.attach(&fv);
+  fleet.view.set_failure_view(&fv);
   WscBatchScheduler sched;
   const auto batch = batch_for({1, 2, 3, 4, 5});
-  const auto assignment = sched.assign(batch, view);
-  expect_valid_assignment(assignment, batch, view.placement(), fv);
+  const auto assignment = sched.assign(batch, fleet.view);
+  expect_valid_assignment(assignment, batch, fleet.placement, fv);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_NE(assignment[i], kInvalidDisk) << "request " << i;
     EXPECT_NE(assignment[i], 0u) << "request " << i;
@@ -99,14 +75,14 @@ TEST(WscUnderFaults, EachSingleDiskDeathStaysCoverable) {
   // rf >= 2 for data {1,2,3,4,5}: killing any one disk leaves them served.
   for (DiskId dead = 0; dead < 4; ++dead) {
     SCOPED_TRACE(dead);
-    FaultyView view(testing::example_placement());
+    testing::ScriptedFleet fleet(testing::example_placement());
     fault::FailureView fv(4);
     fv.set_health(0.0, dead, fault::DiskHealth::kDown);
-    view.attach(&fv);
+    fleet.view.set_failure_view(&fv);
     WscBatchScheduler sched;
     const auto batch = batch_for({1, 2, 3, 4, 5});
-    const auto assignment = sched.assign(batch, view);
-    expect_valid_assignment(assignment, batch, view.placement(), fv);
+    const auto assignment = sched.assign(batch, fleet.view);
+    expect_valid_assignment(assignment, batch, fleet.placement, fv);
     for (const DiskId k : assignment) EXPECT_NE(k, kInvalidDisk);
   }
 }
@@ -114,43 +90,43 @@ TEST(WscUnderFaults, EachSingleDiskDeathStaysCoverable) {
 TEST(WscUnderFaults, UncoverableRequestsAreReportedNotAsserted) {
   // Data 0 lives only on disk 0: with it down the request cannot be
   // covered. The scheduler must still assign the rest of the batch.
-  FaultyView view(testing::example_placement());
+  testing::ScriptedFleet fleet(testing::example_placement());
   fault::FailureView fv(4);
   fv.set_health(0.0, 0, fault::DiskHealth::kDown);
-  view.attach(&fv);
+  fleet.view.set_failure_view(&fv);
   WscBatchScheduler sched;
   const auto batch = batch_for({0, 1, 2});
   std::vector<DiskId> assignment;
-  ASSERT_NO_THROW(assignment = sched.assign(batch, view));
-  expect_valid_assignment(assignment, batch, view.placement(), fv);
+  ASSERT_NO_THROW(assignment = sched.assign(batch, fleet.view));
+  expect_valid_assignment(assignment, batch, fleet.placement, fv);
   EXPECT_EQ(assignment[0], kInvalidDisk);  // data 0: no live replica
   EXPECT_NE(assignment[1], kInvalidDisk);
   EXPECT_NE(assignment[2], kInvalidDisk);
 }
 
 TEST(WscUnderFaults, TotalOutageReportsEveryRequest) {
-  FaultyView view(testing::example_placement());
+  testing::ScriptedFleet fleet(testing::example_placement());
   fault::FailureView fv(4);
   for (DiskId k = 0; k < 4; ++k) fv.set_health(0.0, k, fault::DiskHealth::kDown);
-  view.attach(&fv);
+  fleet.view.set_failure_view(&fv);
   WscBatchScheduler sched;
   const auto batch = batch_for({0, 1, 2, 3, 4, 5});
   std::vector<DiskId> assignment;
-  ASSERT_NO_THROW(assignment = sched.assign(batch, view));
+  ASSERT_NO_THROW(assignment = sched.assign(batch, fleet.view));
   for (const DiskId k : assignment) EXPECT_EQ(k, kInvalidDisk);
 }
 
 TEST(WscUnderFaults, LatentSectorRangeExcludesOnlyTheCoveredBlocks) {
   // Blocks [1, 2] on disk 0 go unreadable: data 1 and 2 must be served
   // from their surviving replicas, data 4 may still use disk 0.
-  FaultyView view(testing::example_placement());
+  testing::ScriptedFleet fleet(testing::example_placement());
   fault::FailureView fv(4);
   fv.add_lost_range(0.0, 0, 1, 2);
-  view.attach(&fv);
+  fleet.view.set_failure_view(&fv);
   WscBatchScheduler sched;
   const auto batch = batch_for({1, 2, 4});
-  const auto assignment = sched.assign(batch, view);
-  expect_valid_assignment(assignment, batch, view.placement(), fv);
+  const auto assignment = sched.assign(batch, fleet.view);
+  expect_valid_assignment(assignment, batch, fleet.placement, fv);
   EXPECT_NE(assignment[0], 0u);
   EXPECT_NE(assignment[1], 0u);
   for (const DiskId k : assignment) EXPECT_NE(k, kInvalidDisk);

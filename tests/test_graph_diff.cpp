@@ -49,6 +49,7 @@
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
 #include "reference_solvers.hpp"
+#include "scripted_fleet.hpp"
 #include "trace/synthetic.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -825,40 +826,23 @@ TEST(SolverAllocation, WarmGreedySetCoverIsAllocationFree) {
             2 * kAuditCoverAllocs);
 }
 
-/// A SystemView over the paper's 180-disk placement with seeded mixed disk
-/// states, as the batch scheduler sees it mid-run.
-class MixedStateView final : public core::SystemView {
- public:
-  explicit MixedStateView(std::uint64_t seed)
-      : placement_(placement::make_zipf_placement({})),
-        snapshots_(placement_.num_disks()) {
-    util::Rng rng(seed);
-    for (auto& s : snapshots_) {
-      s.state = rng.bernoulli(0.6) ? disk::DiskState::Standby
-                                   : disk::DiskState::Idle;
-      s.last_request_time = rng.uniform(0.0, 100.0);
-      s.queued_requests = static_cast<std::size_t>(rng.next_below(4));
-    }
+/// Seeded mixed disk states over the paper's 180-disk placement, as the
+/// batch scheduler sees them mid-run.
+void mix_states(std::vector<disk::DiskStatus>& rows, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (auto& s : rows) {
+    s.state = rng.bernoulli(0.6) ? disk::DiskState::Standby
+                                 : disk::DiskState::Idle;
+    s.last_request_time = rng.uniform(0.0, 100.0);
+    s.queued_requests = static_cast<std::size_t>(rng.next_below(4));
   }
-  double now() const override { return 100.0; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  core::DiskSnapshot snapshot(DiskId k) const override {
-    return snapshots_[k];
-  }
-  const disk::DiskPowerParams& power_params() const override {
-    return power_;
-  }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<core::DiskSnapshot> snapshots_;
-  disk::DiskPowerParams power_ = disk::example_power_params();
-};
+}
 
 TEST(SolverAllocation, WarmWscAssignAllocatesOnlyTheReturnedAssignment) {
-  const MixedStateView view(3);
+  testing::ScriptedFleet fleet(placement::make_zipf_placement({}));
+  mix_states(fleet.rows, 3);
+  fleet.view.set_now(100.0);
+  const core::SystemView& view = fleet.view;
   util::Rng rng(11);
   std::vector<disk::Request> burst(128);
   for (std::size_t i = 0; i < burst.size(); ++i) {

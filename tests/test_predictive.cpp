@@ -5,35 +5,13 @@
 #include "core/predictive_scheduler.hpp"
 #include "paper_example.hpp"
 #include "power/fixed_threshold.hpp"
+#include "scripted_fleet.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/synthetic.hpp"
 #include "util/check.hpp"
 
 namespace eas::core {
 namespace {
-
-class FakeView final : public SystemView {
- public:
-  explicit FakeView(placement::PlacementMap placement)
-      : placement_(std::move(placement)),
-        snapshots_(placement_.num_disks()) {}
-
-  double now() const override { return now_; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  DiskSnapshot snapshot(DiskId k) const override { return snapshots_.at(k); }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-
-  void set_now(double t) { now_ = t; }
-  DiskSnapshot& at(DiskId k) { return snapshots_.at(k); }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<DiskSnapshot> snapshots_;
-  disk::DiskPowerParams power_ = testing::example_power();
-  double now_ = 0.0;
-};
 
 disk::Request request_for(DataId data) {
   disk::Request r;
@@ -55,8 +33,8 @@ TEST(PredictiveScheduler, RateEstimateStartsAtZeroAndDecays) {
   PredictiveCostScheduler sched;
   EXPECT_DOUBLE_EQ(sched.estimated_rate(0, 0.0), 0.0);
 
-  FakeView view(testing::example_placement());
-  sched.pick(request_for(0), view);  // b1 -> disk 0, bumps its rate
+  testing::ScriptedFleet fleet(testing::example_placement());
+  sched.pick(request_for(0), fleet.view);  // b1 -> disk 0, bumps its rate
   const double just_after = sched.estimated_rate(0, 0.0);
   EXPECT_GT(just_after, 0.0);
   EXPECT_LT(sched.estimated_rate(0, 600.0), just_after / 100.0);
@@ -66,28 +44,28 @@ TEST(PredictiveScheduler, SteadyStreamConvergesToItsRate) {
   PredictiveParams p;
   p.rate_halflife_seconds = 20.0;
   PredictiveCostScheduler sched(p);
-  FakeView view(testing::example_placement());
+  testing::ScriptedFleet fleet(testing::example_placement());
   // Feed b1 (only on disk 0) at exactly 2 requests/second for a while.
   for (int i = 0; i < 600; ++i) {
-    view.set_now(0.5 * i);
-    sched.pick(request_for(0), view);
+    fleet.view.set_now(0.5 * i);
+    sched.pick(request_for(0), fleet.view);
   }
   EXPECT_NEAR(sched.estimated_rate(0, 0.5 * 599), 2.0, 0.4);
 }
 
 TEST(PredictiveScheduler, GammaZeroMatchesTheBaseHeuristic) {
-  FakeView view(testing::example_placement());
-  view.at(0).state = disk::DiskState::Standby;
-  view.at(1).state = disk::DiskState::Active;
-  view.at(3).state = disk::DiskState::Standby;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[0].state = disk::DiskState::Standby;
+  fleet.rows[1].state = disk::DiskState::Active;
+  fleet.rows[3].state = disk::DiskState::Standby;
 
   PredictiveParams p;
   p.gamma = 0.0;
   PredictiveCostScheduler predictive(p);
   CostFunctionScheduler base(p.cost);
   for (DataId b : {1u, 2u, 4u}) {  // multi-replica data items
-    EXPECT_EQ(predictive.pick(request_for(b), view),
-              base.pick(request_for(b), view))
+    EXPECT_EQ(predictive.pick(request_for(b), fleet.view),
+              base.pick(request_for(b), fleet.view))
         << "data " << b;
   }
 }
@@ -95,8 +73,8 @@ TEST(PredictiveScheduler, GammaZeroMatchesTheBaseHeuristic) {
 TEST(PredictiveScheduler, PopularityBreaksCostTies) {
   // Two standby replicas of b3 (disks 0 and 1 both cold, equal Eq.6 cost):
   // after traffic has flowed to disk 1, the predictor prefers it.
-  FakeView view(testing::example_placement());
-  for (auto& k : {0u, 1u, 3u}) view.at(k).state = disk::DiskState::Standby;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  for (auto& k : {0u, 1u, 3u}) fleet.rows[k].state = disk::DiskState::Standby;
 
   PredictiveParams p;
   p.gamma = 5.0;
@@ -104,16 +82,16 @@ TEST(PredictiveScheduler, PopularityBreaksCostTies) {
   // Warm disk 1 through b2 (lives on {0,1}): force its rate up by repeated
   // picks — the first pick may choose 0 (tie), so seed with several.
   for (int i = 0; i < 10; ++i) {
-    view.set_now(i * 0.1);
-    const DiskId k = sched.pick(request_for(1), view);
+    fleet.view.set_now(i * 0.1);
+    const DiskId k = sched.pick(request_for(1), fleet.view);
     (void)k;
   }
-  view.set_now(1.1);
+  fleet.view.set_now(1.1);
   const DiskId hot = sched.estimated_rate(1, 1.1) >
                              sched.estimated_rate(0, 1.1)
                          ? 1u
                          : 0u;
-  EXPECT_EQ(sched.pick(request_for(2), view), hot);
+  EXPECT_EQ(sched.pick(request_for(2), fleet.view), hot);
 }
 
 TEST(PredictiveScheduler, EndToEndRunStaysValidAndCompetitive) {

@@ -25,6 +25,7 @@
 #include "runner/emit.hpp"
 #include "runner/experiment.hpp"
 #include "runner/sweep.hpp"
+#include "scripted_fleet.hpp"
 #include "sim/simulator.hpp"
 #include "storage/storage_system.hpp"
 #include "util/check.hpp"
@@ -610,67 +611,54 @@ TEST(ReliabilityRun, SurvivesAFixedThresholdPolicyWithHedging) {
 
 // ------------------------------------------------- scheduler backpressure
 
-/// Scripted SystemView with per-disk snapshots and backpressure flags.
-class ScriptedView final : public core::SystemView {
- public:
-  explicit ScriptedView(placement::PlacementMap placement)
-      : placement_(std::move(placement)),
-        snapshots_(placement_.num_disks()),
-        pressured_(placement_.num_disks(), false) {}
-
-  double now() const override { return now_; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  core::DiskSnapshot snapshot(DiskId k) const override {
-    return snapshots_.at(k);
-  }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-  bool backpressured(DiskId k) const override { return pressured_.at(k); }
-
-  void set_now(double t) { now_ = t; }
-  core::DiskSnapshot& at(DiskId k) { return snapshots_.at(k); }
-  void set_backpressured(DiskId k, bool on) { pressured_.at(k) = on; }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<core::DiskSnapshot> snapshots_;
-  std::vector<bool> pressured_;
-  double now_ = 0.0;
-  disk::DiskPowerParams power_ = testing::example_power();
-};
+// A disk is backpressured while its queue depth (in-service request
+// included) has reached the view's watermark. Both tests price pure energy
+// (alpha = 1), so the depth itself adds nothing to a disk's cost.
 
 TEST(Backpressure, CostSchedulerRoutesAroundABackpressuredDisk) {
   // b2 (data 1) lives on disks {0, 1}. Disk 0 is the cheaper idle window;
-  // marking it backpressured multiplies its cost past disk 1's.
-  ScriptedView view(testing::example_placement());
-  view.set_now(50.0);
-  view.at(0).state = disk::DiskState::Idle;
-  view.at(0).state_since = 0.0;
-  view.at(0).last_request_time = 40.0;  // 10 J idle extension
-  view.at(1).state = disk::DiskState::Idle;
-  view.at(1).state_since = 0.0;
-  view.at(1).last_request_time = 20.0;  // 30 J idle extension
+  // a queue at the watermark multiplies its cost past disk 1's.
+  constexpr std::size_t kWatermark = 3;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.view.set_backpressure_watermark(kWatermark);
+  fleet.view.set_now(50.0);
+  fleet.rows[0].state = disk::DiskState::Idle;
+  fleet.rows[0].state_since = 0.0;
+  fleet.rows[0].last_request_time = 40.0;  // 10 J idle extension
+  fleet.rows[1].state = disk::DiskState::Idle;
+  fleet.rows[1].state_since = 0.0;
+  fleet.rows[1].last_request_time = 20.0;  // 30 J idle extension
   disk::Request r;
   r.id = 1;
   r.data = 1;
   core::CostFunctionScheduler sched(core::CostParams{1.0, 100.0});
-  EXPECT_EQ(sched.pick(r, view), 0u);
-  view.set_backpressured(0, true);  // 10 J * 4 > 30 J
-  EXPECT_EQ(sched.pick(r, view), 1u);
-  view.set_backpressured(0, false);
-  EXPECT_EQ(sched.pick(r, view), 0u);
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
+  fleet.rows[0].queued_requests = kWatermark - 1;  // one below: no pressure
+  EXPECT_FALSE(fleet.view.backpressured(0));
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
+  fleet.rows[0].queued_requests = kWatermark;  // 10 J * 4 > 30 J
+  EXPECT_TRUE(fleet.view.backpressured(0));
+  EXPECT_EQ(sched.pick(r, fleet.view), 1u);
+  fleet.rows[0].queued_requests = 0;
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
+  // Watermark 0 is the tier switched off: no depth is pressured.
+  fleet.view.set_backpressure_watermark(0);
+  fleet.rows[0].queued_requests = 1000;
+  EXPECT_FALSE(fleet.view.backpressured(0));
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
 }
 
 TEST(Backpressure, PredictiveSchedulerAppliesTheSamePenalty) {
-  ScriptedView view(testing::example_placement());
-  view.set_now(50.0);
-  view.at(0).state = disk::DiskState::Idle;
-  view.at(0).state_since = 0.0;
-  view.at(0).last_request_time = 40.0;
-  view.at(1).state = disk::DiskState::Idle;
-  view.at(1).state_since = 0.0;
-  view.at(1).last_request_time = 20.0;
+  constexpr std::size_t kWatermark = 3;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.view.set_backpressure_watermark(kWatermark);
+  fleet.view.set_now(50.0);
+  fleet.rows[0].state = disk::DiskState::Idle;
+  fleet.rows[0].state_since = 0.0;
+  fleet.rows[0].last_request_time = 40.0;
+  fleet.rows[1].state = disk::DiskState::Idle;
+  fleet.rows[1].state_since = 0.0;
+  fleet.rows[1].last_request_time = 20.0;
   disk::Request r;
   r.id = 1;
   r.data = 1;
@@ -678,9 +666,11 @@ TEST(Backpressure, PredictiveSchedulerAppliesTheSamePenalty) {
   params.cost = core::CostParams{1.0, 100.0};
   params.gamma = 0.0;  // isolate the backpressure term
   core::PredictiveCostScheduler sched(params);
-  EXPECT_EQ(sched.pick(r, view), 0u);
-  view.set_backpressured(0, true);
-  EXPECT_EQ(sched.pick(r, view), 1u);
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
+  fleet.rows[0].queued_requests = kWatermark - 1;
+  EXPECT_EQ(sched.pick(r, fleet.view), 0u);
+  fleet.rows[0].queued_requests = kWatermark;
+  EXPECT_EQ(sched.pick(r, fleet.view), 1u);
 }
 
 // -------------------------------------------- sweeps: emission + threads

@@ -8,6 +8,7 @@
 #include "core/cost_scheduler.hpp"
 #include "core/wsc_scheduler.hpp"
 #include "paper_example.hpp"
+#include "scripted_fleet.hpp"
 #include "util/check.hpp"
 
 namespace eas::core {
@@ -15,30 +16,6 @@ namespace {
 
 using testing::example_placement;
 using testing::example_power;
-
-/// A SystemView whose per-disk snapshots are set directly by the test.
-class FakeView final : public SystemView {
- public:
-  explicit FakeView(placement::PlacementMap placement)
-      : placement_(std::move(placement)),
-        snapshots_(placement_.num_disks()) {}
-
-  double now() const override { return now_; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  DiskSnapshot snapshot(DiskId k) const override { return snapshots_.at(k); }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-
-  void set_now(double t) { now_ = t; }
-  DiskSnapshot& at(DiskId k) { return snapshots_.at(k); }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<DiskSnapshot> snapshots_;
-  disk::DiskPowerParams power_ = testing::example_power();
-  double now_ = 0.0;
-};
 
 disk::Request request_for(DataId data) {
   disk::Request r;
@@ -48,21 +25,22 @@ disk::Request request_for(DataId data) {
 }
 
 TEST(StaticScheduler, AlwaysPicksTheOriginalLocation) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   StaticScheduler sched;
   for (DataId b = 0; b < 6; ++b) {
-    EXPECT_EQ(sched.pick(request_for(b), view),
-              view.placement().original(b));
+    EXPECT_EQ(sched.pick(request_for(b), fleet.view),
+              fleet.placement.original(b));
   }
 }
 
 TEST(RandomScheduler, OnlyPicksReplicaLocationsAndUsesAllOfThem) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   RandomScheduler sched(3);
   std::set<DiskId> seen;
   for (int i = 0; i < 200; ++i) {
-    const DiskId k = sched.pick(request_for(2), view);  // b3: disks {0,1,3}
-    EXPECT_TRUE(view.placement().stores(2, k));
+    // b3: disks {0,1,3}
+    const DiskId k = sched.pick(request_for(2), fleet.view);
+    EXPECT_TRUE(fleet.placement.stores(2, k));
     seen.insert(k);
   }
   EXPECT_EQ(seen.size(), 3u);  // all three replicas exercised
@@ -78,64 +56,64 @@ TEST(RandomScheduler, OfflineAssignmentIsValidAndSeedDeterministic) {
 }
 
 TEST(CostFunctionScheduler, PureEnergyPrefersActiveOverStandby) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   // b3 lives on disks 0, 1, 3.
-  view.at(0).state = disk::DiskState::Standby;
-  view.at(1).state = disk::DiskState::Active;
-  view.at(1).queued_requests = 4;  // busy, but alpha=1 ignores queues
-  view.at(3).state = disk::DiskState::Standby;
+  fleet.rows[0].state = disk::DiskState::Standby;
+  fleet.rows[1].state = disk::DiskState::Active;
+  fleet.rows[1].queued_requests = 4;  // busy, but alpha=1 ignores queues
+  fleet.rows[3].state = disk::DiskState::Standby;
   CostFunctionScheduler sched(CostParams{1.0, 100.0});
-  EXPECT_EQ(sched.pick(request_for(2), view), 1u);
+  EXPECT_EQ(sched.pick(request_for(2), fleet.view), 1u);
 }
 
 TEST(CostFunctionScheduler, PurePerformancePrefersShortQueues) {
-  FakeView view(example_placement());
-  view.at(0).state = disk::DiskState::Active;
-  view.at(0).queued_requests = 9;
-  view.at(1).state = disk::DiskState::Standby;  // expensive but empty
-  view.at(3).state = disk::DiskState::Active;
-  view.at(3).queued_requests = 2;
+  testing::ScriptedFleet fleet(example_placement());
+  fleet.rows[0].state = disk::DiskState::Active;
+  fleet.rows[0].queued_requests = 9;
+  fleet.rows[1].state = disk::DiskState::Standby;  // expensive but empty
+  fleet.rows[3].state = disk::DiskState::Active;
+  fleet.rows[3].queued_requests = 2;
   CostFunctionScheduler sched(CostParams{0.0, 100.0});
-  const DiskId k = sched.pick(request_for(2), view);
+  const DiskId k = sched.pick(request_for(2), fleet.view);
   EXPECT_TRUE(k == 1u || k == 3u);
   EXPECT_NE(k, 0u);
 }
 
 TEST(CostFunctionScheduler, TieBreaksTowardTheEarliestReplica) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   // All three locations identical => first listed (disk 0) wins.
   CostFunctionScheduler sched;
-  EXPECT_EQ(sched.pick(request_for(2), view), 0u);
+  EXPECT_EQ(sched.pick(request_for(2), fleet.view), 0u);
 }
 
 TEST(CostFunctionScheduler, PrefersSpinningUpOverIdleWhenSavingEnergy) {
   // §3.3: a spinning-up disk can absorb requests for free; an idle disk
   // with an old T_last charges the full window extension.
-  FakeView view(example_placement());
-  view.set_now(100.0);
-  view.at(0).state = disk::DiskState::Idle;
-  view.at(0).last_request_time = 10.0;  // 90 s of extension
-  view.at(1).state = disk::DiskState::SpinningUp;
-  view.at(1).queued_requests = 1;
+  testing::ScriptedFleet fleet(example_placement());
+  fleet.view.set_now(100.0);
+  fleet.rows[0].state = disk::DiskState::Idle;
+  fleet.rows[0].last_request_time = 10.0;  // 90 s of extension
+  fleet.rows[1].state = disk::DiskState::SpinningUp;
+  fleet.rows[1].queued_requests = 1;
   CostFunctionScheduler sched(CostParams{1.0, 100.0});
-  EXPECT_EQ(sched.pick(request_for(2), view), 1u);
+  EXPECT_EQ(sched.pick(request_for(2), fleet.view), 1u);
 }
 
 TEST(WscBatchScheduler, EmptyBatchYieldsEmptyAssignment) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   WscBatchScheduler sched(0.1);
-  EXPECT_TRUE(sched.assign({}, view).empty());
+  EXPECT_TRUE(sched.assign({}, fleet.view).empty());
 }
 
 TEST(WscBatchScheduler, AssignsEveryRequestToAStoringDisk) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   WscBatchScheduler sched(0.1);
   std::vector<disk::Request> batch;
   for (DataId b = 0; b < 6; ++b) batch.push_back(request_for(b));
-  const auto assignment = sched.assign(batch, view);
+  const auto assignment = sched.assign(batch, fleet.view);
   ASSERT_EQ(assignment.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(view.placement().stores(batch[i].data, assignment[i]));
+    EXPECT_TRUE(fleet.placement.stores(batch[i].data, assignment[i]));
   }
 }
 
@@ -143,11 +121,11 @@ TEST(WscBatchScheduler, PureEnergyModeFindsAMinimumFig2Cover) {
   // All disks standby (equal weight): a minimum cover uses two disks — d1
   // plus either d3 or d4 (both cover {r4, r6}), matching Fig 2's schedule B
   // energy of 2 x 5 J.
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   WscBatchScheduler sched(0.1, {}, WscBatchScheduler::WeightMode::kPureEnergy);
   std::vector<disk::Request> batch;
   for (DataId b = 0; b < 6; ++b) batch.push_back(request_for(b));
-  const auto assignment = sched.assign(batch, view);
+  const auto assignment = sched.assign(batch, fleet.view);
   const std::set<DiskId> used(assignment.begin(), assignment.end());
   EXPECT_EQ(used.size(), 2u);
   EXPECT_TRUE(used.contains(0u));
@@ -155,26 +133,27 @@ TEST(WscBatchScheduler, PureEnergyModeFindsAMinimumFig2Cover) {
 }
 
 TEST(WscBatchScheduler, AvoidsWakingStandbyDisksWhenIdleOnesSuffice) {
-  FakeView view(example_placement());
-  view.set_now(10.0);
+  testing::ScriptedFleet fleet(example_placement());
+  fleet.view.set_now(10.0);
   // d1 (disk 0) idle and warm; d2/d4 standby. b2 is on {0,1}; b5 on {0,3}.
-  view.at(0).state = disk::DiskState::Idle;
-  view.at(0).last_request_time = 9.0;
-  view.at(1).state = disk::DiskState::Standby;
-  view.at(3).state = disk::DiskState::Standby;
+  fleet.rows[0].state = disk::DiskState::Idle;
+  fleet.rows[0].last_request_time = 9.0;
+  fleet.rows[1].state = disk::DiskState::Standby;
+  fleet.rows[3].state = disk::DiskState::Standby;
   WscBatchScheduler sched(0.1, {}, WscBatchScheduler::WeightMode::kPureEnergy);
   const auto assignment =
-      sched.assign({request_for(1), request_for(4)}, view);
+      sched.assign({request_for(1), request_for(4)}, fleet.view);
   EXPECT_EQ(assignment[0], 0u);
   EXPECT_EQ(assignment[1], 0u);
 }
 
 TEST(WscBatchScheduler, BuildInstanceExposesCandidatesAndWeights) {
-  FakeView view(example_placement());
+  testing::ScriptedFleet fleet(example_placement());
   WscBatchScheduler sched(0.1, {}, WscBatchScheduler::WeightMode::kPureEnergy);
   std::vector<DiskId> candidates;
   const auto inst =
-      sched.build_instance({request_for(0), request_for(3)}, view, candidates);
+      sched.build_instance({request_for(0), request_for(3)}, fleet.view,
+                           candidates);
   // b1 -> {d1}; b4 -> {d3, d4}: three candidate disks.
   EXPECT_EQ(inst.num_elements, 2u);
   EXPECT_EQ(inst.sets.size(), 3u);

@@ -6,37 +6,12 @@
 #include "core/write_offload.hpp"
 #include "paper_example.hpp"
 #include "power/fixed_threshold.hpp"
+#include "scripted_fleet.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/synthetic.hpp"
 
 namespace eas::core {
 namespace {
-
-/// Scriptable SystemView (same pattern as test_schedulers.cpp).
-class FakeView final : public SystemView {
- public:
-  explicit FakeView(placement::PlacementMap placement)
-      : placement_(std::move(placement)),
-        snapshots_(placement_.num_disks()) {}
-
-  double now() const override { return now_; }
-  const placement::PlacementMap& placement() const override {
-    return placement_;
-  }
-  DiskSnapshot snapshot(DiskId k) const override { return snapshots_.at(k); }
-  const disk::DiskPowerParams& power_params() const override { return power_; }
-
-  void set_all(disk::DiskState st) {
-    for (auto& s : snapshots_) s.state = st;
-  }
-  DiskSnapshot& at(DiskId k) { return snapshots_.at(k); }
-
- private:
-  placement::PlacementMap placement_;
-  std::vector<DiskSnapshot> snapshots_;
-  disk::DiskPowerParams power_ = testing::example_power();
-  double now_ = 0.0;
-};
 
 disk::Request write_to(DataId data) {
   disk::Request r;
@@ -46,101 +21,93 @@ disk::Request write_to(DataId data) {
 }
 
 TEST(WriteOffload, SpinningHomeAbsorbsTheWrite) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(0).state = disk::DiskState::Idle;  // home of b1
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[0].state = disk::DiskState::Idle;  // home of b1
   WriteOffloadManager mgr;
-  EXPECT_EQ(mgr.route_write(write_to(0), view), 0u);
+  EXPECT_EQ(mgr.route_write(write_to(0), fleet.view), 0u);
   EXPECT_EQ(mgr.stats().writes_home, 1u);
   EXPECT_EQ(mgr.diverted_blocks(), 0u);
 }
 
 TEST(WriteOffload, SleepingHomeDivertsToSpinningReplica) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(1).state = disk::DiskState::Idle;  // d2 holds b3's replica
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[1].state = disk::DiskState::Idle;  // d2 holds b3's replica
   WriteOffloadManager mgr;
   // b3 (data 2) lives on {0, 1, 3}; home 0 sleeps, replica 1 spins.
-  EXPECT_EQ(mgr.route_write(write_to(2), view), 1u);
+  EXPECT_EQ(mgr.route_write(write_to(2), fleet.view), 1u);
   EXPECT_EQ(mgr.stats().writes_diverted, 1u);
   EXPECT_EQ(mgr.diverted_blocks(), 1u);
 }
 
 TEST(WriteOffload, FallsBackToAnySpinningDisk) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(2).state = disk::DiskState::Active;  // d3 does NOT hold b1
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[2].state = disk::DiskState::Active;  // d3 does NOT hold b1
   WriteOffloadManager mgr;
-  EXPECT_EQ(mgr.route_write(write_to(0), view), 2u);  // foreign diversion
+  EXPECT_EQ(mgr.route_write(write_to(0), fleet.view), 2u);  // foreign diversion
   EXPECT_EQ(mgr.stats().writes_diverted, 1u);
   EXPECT_EQ(mgr.diverted_blocks(), 1u);
 }
 
 TEST(WriteOffload, ColdSystemWakesTheHomeDisk) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
+  testing::ScriptedFleet fleet(testing::example_placement());
   WriteOffloadManager mgr;
-  EXPECT_EQ(mgr.route_write(write_to(0), view), 0u);
+  EXPECT_EQ(mgr.route_write(write_to(0), fleet.view), 0u);
   EXPECT_EQ(mgr.stats().writes_woke_home, 1u);
   EXPECT_EQ(mgr.diverted_blocks(), 0u);
 }
 
 TEST(WriteOffload, DisabledManagerAlwaysGoesHome) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(2).state = disk::DiskState::Idle;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[2].state = disk::DiskState::Idle;
   WriteOffloadOptions opts;
   opts.enabled = false;
   WriteOffloadManager mgr(opts);
-  EXPECT_EQ(mgr.route_write(write_to(0), view), 0u);
+  EXPECT_EQ(mgr.route_write(write_to(0), fleet.view), 0u);
   EXPECT_EQ(mgr.stats().writes_woke_home, 1u);
 }
 
 TEST(WriteOffload, ReadsFollowTheDiversionWhileHomeSleeps) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(2).state = disk::DiskState::Active;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[2].state = disk::DiskState::Active;
   WriteOffloadManager mgr;
-  mgr.route_write(write_to(0), view);  // b1 diverted to d3
+  mgr.route_write(write_to(0), fleet.view);  // b1 diverted to d3
 
-  const auto target = mgr.read_override(0, view);
+  const auto target = mgr.read_override(0, fleet.view);
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(*target, 2u);
   EXPECT_EQ(mgr.stats().reads_redirected, 1u);
 }
 
 TEST(WriteOffload, LazyReclaimWhenHomeSpinsUp) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(2).state = disk::DiskState::Active;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[2].state = disk::DiskState::Active;
   WriteOffloadManager mgr;
-  mgr.route_write(write_to(0), view);
+  mgr.route_write(write_to(0), fleet.view);
   ASSERT_EQ(mgr.diverted_blocks(), 1u);
 
-  view.at(0).state = disk::DiskState::Idle;  // home woke up for other work
-  EXPECT_FALSE(mgr.read_override(0, view).has_value());
+  fleet.rows[0].state = disk::DiskState::Idle;  // home woke up for other work
+  EXPECT_FALSE(mgr.read_override(0, fleet.view).has_value());
   EXPECT_EQ(mgr.stats().reclaims, 1u);
   EXPECT_EQ(mgr.diverted_blocks(), 0u);
 }
 
 TEST(WriteOffload, RewriteToSpinningHomeRetiresTheDiversion) {
-  FakeView view(testing::example_placement());
-  view.set_all(disk::DiskState::Standby);
-  view.at(2).state = disk::DiskState::Active;
+  testing::ScriptedFleet fleet(testing::example_placement());
+  fleet.rows[2].state = disk::DiskState::Active;
   WriteOffloadManager mgr;
-  mgr.route_write(write_to(0), view);
+  mgr.route_write(write_to(0), fleet.view);
   ASSERT_EQ(mgr.diverted_blocks(), 1u);
 
-  view.at(0).state = disk::DiskState::Idle;
-  EXPECT_EQ(mgr.route_write(write_to(0), view), 0u);
+  fleet.rows[0].state = disk::DiskState::Idle;
+  EXPECT_EQ(mgr.route_write(write_to(0), fleet.view), 0u);
   EXPECT_EQ(mgr.diverted_blocks(), 0u);
   EXPECT_EQ(mgr.stats().reclaims, 1u);
 }
 
 TEST(WriteOffload, ReadOverrideIsNulloptForUndivertedData) {
-  FakeView view(testing::example_placement());
+  testing::ScriptedFleet fleet(testing::example_placement());
   WriteOffloadManager mgr;
-  EXPECT_FALSE(mgr.read_override(3, view).has_value());
+  EXPECT_FALSE(mgr.read_override(3, fleet.view).has_value());
 }
 
 // ------------------------------------------------------- full-system runs
