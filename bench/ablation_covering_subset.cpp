@@ -2,9 +2,8 @@
 // ([16]/[14], cited in §1 as complementary). A minimum disk subset covering
 // all data is pinned always-on; everything else runs 2CPM. Measures the
 // energy premium of the availability guarantee and the latency it buys,
-// across replication factors. The covering rows need a policy built from
-// the placement, which the registry factories cannot see at roster-build
-// time — so they use CellSpec::run.
+// across replication factors. The covering rows are a bench-local registry
+// spec whose policy is built from the placement the factory is handed.
 #include <iostream>
 
 #include "core/cost_scheduler.hpp"
@@ -25,6 +24,17 @@ int main() {
   std::cerr << "# covering-subset ablation, " << runner::describe(base)
             << "\n";
 
+  auto registry = runner::SchedulerRegistry::paper_roster();
+  registry.add(
+      {"covering", "Eq. 6 heuristic, covering subset pinned + 2CPM",
+       [](const runner::ExperimentParams& p,
+          const placement::PlacementMap& placement) {
+         runner::SchedulerBundle b;
+         b.online = std::make_unique<core::CostFunctionScheduler>(p.cost);
+         b.policy = std::make_unique<power::CoveringSubsetPolicy>(placement);
+         return b;
+       }});
+
   std::vector<runner::CellSpec> cells;
   for (unsigned rf : {1u, 3u, 5u}) {
     const auto p = runner::ExperimentBuilder(base).replication(rf).build();
@@ -37,23 +47,17 @@ int main() {
     }
     {
       runner::CellSpec cell;
+      cell.scheduler = "covering";
       cell.params = p;
       cell.tag = "covering/" + std::to_string(rf);
-      cell.run = [](const runner::ExperimentParams& cp,
-                    const trace::Trace& trace,
-                    const placement::PlacementMap& placement) {
-        const auto config = runner::system_config_for(cp);
-        core::CostFunctionScheduler sched(cp.cost);
-        power::CoveringSubsetPolicy policy(placement);
-        return storage::run_online(config, placement, trace, sched, policy);
-      };
       cells.push_back(std::move(cell));
     }
   }
 
   runner::SweepOptions opts;
   opts.progress = &std::cerr;
-  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  const auto results =
+      runner::SweepRunner(registry, opts).run(std::move(cells));
 
   runner::ResultTable t(
       "Ablation: 2CPM vs covering-subset pinning (heuristic scheduler)",

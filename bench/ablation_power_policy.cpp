@@ -1,10 +1,8 @@
 // Ablation: the power-management policy under a fixed scheduler.
 // 2CPM's breakeven threshold is provably 2-competitive; this bench measures
 // how always-on, eager/lazy thresholds, and the offline oracle compare on a
-// real workload (heuristic scheduler, rf = 3, Cello). The threshold rows
-// are registry-inexpressible (they vary the policy under one scheduler), so
-// they use CellSpec::run — each lambda builds its own scheduler+policy,
-// keeping cells independent and the sweep parallel.
+// real workload (heuristic scheduler, rf = 3, Cello). The threshold rows and
+// the oracle row are bench-local registry specs added to the paper roster.
 #include <iostream>
 
 #include "core/basic_schedulers.hpp"
@@ -24,51 +22,39 @@ int main() {
   const double breakeven = cfg.power.breakeven_seconds();
   std::cerr << "# " << runner::describe(params) << "\n";
 
-  std::vector<runner::CellSpec> cells;
-  const auto add = [&](std::string tag,
-                       std::function<storage::RunResult(
-                           const runner::ExperimentParams&,
-                           const trace::Trace&, const placement::PlacementMap&)>
-                           run) {
-    runner::CellSpec cell;
-    cell.params = params;
-    cell.tag = std::move(tag);
-    cell.run = std::move(run);
-    if (!cell.run) cell.scheduler = cell.tag;  // tag doubles as registry name
-    cells.push_back(std::move(cell));
-  };
-
-  add("always-on", nullptr);
+  auto registry = runner::SchedulerRegistry::paper_roster();
+  std::vector<std::string> rows = {"always-on"};
   for (double factor : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    add("threshold x" + std::to_string(factor).substr(0, 4),
-        [factor, breakeven](const runner::ExperimentParams& p,
-                            const trace::Trace& trace,
-                            const placement::PlacementMap& placement) {
-          const auto config = runner::system_config_for(p);
-          core::CostFunctionScheduler sched(p.cost);
-          power::FixedThresholdPolicy policy(
-              factor == 1.0 ? -1.0 : breakeven * factor);
-          return storage::run_online(config, placement, trace, sched, policy);
-        });
+    rows.push_back("threshold x" + std::to_string(factor).substr(0, 4));
+    registry.add(
+        {rows.back(), "Eq. 6 heuristic, 2CPM threshold scaled from T_B",
+         [factor, breakeven](const runner::ExperimentParams& p,
+                             const placement::PlacementMap&) {
+           runner::SchedulerBundle b;
+           b.online = std::make_unique<core::CostFunctionScheduler>(p.cost);
+           b.policy = std::make_unique<power::FixedThresholdPolicy>(
+               factor == 1.0 ? -1.0 : breakeven * factor);
+           return b;
+         }});
   }
   // Oracle comparison point: a deterministic assignment (Static) replayed
   // with future knowledge (per-disk pre-spins, no wake penalties) — a
   // stateful heuristic's dispatch cannot be replayed offline, so Static
   // isolates the policy axis. The plain online Static row pairs with it.
-  add("static@oracle",
-      [](const runner::ExperimentParams& p, const trace::Trace& trace,
-         const placement::PlacementMap& placement) {
-        const auto config = runner::system_config_for(p);
-        core::StaticScheduler sched;
-        const auto assignment = sched.schedule(trace, placement, config.power);
-        return storage::run_offline(config, placement, trace, assignment,
-                                    "static@oracle");
-      });
-  add("static", nullptr);
+  registry.add({"static@oracle", "static assignment under the oracle policy",
+                [](const runner::ExperimentParams&,
+                   const placement::PlacementMap&) {
+                  runner::SchedulerBundle b;
+                  b.offline = std::make_unique<core::StaticScheduler>();
+                  return b;
+                }});
+  rows.push_back("static@oracle");
+  rows.push_back("static");
 
   runner::SweepOptions opts;
   opts.progress = &std::cerr;
-  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  const auto results = runner::SweepRunner(registry, opts).run(
+      runner::product_grid(params, rows, {"rf3"}, nullptr));
 
   runner::ResultTable t(
       "Ablation: power policy under the heuristic scheduler, rf=3 (Cello)",

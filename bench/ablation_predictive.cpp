@@ -1,9 +1,9 @@
 // Ablation: the §3.3 prediction extension ("assign lower cost to a more
 // frequently used disk"). Sweeps the popularity-discount gamma on both
 // workloads at rf=3 and compares against the plain heuristic. The baseline
-// rows come from the registry; the gamma rows build a PredictiveCostScheduler
-// per cell via CellSpec::run (the EWMA rate table is mutable scheduler
-// state, so each cell must own its instance).
+// rows come from the paper roster; each gamma is a bench-local registry spec
+// whose factory builds a fresh PredictiveCostScheduler per cell (the EWMA
+// rate table is mutable scheduler state).
 #include <iostream>
 
 #include "core/predictive_scheduler.hpp"
@@ -15,6 +15,22 @@ using namespace eas;
 
 int main() {
   const double gammas[] = {0.5, 1.0, 2.0, 5.0};
+  auto registry = runner::SchedulerRegistry::paper_roster();
+  for (double gamma : gammas) {
+    registry.add(
+        {"predictive " + std::to_string(gamma).substr(0, 3),
+         "Eq. 6 heuristic with an EWMA popularity discount, 2CPM",
+         [gamma](const runner::ExperimentParams& p,
+                 const placement::PlacementMap&) {
+           core::PredictiveParams pp;
+           pp.cost = p.cost;
+           pp.gamma = gamma;
+           runner::SchedulerBundle b;
+           b.online = std::make_unique<core::PredictiveCostScheduler>(pp);
+           b.policy = std::make_unique<power::FixedThresholdPolicy>();
+           return b;
+         }});
+  }
   std::vector<runner::CellSpec> cells;
   for (auto workload :
        {runner::Workload::kCello, runner::Workload::kFinancial}) {
@@ -32,28 +48,19 @@ int main() {
       cells.push_back(std::move(cell));
     }
     for (double gamma : gammas) {
+      const std::string g = std::to_string(gamma).substr(0, 3);
       runner::CellSpec cell;
+      cell.scheduler = "predictive " + g;
       cell.params = params;
-      cell.tag = std::string(runner::to_string(workload)) + "/" +
-                 std::to_string(gamma).substr(0, 3);
-      cell.run = [gamma](const runner::ExperimentParams& p,
-                         const trace::Trace& trace,
-                         const placement::PlacementMap& placement) {
-        const auto config = runner::system_config_for(p);
-        core::PredictiveParams pp;
-        pp.cost = p.cost;
-        pp.gamma = gamma;
-        core::PredictiveCostScheduler sched(pp);
-        power::FixedThresholdPolicy policy;
-        return storage::run_online(config, placement, trace, sched, policy);
-      };
+      cell.tag = std::string(runner::to_string(workload)) + "/" + g;
       cells.push_back(std::move(cell));
     }
   }
 
   runner::SweepOptions opts;
   opts.progress = &std::cerr;
-  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  const auto results =
+      runner::SweepRunner(registry, opts).run(std::move(cells));
 
   const auto power = runner::paper_system_config().power;
   runner::ResultTable t(

@@ -80,9 +80,11 @@ struct CacheConfig {
   /// a single disk).
   std::size_t max_destage_batch = 8;
 
-  /// Throws InvariantError on nonsense (negative latency, watermarks
-  /// outside (0,1] or inverted, zero batch, non-positive deadline, zero
-  /// block size). Disabled configs are never checked.
+  /// Throws InvariantError naming the field (`cache.<field>`) on nonsense:
+  /// NaN/Inf or non-positive latency or deadline, negative memory power,
+  /// watermarks outside (0,1] or inverted, zero batch, zero block size.
+  /// The one rule set: ExperimentBuilder::cache() applies it too. Disabled
+  /// configs are never checked.
   void validate() const;
 
   /// Total tier capacity in bytes (both halves), for the memory-energy

@@ -68,9 +68,11 @@ struct ReliabilityConfig {
   /// In (0, 1]. Only meaningful when max_queue_depth > 0.
   double backpressure_watermark = 0.75;
 
-  /// Throws InvariantError on nonsense (NaN/Inf anywhere, negative delays,
-  /// zero attempts, jitter outside [0,1], watermark outside (0,1]).
-  /// Disabled configs are never checked.
+  /// Throws InvariantError naming the field (`reliability.<field>`) on
+  /// nonsense: NaN/Inf anywhere, negative delays, a backoff cap below its
+  /// base, zero attempts, jitter outside [0,1], watermark outside [0,1] (or
+  /// 0 with a queue bound). The one rule set: ExperimentBuilder::
+  /// reliability() applies it too. Disabled configs are never checked.
   void validate() const;
 };
 

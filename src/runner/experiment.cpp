@@ -13,35 +13,24 @@ namespace eas::runner {
 
 namespace {
 
-// Eager argument hardening for the builder setters: reject NaN/Inf and
-// sign/zero violations with std::invalid_argument *naming the field*, so a
-// grid declaration fails on the offending line with an actionable message
-// (build()'s InvariantError checks still run afterwards for cross-field
-// rules).
-[[noreturn]] void bad_argument(const char* field, const char* rule,
-                               double got) {
+// fail_disk_at's eager argument check: std::invalid_argument naming the
+// field, so a grid declaration fails on the offending line.
+void require_non_negative(double v, const char* field) {
+  if (std::isfinite(v) && v >= 0.0) return;
   std::ostringstream os;
-  os << field << " " << rule << ", got " << got;
+  os << field << " must be finite and >= 0, got " << v;
   throw std::invalid_argument(os.str());
 }
 
-void require_finite(double v, const char* field) {
-  if (!std::isfinite(v)) bad_argument(field, "must be finite", v);
-}
-
-void require_non_negative(double v, const char* field) {
-  require_finite(v, field);
-  if (v < 0.0) bad_argument(field, "must be >= 0", v);
-}
-
-void require_positive(double v, const char* field) {
-  require_finite(v, field);
-  if (v <= 0.0) bad_argument(field, "must be > 0", v);
-}
-
-void require_unit_interval(double v, const char* field) {
-  require_finite(v, field);
-  if (v < 0.0 || v > 1.0) bad_argument(field, "must be within [0, 1]", v);
+// The tier setters' check: the config's own validate(), its InvariantError
+// (which names the field) rethrown as the setters' std::invalid_argument.
+template <typename Config>
+void validate_argument(const Config& c) {
+  try {
+    c.validate();
+  } catch (const InvariantError& e) {
+    throw std::invalid_argument(e.what());
+  }
 }
 
 }  // namespace
@@ -84,39 +73,16 @@ ExperimentParams ExperimentBuilder::build() const {
 }
 
 ExperimentBuilder& ExperimentBuilder::cache(cache::CacheConfig c) {
-  require_positive(c.dram_latency_seconds, "cache.dram_latency_seconds");
-  require_non_negative(c.memory_watts_per_gib, "cache.memory_watts_per_gib");
-  require_positive(c.destage_deadline_seconds,
-                   "cache.destage_deadline_seconds");
-  require_unit_interval(c.high_watermark, "cache.high_watermark");
-  require_unit_interval(c.low_watermark, "cache.low_watermark");
-  if (c.block_bytes == 0) {
-    throw std::invalid_argument("cache.block_bytes must be > 0, got 0");
-  }
-  if (c.max_destage_batch == 0) {
-    throw std::invalid_argument("cache.max_destage_batch must be > 0, got 0");
-  }
   c.enabled = true;
+  validate_argument(c);
   p_.cache = c;
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::reliability(
     reliability::ReliabilityConfig c) {
-  require_non_negative(c.deadline_seconds, "reliability.deadline_seconds");
-  require_non_negative(c.backoff_base_seconds,
-                       "reliability.backoff_base_seconds");
-  require_non_negative(c.backoff_cap_seconds,
-                       "reliability.backoff_cap_seconds");
-  require_unit_interval(c.jitter_fraction, "reliability.jitter_fraction");
-  require_non_negative(c.hedge_delay_seconds,
-                       "reliability.hedge_delay_seconds");
-  require_unit_interval(c.backpressure_watermark,
-                        "reliability.backpressure_watermark");
-  if (c.max_attempts == 0) {
-    throw std::invalid_argument("reliability.max_attempts must be >= 1, got 0");
-  }
   c.enabled = true;
+  validate_argument(c);
   p_.reliability = c;
   return *this;
 }

@@ -125,14 +125,15 @@ class ExperimentBuilder {
   ExperimentBuilder& initial_state(disk::DiskState s) { p_.initial_state = s; return *this; }
   ExperimentBuilder& fault(fault::FaultProfile f) { p_.fault = std::move(f); return *this; }
   /// Enables the cache & destage tier with the given configuration (asking
-  /// for one implies enabling it). Throws std::invalid_argument naming the
-  /// offending field on NaN/Inf/negative inputs — eagerly, at the call
-  /// site, so a grid declaration fails on the bad line rather than at
-  /// build(); build() still runs the full cross-field validation.
+  /// for one implies enabling it). Runs CacheConfig::validate() eagerly, at
+  /// the call site, and rethrows its verdict as std::invalid_argument
+  /// naming the offending `cache.<field>`, so a grid declaration fails on
+  /// the bad line rather than at build().
   ExperimentBuilder& cache(cache::CacheConfig c);
   /// Enables the request reliability tier (deadlines, deterministic retry/
   /// backoff, hedged reads, admission control); asking for one implies
-  /// enabling it. Same eager std::invalid_argument policy as cache().
+  /// enabling it. Same eager check as cache(), through
+  /// ReliabilityConfig::validate() (`reliability.<field>`).
   ExperimentBuilder& reliability(reliability::ReliabilityConfig c);
   /// Enables structured tracing with the given recorder configuration
   /// (asking for a trace implies enabling it; pass categories/capacity as

@@ -11,29 +11,13 @@
 
 namespace eas::runner {
 
-const char* to_string(ExecutionModel m) {
-  switch (m) {
-    case ExecutionModel::kAlwaysOn:
-      return "always-on";
-    case ExecutionModel::kOnline:
-      return "online";
-    case ExecutionModel::kBatch:
-      return "batch";
-    case ExecutionModel::kOffline:
-      return "offline";
-  }
-  return "?";
-}
-
 SchedulerRegistry SchedulerRegistry::paper_roster() {
   SchedulerRegistry r;
-  r.add({"always-on", ExecutionModel::kAlwaysOn,
-         "all disks idle forever (energy baseline)",
+  r.add({"always-on", "all disks idle forever (energy baseline)",
          [](const ExperimentParams&, const placement::PlacementMap&) {
            return SchedulerBundle{};  // run_always_on fixes everything
          }});
-  r.add({"random", ExecutionModel::kOnline,
-         "uniformly random replica, 2CPM",
+  r.add({"random", "uniformly random replica, 2CPM",
          [](const ExperimentParams& p, const placement::PlacementMap&) {
            SchedulerBundle b;
            b.online =
@@ -41,24 +25,21 @@ SchedulerRegistry SchedulerRegistry::paper_roster() {
            b.policy = std::make_unique<power::FixedThresholdPolicy>();
            return b;
          }});
-  r.add({"static", ExecutionModel::kOnline,
-         "original data location, 2CPM",
+  r.add({"static", "original data location, 2CPM",
          [](const ExperimentParams&, const placement::PlacementMap&) {
            SchedulerBundle b;
            b.online = std::make_unique<core::StaticScheduler>();
            b.policy = std::make_unique<power::FixedThresholdPolicy>();
            return b;
          }});
-  r.add({"heuristic", ExecutionModel::kOnline,
-         "Eq. 6 composite-cost online heuristic, 2CPM",
+  r.add({"heuristic", "Eq. 6 composite-cost online heuristic, 2CPM",
          [](const ExperimentParams& p, const placement::PlacementMap&) {
            SchedulerBundle b;
            b.online = std::make_unique<core::CostFunctionScheduler>(p.cost);
            b.policy = std::make_unique<power::FixedThresholdPolicy>();
            return b;
          }});
-  r.add({"wsc", ExecutionModel::kBatch,
-         "weighted-set-cover batch scheduler, 2CPM",
+  r.add({"wsc", "weighted-set-cover batch scheduler, 2CPM",
          [](const ExperimentParams& p, const placement::PlacementMap&) {
            SchedulerBundle b;
            b.batch = std::make_unique<core::WscBatchScheduler>(
@@ -66,8 +47,7 @@ SchedulerRegistry SchedulerRegistry::paper_roster() {
            b.policy = std::make_unique<power::FixedThresholdPolicy>();
            return b;
          }});
-  r.add({"mwis", ExecutionModel::kOffline,
-         "offline conflict-graph MWIS schedule under the oracle policy",
+  r.add({"mwis", "offline conflict-graph MWIS schedule under the oracle policy",
          [](const ExperimentParams& p, const placement::PlacementMap&) {
            core::MwisOptions opts;
            opts.algorithm = core::MwisOptions::Algorithm::kGwmin;
@@ -126,40 +106,38 @@ storage::RunResult run_cell(const SchedulerSpec& spec,
                             const placement::PlacementMap& placement) {
   p.validate();
   const storage::SystemConfig config = system_config_for(p);
-  if (spec.model == ExecutionModel::kAlwaysOn) {
-    return storage::run_always_on(config, placement, trace);
-  }
+  SchedulerBundle b = spec.make(p, placement);
+  const int schedulers = static_cast<int>(b.online != nullptr) +
+                         static_cast<int>(b.batch != nullptr) +
+                         static_cast<int>(b.offline != nullptr);
+  EAS_REQUIRE_MSG(schedulers <= 1,
+                  "spec '" << spec.name << "' builds " << schedulers
+                           << " schedulers; set one of online/batch/offline");
+  EAS_REQUIRE_MSG(!b.offload || b.online,
+                  "spec '" << spec.name
+                           << "' builds a write off-loader without an online "
+                              "scheduler");
+  EAS_REQUIRE_MSG((b.policy != nullptr) == (b.online || b.batch),
+                  "spec '" << spec.name
+                           << "' must build a power policy with its online or "
+                              "batch scheduler, and with nothing else");
 
-  SchedulerBundle bundle = spec.make(p, placement);
-  switch (spec.model) {
-    case ExecutionModel::kOnline: {
-      EAS_REQUIRE_MSG(bundle.online && bundle.policy,
-                    "spec '" << spec.name
-                             << "' (online) must build scheduler + policy");
-      return storage::run_online(config, placement, trace, *bundle.online,
-                                 *bundle.policy);
-    }
-    case ExecutionModel::kBatch: {
-      EAS_REQUIRE_MSG(bundle.batch && bundle.policy,
-                    "spec '" << spec.name
-                             << "' (batch) must build scheduler + policy");
-      return storage::run_batch(config, placement, trace, *bundle.batch,
-                                *bundle.policy);
-    }
-    case ExecutionModel::kOffline: {
-      EAS_REQUIRE_MSG(static_cast<bool>(bundle.offline),
-                    "spec '" << spec.name
-                             << "' (offline) must build a scheduler");
-      const auto assignment =
-          bundle.offline->schedule(trace, placement, config.power);
-      return storage::run_offline(config, placement, trace, assignment,
-                                  bundle.offline->name());
-    }
-    case ExecutionModel::kAlwaysOn:
-      break;  // handled above
+  if (b.offline) {
+    const auto assignment = b.offline->schedule(trace, placement, config.power);
+    return storage::run_offline(config, placement, trace, assignment,
+                                b.offline->name());
   }
-  EAS_CHECK_MSG(false, "unhandled execution model");
-  return {};
+  if (b.batch) {
+    return storage::run_batch(config, placement, trace, *b.batch, *b.policy);
+  }
+  if (b.offload) {
+    return storage::run_online_mixed(config, placement, trace, *b.online,
+                                     *b.policy, *b.offload);
+  }
+  if (b.online) {
+    return storage::run_online(config, placement, trace, *b.online, *b.policy);
+  }
+  return storage::run_always_on(config, placement, trace);
 }
 
 storage::RunResult run_cell(const SchedulerRegistry& registry,

@@ -1,10 +1,12 @@
 // SchedulerSpec registry: the single name → scheduler table.
 //
-// Replaces the per-bench run_* free functions and their string dispatch.
-// A spec names an execution model (§2.2) plus a factory that builds a fresh,
-// thread-confined scheduler + power-policy pair for one sweep cell; the
-// registry owns the canonical §4.3 roster and accepts bench-local
-// extensions (threshold variants, predictive gammas, ...).
+// Every sweep cell names a spec, and run_cell is the one path from a spec to
+// the storage system. A spec is a factory that builds a fresh,
+// thread-confined bundle (scheduler, power policy, optional write
+// off-loader) for one cell; which bundle member is set picks the §2.2
+// execution model. The registry owns the canonical §4.3 roster and accepts
+// bench-local extensions (threshold variants, predictive gammas, covering
+// policies, write off-loading, ...): copy paper_roster() and add() them.
 #pragma once
 
 #include <functional>
@@ -14,33 +16,33 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "core/write_offload.hpp"
 #include "power/policy.hpp"
 #include "runner/experiment.hpp"
 #include "storage/storage_system.hpp"
 
 namespace eas::runner {
 
-/// Which storage::run_* entry point executes the spec (§2.2 models plus the
-/// always-on baseline, which fixes its own policy and initial state).
-enum class ExecutionModel { kAlwaysOn, kOnline, kBatch, kOffline };
-
-const char* to_string(ExecutionModel m);
-
-/// A freshly constructed scheduler + policy pair for one run. Exactly the
-/// member matching the spec's model is set (policy accompanies online/batch;
-/// offline runs derive an OraclePolicy internally; always-on needs neither).
-/// Instances are thread-confined: SweepRunner calls the factory on the
-/// worker executing the cell and never shares the bundle across cells.
+/// A freshly constructed scheduler + policy for one run. The member that is
+/// set picks the storage::run_* entry point:
+///   offline          → run_offline (under the OraclePolicy it derives)
+///   batch + policy   → run_batch
+///   online + policy  → run_online, or run_online_mixed with `offload`
+///   nothing          → run_always_on (it fixes its own policy and state)
+/// run_cell rejects any other combination, naming the spec. Instances are
+/// thread-confined: SweepRunner calls the factory on the worker executing
+/// the cell and never shares the bundle across cells.
 struct SchedulerBundle {
   std::unique_ptr<core::OnlineScheduler> online;
   std::unique_ptr<core::BatchScheduler> batch;
   std::unique_ptr<core::OfflineScheduler> offline;
   std::unique_ptr<power::PowerPolicy> policy;
+  /// §2.1 write off-loading for mixed read/write traces; online only.
+  std::unique_ptr<core::WriteOffloadManager> offload;
 };
 
 struct SchedulerSpec {
   std::string name;
-  ExecutionModel model = ExecutionModel::kOnline;
   /// One-line description shown by harness listings.
   std::string description;
   /// Builds the thread-confined scheduler+policy pair for one cell. Called
@@ -80,9 +82,10 @@ class SchedulerRegistry {
 };
 
 /// Executes one (spec × params) cell: builds the bundle, runs the trace
-/// under the spec's model and returns the result. Deterministic in the
-/// params' seeds — identical inputs give bit-identical results regardless
-/// of the calling thread.
+/// through the entry point its members pick and returns the result. Throws
+/// InvariantError naming the spec on a malformed bundle. Deterministic in
+/// the params' seeds — identical inputs give bit-identical results
+/// regardless of the calling thread.
 storage::RunResult run_cell(const SchedulerSpec& spec,
                             const ExperimentParams& p,
                             const trace::Trace& trace,

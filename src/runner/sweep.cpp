@@ -136,9 +136,11 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
 
   // Validate the whole grid and resolve registry names before spawning
   // anything: a misdeclared grid should fail fast, not mid-sweep.
+  std::vector<const SchedulerSpec*> specs;
+  specs.reserve(cells.size());
   for (const auto& cell : cells) {
     cell.params.validate();
-    if (!cell.run) registry_.at(cell.scheduler);
+    specs.push_back(&registry_.at(cell.scheduler));
   }
   attach_shared_inputs(cells);
 
@@ -175,9 +177,7 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
       const auto cell_start = std::chrono::steady_clock::now();
       try {
         storage::RunResult r =
-            cell.run ? cell.run(cell.params, *cell.trace, *cell.placement)
-                     : run_cell(registry_.at(cell.scheduler), cell.params,
-                                *cell.trace, *cell.placement);
+            run_cell(*specs[i], cell.params, *cell.trace, *cell.placement);
         // Materialize the SampleStore's lazy sort cache while the result is
         // still thread-confined, so later concurrent readers of the
         // (logically const) result do not race on it.

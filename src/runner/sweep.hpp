@@ -1,13 +1,15 @@
 // SweepRunner: parallel, deterministic execution of experiment grids.
 //
 // Every figure/ablation bench is a grid of independent (scheduler × params)
-// cells; each cell builds its own Simulator/StorageSystem/scheduler/policy
-// from the cell's seeds, so results are bit-identical regardless of thread
-// count or completion order. The runner fans the grid out over a bounded
-// pool of worker threads that claim cells from one shared cursor, shares
-// the immutable trace/placement inputs across cells (shared_ptr, no
-// copies), captures per-cell wall time and the process RSS high-water mark,
-// and cancels remaining cells on the first failure.
+// cells. A cell names a spec in the runner's SchedulerRegistry and runs
+// through run_cell — the only way to run one — which builds its own
+// Simulator/StorageSystem/scheduler/policy from the cell's seeds, so results
+// are bit-identical regardless of thread count or completion order. The
+// runner resolves every cell's name before any cell starts, fans the grid
+// out over a bounded pool of worker threads that claim cells from one shared
+// cursor, shares the immutable trace/placement inputs across cells
+// (shared_ptr, no copies), captures per-cell wall time and the process RSS
+// high-water mark, and cancels remaining cells on the first failure.
 #pragma once
 
 #include <cstddef>
@@ -33,15 +35,6 @@ struct CellSpec {
 
   std::shared_ptr<const trace::Trace> trace;
   std::shared_ptr<const placement::PlacementMap> placement;
-
-  /// Escape hatch for runs the registry cannot express (e.g. mixed
-  /// read/write runs that thread a WriteOffloadManager through). When set,
-  /// it is invoked instead of the registry spec; it must be safe to call
-  /// concurrently with other cells' functions (confine mutable state to the
-  /// cell).
-  std::function<storage::RunResult(const ExperimentParams&,
-                                   const trace::Trace&,
-                                   const placement::PlacementMap&)> run;
 };
 
 enum class CellStatus {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,37 +21,48 @@
 namespace eas::disk {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// gtest_discover_tests copies them into the ctest name. So every byte of a
+// PowerCase must follow from the case itself: the label is an index into
+// kPowerLabels, not a pointer (whose address changed the names from build
+// to build), and both members are 8-byte fields with no padding between.
+constexpr const char* kPowerLabels[] = {"barracuda", "fast_transitions",
+                                        "high_idle", "cheap_standby",
+                                        "forced_breakeven"};
+
 struct PowerCase {
-  const char* label;
+  std::uint64_t label;  ///< index into kPowerLabels
   DiskPowerParams params;
 };
+static_assert(sizeof(PowerCase) ==
+              sizeof(std::uint64_t) + sizeof(DiskPowerParams));
 
 std::vector<PowerCase> power_cases() {
   std::vector<PowerCase> cases;
   {
-    PowerCase c{"barracuda", {}};
+    PowerCase c{0, {}};
     cases.push_back(c);
   }
   {
-    PowerCase c{"fast-transitions", {}};
+    PowerCase c{1, {}};
     c.params.spinup_seconds = 1.0;
     c.params.spindown_seconds = 0.5;
     c.params.spinup_watts = 15.0;
     cases.push_back(c);
   }
   {
-    PowerCase c{"high-idle", {}};
+    PowerCase c{2, {}};
     c.params.idle_watts = 12.0;
     c.params.active_watts = 14.0;
     cases.push_back(c);
   }
   {
-    PowerCase c{"cheap-standby", {}};
+    PowerCase c{3, {}};
     c.params.standby_watts = 0.0;
     cases.push_back(c);
   }
   {
-    PowerCase c{"forced-breakeven", {}};
+    PowerCase c{4, {}};
     c.params.breakeven_override_seconds = 12.0;
     cases.push_back(c);
   }
@@ -140,17 +153,13 @@ TEST_P(DiskPowerCaseTest, OracleSingleDiskMatchesAnalyticEvaluator) {
   EXPECT_NEAR(d.stats().total_joules(),
               analytic.disk_stats[0].total_joules(),
               0.005 * analytic.disk_stats[0].total_joules() + 5.0)
-      << GetParam().label;
+      << kPowerLabels[GetParam().label];
 }
 
 INSTANTIATE_TEST_SUITE_P(PowerModels, DiskPowerCaseTest,
                          ::testing::ValuesIn(power_cases()),
                          [](const ::testing::TestParamInfo<PowerCase>& param) {
-                           std::string name = param.param.label;
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
+                           return std::string(kPowerLabels[param.param.label]);
                          });
 
 // The status row's queue depth is a count the disk keeps at every queue

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/basic_schedulers.hpp"
@@ -209,6 +213,145 @@ TEST(ExperimentBuilder, FailDiskAtRejectsBadTimesByName) {
   expect_invalid_argument(
       [] { ExperimentBuilder().fail_disk_at(0, 5.0, kInf); },
       "fail_disk_at.repair");
+}
+
+// One rule set per tier config: every boundary value gets the same verdict
+// from Config::validate() and from the builder setter, and a rejection
+// names the field either way.
+
+template <typename Config>
+struct Boundary {
+  std::string field;
+  std::function<void(Config&)> set;
+  bool valid;
+};
+
+template <typename Config, typename T>
+Boundary<Config> boundary(const char* field, T Config::*member,
+                          std::type_identity_t<T> value, bool valid) {
+  return {field, [member, value](Config& c) { c.*member = value; }, valid};
+}
+
+template <typename Config, typename Setter>
+void expect_one_rule_set(const std::vector<Boundary<Config>>& rows,
+                         const std::string& prefix, Setter&& setter) {
+  for (const auto& row : rows) {
+    Config c;
+    row.set(c);
+    c.enabled = true;
+    const std::string field = prefix + row.field;
+    SCOPED_TRACE(field);
+    bool validate_ok = true;
+    try {
+      c.validate();
+    } catch (const InvariantError& e) {
+      validate_ok = false;
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    bool setter_ok = true;
+    try {
+      setter(c);
+    } catch (const std::invalid_argument& e) {
+      setter_ok = false;
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(validate_ok, row.valid);
+    EXPECT_EQ(setter_ok, row.valid);
+  }
+}
+
+TEST(ExperimentBuilder, CacheSetterAndValidateAgreeOnEveryBoundary) {
+  using C = cache::CacheConfig;
+  std::vector<Boundary<C>> rows;
+  for (const auto& [name, member] :
+       {std::pair{"dram_latency_seconds", &C::dram_latency_seconds},
+        std::pair{"destage_deadline_seconds", &C::destage_deadline_seconds}}) {
+    for (double v : {kNan, kInf, -kInf, -1e-9, 0.0}) {
+      rows.push_back(boundary(name, member, v, false));
+    }
+    rows.push_back(boundary(name, member, 1e-9, true));
+  }
+  for (double v : {kNan, kInf, -1e-9}) {
+    rows.push_back(boundary("memory_watts_per_gib", &C::memory_watts_per_gib,
+                            v, false));
+  }
+  rows.push_back(
+      boundary("memory_watts_per_gib", &C::memory_watts_per_gib, 0.0, true));
+  // Counts: 0 (false) is rejected, 1 (true) is the smallest legal value.
+  for (const bool valid : {false, true}) {
+    rows.push_back(boundary("block_bytes", &C::block_bytes, valid, valid));
+    rows.push_back(
+        boundary("max_destage_batch", &C::max_destage_batch, valid, valid));
+  }
+  // Defaults: low 0.5 < high 0.75; the inverted pair is a low_watermark row.
+  for (double v : {kNan, kInf, -1e-9, 0.0, 1.0 + 1e-9}) {
+    rows.push_back(boundary("high_watermark", &C::high_watermark, v, false));
+  }
+  rows.push_back(boundary("high_watermark", &C::high_watermark, 0.5 + 1e-9,
+                          true));
+  rows.push_back(boundary("high_watermark", &C::high_watermark, 1.0, true));
+  for (double v : {kNan, -kInf, -1e-9, 0.75, 1.0}) {
+    rows.push_back(boundary("low_watermark", &C::low_watermark, v, false));
+  }
+  rows.push_back(boundary("low_watermark", &C::low_watermark, 0.0, true));
+  rows.push_back(boundary("low_watermark", &C::low_watermark, 0.75 - 1e-9,
+                          true));
+  expect_one_rule_set(rows, "cache.", [](const C& c) {
+    runner::ExperimentBuilder().cache(c);
+  });
+}
+
+TEST(ExperimentBuilder, ReliabilitySetterAndValidateAgreeOnEveryBoundary) {
+  using R = reliability::ReliabilityConfig;
+  std::vector<Boundary<R>> rows;
+  for (const auto& [name, member] :
+       {std::pair{"deadline_seconds", &R::deadline_seconds},
+        std::pair{"backoff_base_seconds", &R::backoff_base_seconds},
+        std::pair{"hedge_delay_seconds", &R::hedge_delay_seconds}}) {
+    for (double v : {kNan, kInf, -kInf, -1e-9}) {
+      rows.push_back(boundary(name, member, v, false));
+    }
+    rows.push_back(boundary(name, member, 0.0, true));
+  }
+  // 0 (false) attempts is rejected, 1 (true) is the smallest legal value.
+  for (const bool valid : {false, true}) {
+    rows.push_back(boundary("max_attempts", &R::max_attempts, valid, valid));
+  }
+  // Default base is 0.010: the cap may equal it, not undercut it.
+  for (double v : {kNan, kInf, -1e-9, 0.0, 0.010 - 1e-9}) {
+    rows.push_back(
+        boundary("backoff_cap_seconds", &R::backoff_cap_seconds, v, false));
+  }
+  rows.push_back(
+      boundary("backoff_cap_seconds", &R::backoff_cap_seconds, 0.010, true));
+  for (double v : {kNan, kInf, -1e-9, 1.0 + 1e-9}) {
+    rows.push_back(boundary("jitter_fraction", &R::jitter_fraction, v, false));
+  }
+  rows.push_back(boundary("jitter_fraction", &R::jitter_fraction, 0.0, true));
+  rows.push_back(boundary("jitter_fraction", &R::jitter_fraction, 1.0, true));
+  // The watermark is checked with and without a queue bound; 0 is only
+  // meaningless (hence allowed) without one.
+  for (std::uint32_t depth : {0u, 8u}) {
+    auto watermark = [depth](double v, bool valid) {
+      return Boundary<R>{"backpressure_watermark",
+                         [depth, v](R& c) {
+                           c.max_queue_depth = depth;
+                           c.backpressure_watermark = v;
+                         },
+                         valid};
+    };
+    for (double v : {kNan, kInf, -kInf, -1e-9, 1.0 + 1e-9}) {
+      rows.push_back(watermark(v, false));
+    }
+    rows.push_back(watermark(0.0, depth == 0));
+    rows.push_back(watermark(1e-9, true));
+    rows.push_back(watermark(1.0, true));
+  }
+  expect_one_rule_set(rows, "reliability.", [](const R& c) {
+    runner::ExperimentBuilder().reliability(c);
+  });
 }
 
 // -------------------------------------------------------------- end to end

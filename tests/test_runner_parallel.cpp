@@ -9,9 +9,11 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/basic_schedulers.hpp"
 #include "core/cost_scheduler.hpp"
@@ -409,7 +411,6 @@ TEST(SchedulerRegistry, AcceptsBenchLocalExtensions) {
   auto reg = runner::SchedulerRegistry::paper_roster();
   runner::SchedulerSpec eager;
   eager.name = "heuristic-eager";
-  eager.model = runner::ExecutionModel::kOnline;
   eager.make = [](const runner::ExperimentParams& p,
                   const placement::PlacementMap&) {
     runner::SchedulerBundle b;
@@ -432,8 +433,119 @@ TEST(SchedulerRegistry, AcceptsBenchLocalExtensions) {
   EXPECT_EQ(r.total_requests, p.num_requests);
 }
 
+// --- run_cell's bundle dispatch ---------------------------------------------
+
+/// A spec named `name` whose factory returns what `fill` sets.
+runner::SchedulerSpec bundle_spec(
+    std::string name, std::function<void(runner::SchedulerBundle&)> fill) {
+  runner::SchedulerSpec spec;
+  spec.name = std::move(name);
+  spec.make = [fill](const runner::ExperimentParams&,
+                     const placement::PlacementMap&) {
+    runner::SchedulerBundle b;
+    fill(b);
+    return b;
+  };
+  return spec;
+}
+
+TEST(RunCellDispatch, MalformedBundlesAreRejectedWithTheSpecName) {
+  const auto p = runner::ExperimentBuilder(runner::Workload::kCello)
+                     .requests(50)
+                     .disks(6)
+                     .replication(2)
+                     .build();
+  const auto trace =
+      runner::make_workload(p.workload, p.trace_seed, p.num_requests);
+  const auto placement = runner::make_placement(p);
+  auto online = [](runner::SchedulerBundle& b) {
+    b.online = std::make_unique<core::StaticScheduler>();
+  };
+  auto batch = [](runner::SchedulerBundle& b) {
+    b.batch = std::make_unique<core::WscBatchScheduler>(0.1);
+  };
+  auto policy = [](runner::SchedulerBundle& b) {
+    b.policy = std::make_unique<power::FixedThresholdPolicy>();
+  };
+  auto offload = [](runner::SchedulerBundle& b) {
+    b.offload = std::make_unique<core::WriteOffloadManager>();
+  };
+  using Fill = std::function<void(runner::SchedulerBundle&)>;
+  const std::vector<std::pair<std::string, std::vector<Fill>>> cases = {
+      {"two-schedulers", {online, batch, policy}},
+      {"online-and-offline",
+       {online, policy,
+        [](runner::SchedulerBundle& b) {
+          b.offline = std::make_unique<core::StaticScheduler>();
+        }}},
+      {"online-without-policy", {online}},
+      {"batch-without-policy", {batch}},
+      {"offload-without-online", {batch, policy, offload}},
+      {"lone-offload", {offload}},
+      {"lone-policy", {policy}},
+  };
+  for (const auto& [name, fills] : cases) {
+    SCOPED_TRACE(name);
+    const auto spec = bundle_spec(name, [&fills](runner::SchedulerBundle& b) {
+      for (const Fill& f : fills) f(b);
+    });
+    try {
+      run_cell(spec, p, trace, placement);
+      ADD_FAILURE() << "malformed bundle ran";
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RunCellDispatch, OffloadSpecMatchesADirectMixedRun) {
+  const auto p = runner::ExperimentBuilder(runner::Workload::kCello)
+                     .requests(kRequests)
+                     .build();
+  trace::SyntheticTraceConfig tc = trace::cello_like_config(p.trace_seed);
+  tc.num_requests = p.num_requests;
+  tc.write_fraction = 0.3;
+  const auto trace = trace::make_synthetic_trace(tc);
+  const auto placement = runner::make_placement(p);
+
+  const auto spec = bundle_spec("offload", [&p](runner::SchedulerBundle& b) {
+    b.online = std::make_unique<core::CostFunctionScheduler>(p.cost);
+    b.policy = std::make_unique<power::FixedThresholdPolicy>();
+    b.offload = std::make_unique<core::WriteOffloadManager>(
+        core::WriteOffloadOptions{.enabled = true, .cost = p.cost});
+  });
+  const auto via_registry = run_cell(spec, p, trace, placement);
+
+  core::CostFunctionScheduler sched(p.cost);
+  power::FixedThresholdPolicy policy;
+  core::WriteOffloadManager offloader(
+      core::WriteOffloadOptions{.enabled = true, .cost = p.cost});
+  const auto direct =
+      storage::run_online_mixed(runner::system_config_for(p), placement,
+                                trace, sched, policy, offloader);
+  EXPECT_GT(direct.write_offload_stats.writes_diverted, 0u);
+  EXPECT_EQ(via_registry.to_json(true), direct.to_json(true));
+}
+
 // --- failure propagation and cancellation -----------------------------------
 
+/// The paper roster plus "exploding", whose factory throws.
+const runner::SchedulerRegistry& failure_registry() {
+  static const runner::SchedulerRegistry registry = [] {
+    auto r = runner::SchedulerRegistry::paper_roster();
+    r.add({"exploding", "factory throws",
+           [](const runner::ExperimentParams&,
+              const placement::PlacementMap&) -> runner::SchedulerBundle {
+             throw std::runtime_error("cell exploded");
+           }});
+    return r;
+  }();
+  return registry;
+}
+
+/// `n` tiny "static" cells; the one at `failing_index` is "exploding".
 std::vector<runner::CellSpec> failing_grid(std::size_t n,
                                            std::size_t failing_index) {
   const auto p = runner::ExperimentBuilder(runner::Workload::kCello)
@@ -444,22 +556,9 @@ std::vector<runner::CellSpec> failing_grid(std::size_t n,
   std::vector<runner::CellSpec> cells;
   for (std::size_t i = 0; i < n; ++i) {
     runner::CellSpec cell;
+    cell.scheduler = i == failing_index ? "exploding" : "static";
     cell.params = p;
     cell.tag = std::to_string(i);
-    if (i == failing_index) {
-      cell.run = [](const runner::ExperimentParams&, const trace::Trace&,
-                    const placement::PlacementMap&) -> storage::RunResult {
-        throw std::runtime_error("cell exploded");
-      };
-    } else {
-      cell.run = [](const runner::ExperimentParams& cp, const trace::Trace&,
-                    const placement::PlacementMap&) {
-        storage::RunResult r;
-        r.scheduler_name = "stub";
-        r.total_requests = cp.num_requests;
-        return r;
-      };
-    }
     cells.push_back(std::move(cell));
   }
   return cells;
@@ -469,7 +568,8 @@ TEST(SweepRunnerFailure, FirstFailureCancelsRemainingCells) {
   runner::SweepOptions opts;
   opts.threads = 1;  // deterministic ordering: cell 0 fails before 1..3 start
   opts.rethrow_failure = false;
-  const auto results = runner::SweepRunner(opts).run(failing_grid(4, 0));
+  const auto results =
+      runner::SweepRunner(failure_registry(), opts).run(failing_grid(4, 0));
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].status, runner::CellStatus::kFailed);
   EXPECT_NE(results[0].error.find("cell exploded"), std::string::npos);
@@ -481,8 +581,9 @@ TEST(SweepRunnerFailure, FirstFailureCancelsRemainingCells) {
 TEST(SweepRunnerFailure, RethrowsFirstFailureByDefault) {
   runner::SweepOptions opts;
   opts.threads = 2;
-  EXPECT_THROW(runner::SweepRunner(opts).run(failing_grid(3, 1)),
-               std::runtime_error);
+  EXPECT_THROW(
+      runner::SweepRunner(failure_registry(), opts).run(failing_grid(3, 1)),
+      std::runtime_error);
 }
 
 TEST(SweepRunnerFailure, CancelOffRunsEveryCell) {
@@ -490,7 +591,8 @@ TEST(SweepRunnerFailure, CancelOffRunsEveryCell) {
   opts.threads = 1;
   opts.cancel_on_failure = false;
   opts.rethrow_failure = false;
-  const auto results = runner::SweepRunner(opts).run(failing_grid(4, 0));
+  const auto results =
+      runner::SweepRunner(failure_registry(), opts).run(failing_grid(4, 0));
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].status, runner::CellStatus::kFailed);
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -500,13 +602,13 @@ TEST(SweepRunnerFailure, CancelOffRunsEveryCell) {
 }
 
 TEST(SweepRunnerFailure, MisdeclaredGridFailsBeforeRunning) {
-  auto cells = failing_grid(2, 99);  // no failing run hooks...
-  cells[1].run = nullptr;
+  auto cells = failing_grid(2, 99);  // no exploding cell...
   cells[1].scheduler = "no-such-scheduler";  // ...but an unknown registry row
   runner::SweepOptions opts;
   opts.threads = 1;
-  EXPECT_THROW(runner::SweepRunner(opts).run(std::move(cells)),
-               InvariantError);
+  EXPECT_THROW(
+      runner::SweepRunner(failure_registry(), opts).run(std::move(cells)),
+      InvariantError);
 }
 
 TEST(SweepRunner, EmptyGridIsANoOp) {
@@ -519,9 +621,11 @@ TEST(SweepRunner, FindCellThrowsOnUnknownKey) {
   runner::SweepOptions opts;
   opts.threads = 1;
   opts.rethrow_failure = false;
-  const auto results = runner::SweepRunner(opts).run(failing_grid(2, 99));
-  EXPECT_EQ(&runner::find_cell(results, "1", "").spec.tag, &results[1].spec.tag);
-  EXPECT_THROW(runner::find_cell(results, "7", ""), InvariantError);
+  const auto results =
+      runner::SweepRunner(failure_registry(), opts).run(failing_grid(2, 99));
+  EXPECT_EQ(&runner::find_cell(results, "1", "static").spec.tag,
+            &results[1].spec.tag);
+  EXPECT_THROW(runner::find_cell(results, "7", "static"), InvariantError);
 }
 
 TEST(ExperimentBuilder, ValidatesOnBuild) {
@@ -753,18 +857,15 @@ TEST(SweepTraceExport, OneProcessPerTracedOkCell) {
   std::vector<runner::CellSpec> cells = {
       cell("static", traced, "a"),       // 0: traced
       cell("heuristic", untraced, "a"),  // 1: tracing off
-      cell("wsc", traced, "b"),          // 2: fails (below)
+      cell("exploding", traced, "b"),    // 2: fails
       cell("wsc", traced, "b"),          // 3: traced
-  };
-  cells[2].run = [](const runner::ExperimentParams&, const trace::Trace&,
-                    const placement::PlacementMap&) -> storage::RunResult {
-    throw std::runtime_error("cell exploded");
   };
   runner::SweepOptions opts;
   opts.threads = 2;
   opts.cancel_on_failure = false;
   opts.rethrow_failure = false;
-  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  const auto results =
+      runner::SweepRunner(failure_registry(), opts).run(std::move(cells));
   ASSERT_EQ(results[2].status, runner::CellStatus::kFailed);
   EXPECT_EQ(results[1].result.trace_recorder, nullptr);
 
