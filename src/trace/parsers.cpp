@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -51,6 +52,14 @@ bool finite_time(const std::optional<double>& t) {
 bool fits_data_id(long long v) {
   return v >= 0 && static_cast<unsigned long long>(v) <
                        std::numeric_limits<DataId>::max();
+}
+
+// Record sizes are held in 32 bits; a larger field is an error, never a
+// silent truncation.
+bool fits_size(const std::optional<long long>& v) {
+  return v.has_value() && *v >= 0 &&
+         static_cast<unsigned long long>(*v) <=
+             std::numeric_limits<std::uint32_t>::max();
 }
 
 bool parse_opcode(std::string_view field, bool& is_read) {
@@ -132,8 +141,8 @@ Trace parse_spc(std::istream& in, const ParseOptions& opts,
                   error = "unparseable SPC ASU/LBA";
                   return false;
                 }
-                if (!size || *size < 0) {
-                  error = "bad SPC size field";
+                if (!fits_size(size)) {
+                  error = "bad SPC size field (must fit 32 bits)";
                   return false;
                 }
                 if (!parse_opcode(fields[3], is_read)) {
@@ -146,7 +155,7 @@ Trace parse_spc(std::istream& in, const ParseOptions& opts,
                 }
                 rec.time = *time;
                 rec.data = intern(interner, *asu, *lba);
-                rec.size_bytes = static_cast<unsigned long>(*size);
+                rec.size_bytes = static_cast<std::uint32_t>(*size);
                 rec.is_read = is_read;
                 return true;
               });
@@ -180,8 +189,8 @@ Trace parse_cello_text(std::istream& in, const ParseOptions& opts,
           error = "unparseable Cello device/block";
           return false;
         }
-        if (!size || *size < 0) {
-          error = "bad Cello size field";
+        if (!fits_size(size)) {
+          error = "bad Cello size field (must fit 32 bits)";
           return false;
         }
         if (!parse_opcode(fields[4], is_read)) {
@@ -194,7 +203,7 @@ Trace parse_cello_text(std::istream& in, const ParseOptions& opts,
         }
         rec.time = *time;
         rec.data = intern(interner, *dev, *block);
-        rec.size_bytes = static_cast<unsigned long>(*size);
+        rec.size_bytes = static_cast<std::uint32_t>(*size);
         rec.is_read = is_read;
         return true;
       });
@@ -222,8 +231,8 @@ Trace parse_csv(std::istream& in, const ParseOptions& opts,
                   error = "bad CSV data id (must fit 32-bit id)";
                   return false;
                 }
-                if (!size || *size < 0) {
-                  error = "bad CSV size field";
+                if (!fits_size(size)) {
+                  error = "bad CSV size field (must fit 32 bits)";
                   return false;
                 }
                 if (!parse_opcode(fields[3], is_read)) {
@@ -236,7 +245,7 @@ Trace parse_csv(std::istream& in, const ParseOptions& opts,
                 }
                 rec.time = *time;
                 rec.data = static_cast<DataId>(*data);
-                rec.size_bytes = static_cast<unsigned long>(*size);
+                rec.size_bytes = static_cast<std::uint32_t>(*size);
                 rec.is_read = is_read;
                 return true;
               });

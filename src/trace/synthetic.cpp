@@ -18,6 +18,8 @@ void SyntheticTraceConfig::validate() const {
   EAS_REQUIRE(burst_time_fraction >= 0.0 && burst_time_fraction < 1.0);
   EAS_REQUIRE(mean_burst_seconds > 0.0);
   EAS_REQUIRE(block_bytes > 0);
+  EAS_REQUIRE_MSG(block_bytes <= std::numeric_limits<std::uint32_t>::max(),
+                  "block_bytes " << block_bytes << " does not fit 32 bits");
   EAS_REQUIRE(write_fraction >= 0.0 && write_fraction <= 1.0);
 }
 
@@ -72,7 +74,7 @@ Trace make_synthetic_trace(const SyntheticTraceConfig& cfg) {
     TraceRecord r;
     r.time = now;
     r.data = rank_to_data[zipf.sample(popularity_rng)];
-    r.size_bytes = cfg.block_bytes;
+    r.size_bytes = static_cast<std::uint32_t>(cfg.block_bytes);
     r.is_read = cfg.write_fraction <= 0.0 || !op_rng.bernoulli(cfg.write_fraction);
     records.push_back(r);
   }

@@ -10,14 +10,18 @@
 namespace eas::trace {
 
 Trace::Trace(std::vector<TraceRecord> records) : records_(std::move(records)) {
+  bool sorted = true;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const auto& r = records_[i];
+    EAS_REQUIRE_MSG(r.time >= 0.0, "negative record time " << r.time);
+    EAS_REQUIRE_MSG(r.data != kInvalidData, "record without data id");
+    if (i > 0 && r.time < records_[i - 1].time) sorted = false;
+  }
+  if (sorted) return;
   std::stable_sort(records_.begin(), records_.end(),
                    [](const TraceRecord& a, const TraceRecord& b) {
                      return a.time < b.time;
                    });
-  for (const auto& r : records_) {
-    EAS_REQUIRE_MSG(r.time >= 0.0, "negative record time " << r.time);
-    EAS_REQUIRE_MSG(r.data != kInvalidData, "record without data id");
-  }
 }
 
 DataId Trace::data_universe_size() const {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -16,9 +17,12 @@ namespace eas::trace {
 struct TraceRecord {
   double time = 0.0;  ///< disk access time, seconds from trace start
   DataId data = kInvalidData;
-  unsigned long size_bytes = 512 * 1024;
+  std::uint32_t size_bytes = 512 * 1024;
   bool is_read = true;
 };
+static_assert(sizeof(TraceRecord) == 24,
+              "a trace holds every record for the whole run: 8 + 4 + 4 + 1 B, "
+              "padded to 24");
 
 /// Aggregate properties used for calibration and sanity tests.
 struct TraceStats {
@@ -36,7 +40,9 @@ struct TraceStats {
 class Trace {
  public:
   Trace() = default;
-  /// Sorts by time (stable) and validates: non-negative times, known data.
+  /// Validates (non-negative times, known data) and, only when the input is
+  /// out of time order, sorts it by time (stable: equal times keep their
+  /// input order).
   explicit Trace(std::vector<TraceRecord> records);
 
   const std::vector<TraceRecord>& records() const { return records_; }

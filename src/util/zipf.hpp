@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -15,17 +16,23 @@ namespace eas::util {
 
 /// Samples ranks 1..n with P(rank = r) ∝ 1 / r^z.
 ///
-/// Uses an O(log n) inverted-CDF lookup over a precomputed prefix table, so
-/// construction is O(n) and sampling is cheap enough for trace generation of
-/// millions of records.
+/// Inverts a precomputed CDF through a cut-point guide table: guide entry j
+/// holds the first rank whose CDF reaches j/n, so a draw u starts at entry
+/// ⌊u·n⌋ and walks a couple of ranks on average instead of binary-searching
+/// all n. Construction is O(n) in time and 12 bytes per rank in memory; the
+/// rank returned is exactly the first one with CDF >= u.
 class ZipfSampler {
  public:
-  /// @param n  number of ranks (must be >= 1)
+  /// @param n  number of ranks (must be >= 1 and fit 32 bits)
   /// @param z  skew exponent; 0 gives the uniform distribution.
   ZipfSampler(std::size_t n, double z);
 
   /// Returns a 0-based rank in [0, n).
   std::size_t sample(Rng& rng) const;
+
+  /// The 0-based rank a uniform draw u in [0, 1] maps to: the first rank
+  /// whose CDF is >= u.
+  std::size_t rank_of(double u) const;
 
   /// Probability mass of 0-based rank r.
   double pmf(std::size_t rank) const;
@@ -35,7 +42,8 @@ class ZipfSampler {
 
  private:
   double z_;
-  std::vector<double> cdf_;  // normalised inclusive prefix sums
+  std::vector<double> cdf_;           // normalised inclusive prefix sums
+  std::vector<std::uint32_t> guide_;  // guide_[j]: first rank, cdf_ >= j/n
 };
 
 }  // namespace eas::util

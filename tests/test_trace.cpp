@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "trace/parsers.hpp"
@@ -25,6 +26,17 @@ TEST(Trace, SortIsStableForEqualTimes) {
   EXPECT_EQ(t[0].data, 10u);
   EXPECT_EQ(t[1].data, 20u);
   EXPECT_EQ(t[2].data, 30u);
+}
+
+TEST(Trace, UnsortedInputWithTiesSortsStably) {
+  // Out of order, so the sort runs; the three records tied at 1.0 must keep
+  // their input order.
+  Trace t({{2.0, 1, 1, true}, {1.0, 2, 1, true}, {1.0, 3, 1, true},
+           {1.0, 4, 1, true}});
+  EXPECT_EQ(t[0].data, 2u);
+  EXPECT_EQ(t[1].data, 3u);
+  EXPECT_EQ(t[2].data, 4u);
+  EXPECT_EQ(t[3].data, 1u);
 }
 
 TEST(Trace, RejectsNegativeTimes) {
@@ -228,6 +240,40 @@ TEST(ParserHardening, CsvDataIdMustFit32Bits) {
   EXPECT_EQ(parse_csv(ok, {}).size(), 1u);
 }
 
+TEST(ParserHardening, SizeMustFit32Bits) {
+  // Records hold their size in 32 bits: 2^32 must be rejected with a message
+  // naming the size field, never truncated to 0; 2^32 - 1 still fits.
+  struct Case {
+    const char* format;
+    Trace (*parse)(std::istream&, const ParseOptions&, ParseReport*);
+    std::string too_big;
+    std::string fits;
+  };
+  const Case cases[] = {
+      {"SPC", parse_spc, "0,1,4294967296,r,0.0\n", "0,1,4294967295,r,0.0\n"},
+      {"Cello", parse_cello_text, "0.0 0 1 4294967296 r\n",
+       "0.0 0 1 4294967295 r\n"},
+      {"CSV", parse_csv, "time,data,size,op\n0.0,1,4294967296,r\n",
+       "time,data,size,op\n0.0,1,4294967295,r\n"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream too_big(c.too_big);
+    try {
+      c.parse(too_big, {}, nullptr);
+      ADD_FAILURE() << c.format << " accepted a 2^32-byte size";
+    } catch (const TraceParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(c.format) + " size"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("32 bits"), std::string::npos) << what;
+    }
+    std::istringstream fits(c.fits);
+    const auto t = c.parse(fits, {}, nullptr);
+    ASSERT_EQ(t.size(), 1u) << c.format;
+    EXPECT_EQ(t[0].size_bytes, 4294967295u) << c.format;
+  }
+}
+
 TEST(ParserHardening, LenientReportCarriesFirstErrorDetail) {
   std::istringstream in(
       "0,1,512,r,0.0\n"
@@ -390,6 +436,54 @@ TEST(Synthetic, ValidatesConfig) {
   cfg = {};
   cfg.burst_time_fraction = 1.0;
   EXPECT_THROW(make_synthetic_trace(cfg), InvariantError);
+  // Record sizes are 32-bit: a block of 2^32 bytes must not be truncated.
+  cfg = {};
+  cfg.num_requests = 10;
+  cfg.block_bytes = 4294967296UL;
+  EXPECT_THROW(make_synthetic_trace(cfg), InvariantError);
+  cfg.block_bytes = 4294967295UL;
+  const auto t = make_synthetic_trace(cfg);
+  ASSERT_EQ(t.size(), 10u);
+  EXPECT_EQ(t[0].size_bytes, 4294967295u);
+}
+
+/// FNV-1a over the bits of every field of every record: time, data id,
+/// size and read flag. One value that moves if any record does.
+std::uint64_t record_hash(const Trace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& r : t.records()) {
+    std::uint64_t time_bits = 0;
+    std::memcpy(&time_bits, &r.time, sizeof time_bits);
+    mix(time_bits);
+    mix(r.data);
+    mix(r.size_bytes);
+    mix(r.is_read ? 1u : 0u);
+  }
+  return h;
+}
+
+// Recorded on the generator as it stood before the sort check, the guide
+// table and the 32-bit record size: every record of both presets must stay
+// bit-identical.
+TEST(Synthetic, TracesMatchParentHashes) {
+  auto cello = cello_like_config(1);
+  cello.num_requests = 100000;
+  const auto c = make_synthetic_trace(cello);
+  ASSERT_EQ(c.size(), 100000u);
+  EXPECT_EQ(record_hash(c), 7695049573376535305ULL);
+
+  auto financial = financial_like_config(1);
+  financial.num_requests = 100000;
+  financial.write_fraction = 0.3;
+  const auto f = make_synthetic_trace(financial);
+  ASSERT_EQ(f.size(), 100000u);
+  EXPECT_EQ(record_hash(f), 9416827907782150457ULL);
 }
 
 }  // namespace
