@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cache/block_cache.hpp"
-#include "cache/cache.hpp"
 #include "cache/write_back.hpp"
 
 using namespace eas;
@@ -20,30 +19,25 @@ constexpr std::size_t kCapacity = 4096;
 /// streams wrap inside it.
 constexpr std::size_t kNumData = std::size_t{1} << 20;
 
-void BM_CacheLookup(benchmark::State& state,
-                    cache::CachePolicy policy) {
-  auto c = cache::BlockCache::make(policy, kCapacity, kNumData);
-  for (DataId b = 0; b < kCapacity; ++b) {
-    c->insert(b);
-    c->lookup(b);  // seat ARC's working set in T2
-  }
+void BM_CacheLookup(benchmark::State& state) {
+  cache::LruBlockCache c(kCapacity, kNumData);
+  for (DataId b = 0; b < kCapacity; ++b) c.insert(b);
   DataId b = 0;
   std::uint64_t hits = 0;
   for (auto _ : state) {
-    hits += c->lookup(b) ? 1 : 0;
+    hits += c.lookup(b) ? 1 : 0;
     b = (b + 7) & (kCapacity - 1);  // stride through the resident set
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_CacheMissInsert(benchmark::State& state,
-                        cache::CachePolicy policy) {
+void BM_CacheMissInsert(benchmark::State& state) {
   // Cold-miss insert + eviction churn: the worst-case per-request cost.
-  auto c = cache::BlockCache::make(policy, kCapacity, kNumData);
+  cache::LruBlockCache c(kCapacity, kNumData);
   DataId b = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(c->insert(b));
+    benchmark::DoNotOptimize(c.insert(b));
     b = (b + 1) & (kNumData - 1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -76,10 +70,9 @@ void BM_DestageBatch(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_CacheLookup, lru, cache::CachePolicy::kLru);
-BENCHMARK_CAPTURE(BM_CacheLookup, arc, cache::CachePolicy::kArc);
-BENCHMARK_CAPTURE(BM_CacheMissInsert, lru, cache::CachePolicy::kLru);
-BENCHMARK_CAPTURE(BM_CacheMissInsert, arc, cache::CachePolicy::kArc);
+// Named rows keep the `/lru` suffix so recorded trajectories stay paired.
+BENCHMARK(BM_CacheLookup)->Name("BM_CacheLookup/lru");
+BENCHMARK(BM_CacheMissInsert)->Name("BM_CacheMissInsert/lru");
 BENCHMARK(BM_DestageBatch);
 
 BENCHMARK_MAIN();

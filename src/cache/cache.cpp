@@ -6,16 +6,6 @@
 
 namespace eas::cache {
 
-const char* to_string(CachePolicy p) {
-  switch (p) {
-    case CachePolicy::kLru:
-      return "lru";
-    case CachePolicy::kArc:
-      return "arc";
-  }
-  return "?";
-}
-
 void CacheConfig::validate() const {
   if (!enabled) return;
   EAS_CHECK_MSG(block_bytes > 0, "cache.block_bytes must be > 0, got 0");

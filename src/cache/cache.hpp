@@ -5,7 +5,7 @@
 // reshaping is the dominant online lever on top of spin-down scheduling). It
 // has two halves:
 //
-//   * BlockCache (block_cache.hpp) — a deterministic read cache. Hits
+//   * LruBlockCache (block_cache.hpp) — a deterministic read cache. Hits
 //     complete at DRAM latency and never touch a disk, which extends exactly
 //     the idle windows the Eq. 6 cost schedulers and the covering-subset
 //     policy exploit.
@@ -29,13 +29,9 @@
 
 namespace eas::cache {
 
-/// Replacement policy of the read (clean) cache.
-enum class CachePolicy : std::uint8_t {
-  kLru = 0,  ///< least-recently-used, intrusive list + index
-  kArc = 1,  ///< adaptive replacement cache (Megiddo & Modha), ghost lists
-};
-
-const char* to_string(CachePolicy p);
+/// Kept only so the end-to-end benchmark's `cc.policy = kLru` line still
+/// compiles; nothing in src/ reads it. The read cache is always the LRU.
+enum class CachePolicy : std::uint8_t { kLru = 0 };
 
 struct CacheConfig {
   /// Master switch. Disabled (the default) keeps the whole tier dormant: no
@@ -47,6 +43,7 @@ struct CacheConfig {
   /// enabled cache with zero capacities must produce results bit-identical
   /// to a disabled one (pinned by test_cache).
   std::size_t capacity_blocks = 0;
+  /// Unread, like CachePolicy itself: only the end-to-end benchmark sets it.
   CachePolicy policy = CachePolicy::kLru;
 
   /// Write-back (dirty) buffer capacity in blocks. 0 selects the

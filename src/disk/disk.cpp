@@ -34,8 +34,7 @@ Disk::Disk(DiskId id, sim::Simulator& sim, DiskPowerParams power,
       power_(power),
       perf_(perf),
       status_(status != nullptr ? *status : own_status_),
-      accounted_until_(sim.now()),
-      head_cylinder_(perf.num_cylinders / 2) {
+      accounted_until_(sim.now()) {
   power_.validate();
   perf_.validate();
   EAS_CHECK_MSG(initial_state == DiskState::Standby ||
@@ -101,38 +100,8 @@ void Disk::transition_to(DiskState next) {
   status_.state_since = sim_.now();
 }
 
-unsigned Disk::cylinder_of(DataId data, unsigned num_cylinders) {
-  // splitmix-style scramble so adjacent data ids land on unrelated tracks.
-  std::uint64_t z = static_cast<std::uint64_t>(data) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<unsigned>((z ^ (z >> 31)) % num_cylinders);
-}
-
 void Disk::check_depth() const {
   EAS_ASSERT(status_.queued_requests == queue_.size() + (in_service_ ? 1 : 0));
-}
-
-std::size_t Disk::next_to_serve() const {
-  EAS_DCHECK(!queue_.empty());
-  if (perf_.discipline == QueueDiscipline::kFcfs ||
-      !perf_.use_position_model || queue_.size() == 1) {
-    return 0;
-  }
-  // SPTF: nearest cylinder to the current head position.
-  std::size_t best = 0;
-  unsigned best_dist = ~0u;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const unsigned cyl =
-        cylinder_of(queue_[i].request.data, perf_.num_cylinders);
-    const unsigned dist =
-        cyl > head_cylinder_ ? cyl - head_cylinder_ : head_cylinder_ - cyl;
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = i;
-    }
-  }
-  return best;
 }
 
 void Disk::submit(const Request& r) {
@@ -260,25 +229,16 @@ void Disk::start_service() {
   EAS_CHECK(!in_service_);
   EAS_CHECK(!queue_.empty());
   if (state() != DiskState::Active) transition_to(DiskState::Active);
-  const std::size_t pick = next_to_serve();
-  current_ = queue_[pick].request;
-  current_waited_spinup_ = queue_[pick].waited_for_spin;
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+  current_ = queue_.front().request;
+  current_waited_spinup_ = queue_.front().waited_for_spin;
+  queue_.pop_front();
   in_service_ = true;
   current_started_ = sim_.now();
   EAS_OBS(sim_.recorder(),
           request_event(sim_.now(), obs::Ev::kServiceBegin, current_.id, id_,
                         0, static_cast<std::uint16_t>(current_.kind)));
-  double service;
-  if (perf_.use_position_model) {
-    const unsigned target = cylinder_of(current_.data, perf_.num_cylinders);
-    service = perf_.service_seconds_positional(head_cylinder_, target,
-                                               current_.size_bytes);
-    head_cylinder_ = target;
-  } else {
-    service = perf_.service_seconds(current_.size_bytes);
-  }
-  sim_.schedule_in(service, [this] { complete_service(); });
+  sim_.schedule_in(perf_.service_seconds(current_.size_bytes),
+                   [this] { complete_service(); });
 }
 
 void Disk::complete_service() {

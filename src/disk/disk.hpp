@@ -135,13 +135,6 @@ class Disk {
   /// P(d_k), the in-service request included.
   std::size_t queued_requests() const { return status_.queued_requests; }
 
-  /// Current head cylinder (position model only; otherwise the initial
-  /// mid-stroke position).
-  unsigned head_cylinder() const { return head_cylinder_; }
-
-  /// Deterministic data-to-cylinder mapping used by the position model.
-  static unsigned cylinder_of(DataId data, unsigned num_cylinders);
-
   /// Flushes accounting up to `horizon` (>= the last transition). Call once
   /// at the end of a run before reading stats.
   void finalize(sim::SimTime horizon);
@@ -174,18 +167,12 @@ class Disk {
     // will have waited on a power transition when serviced).
     bool waited_for_spin = false;
   };
-  /// Index into queue_ of the next request to serve under the configured
-  /// discipline (0 for FCFS; nearest cylinder for SPTF).
-  std::size_t next_to_serve() const;
-
   std::deque<Pending> queue_;
   bool in_service_ = false;
   Request current_{};
   sim::SimTime current_started_ = 0.0;
   bool current_waited_spinup_ = false;
   bool wake_after_spindown_ = false;
-
-  unsigned head_cylinder_;
 
   DiskStats stats_;
   CompletionCallback on_completion_;

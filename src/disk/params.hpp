@@ -7,8 +7,6 @@
 // disk models can be expressed without code changes.
 #pragma once
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace eas::disk {
@@ -74,41 +72,22 @@ struct DiskPowerParams {
   }
 };
 
-/// Queue discipline for requests waiting at one disk.
-enum class QueueDiscipline {
-  kFcfs,  ///< arrival order (the evaluation default)
-  kSptf,  ///< shortest-positioning-time-first: serve the nearest cylinder
-};
-
 /// First-order service-time model for a 15k RPM enterprise disk (Cheetah
 /// 15K.5 class). The paper stresses that I/O time (milliseconds) is dwarfed
 /// by power transitions (seconds); this model preserves that separation while
 /// still producing realistic sub-100 ms response times for queue-free hits.
-///
-/// Two fidelity levels:
-///  * default — every request costs the average seek + rotational latency
-///    (deterministic, what the calibrated experiments use);
-///  * position model (`use_position_model = true`) — data ids map to
-///    cylinders, seek time follows the usual a + b·sqrt(distance) curve, and
-///    the disk tracks its head position, enabling the SPTF discipline.
+/// Every request costs the average seek + rotational latency + transfer, so
+/// service time is deterministic and independent of where the data lies.
 struct DiskPerfParams {
   double avg_seek_seconds = 0.0035;      ///< average read seek, 3.5 ms
-  double full_stroke_seek_seconds = 0.008;
   double rpm = 15000.0;
   double transfer_mb_per_sec = 125.0;    ///< sustained outer-zone rate
   double controller_overhead_seconds = 0.0002;
 
-  bool use_position_model = false;
-  unsigned num_cylinders = 50000;
-  /// Fixed head-settle component of any non-zero seek.
-  double seek_settle_seconds = 0.0008;
-  QueueDiscipline discipline = QueueDiscipline::kFcfs;
-
   /// Half a rotation at the configured RPM.
   double avg_rotational_latency_seconds() const { return 30.0 / rpm; }
 
-  /// Deterministic expected service time for a transfer of `bytes`
-  /// (average-seek model; used whenever the position model is off).
+  /// Deterministic expected service time for a transfer of `bytes`.
   double service_seconds(unsigned long bytes) const {
     const double xfer =
         static_cast<double>(bytes) / (transfer_mb_per_sec * 1e6);
@@ -116,35 +95,11 @@ struct DiskPerfParams {
            avg_rotational_latency_seconds() + xfer;
   }
 
-  /// Seek time for a cylinder distance under the position model: the
-  /// classic settle + b·sqrt(distance) curve, with b chosen so a
-  /// full-stroke seek costs full_stroke_seek_seconds.
-  double seek_seconds(unsigned distance) const {
-    if (distance == 0) return 0.0;
-    const double b =
-        (full_stroke_seek_seconds - seek_settle_seconds) /
-        std::sqrt(static_cast<double>(num_cylinders));
-    return seek_settle_seconds + b * std::sqrt(static_cast<double>(distance));
-  }
-
-  /// Position-model service time from head cylinder `from` to `to`.
-  double service_seconds_positional(unsigned from, unsigned to,
-                                    unsigned long bytes) const {
-    const double xfer =
-        static_cast<double>(bytes) / (transfer_mb_per_sec * 1e6);
-    const unsigned dist = from > to ? from - to : to - from;
-    return controller_overhead_seconds + seek_seconds(dist) +
-           avg_rotational_latency_seconds() + xfer;
-  }
-
   void validate() const {
     EAS_REQUIRE(avg_seek_seconds >= 0.0);
-    EAS_REQUIRE(full_stroke_seek_seconds >= avg_seek_seconds);
     EAS_REQUIRE(rpm > 0.0);
     EAS_REQUIRE(transfer_mb_per_sec > 0.0);
     EAS_REQUIRE(controller_overhead_seconds >= 0.0);
-    EAS_REQUIRE(num_cylinders > 0);
-    EAS_REQUIRE(seek_settle_seconds >= 0.0);
   }
 };
 

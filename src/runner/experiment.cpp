@@ -167,8 +167,7 @@ std::string describe(const ExperimentParams& p) {
   }
   // Likewise cache-free experiments: the tier appears only when enabled.
   if (p.cache.enabled) {
-    os << " cache[" << cache::to_string(p.cache.policy)
-       << " blocks=" << p.cache.capacity_blocks
+    os << " cache[lru blocks=" << p.cache.capacity_blocks
        << " dirty=" << p.cache.dirty_capacity_blocks
        << " mem_w_gib=" << p.cache.memory_watts_per_gib << "]";
   }

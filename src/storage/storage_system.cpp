@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <sstream>
 
 #include "cache/block_cache.hpp"
@@ -256,9 +257,8 @@ class System {
     if (config_.cache.enabled) {
       dram_lane_ = sim_.delay_lane(config_.cache.dram_latency_seconds);
       if (config_.cache.capacity_blocks > 0) {
-        read_cache_ = cache::BlockCache::make(config_.cache.policy,
-                                              config_.cache.capacity_blocks,
-                                              placement.num_data());
+        read_cache_.emplace(config_.cache.capacity_blocks,
+                            placement.num_data());
       }
       if (config_.cache.dirty_capacity_blocks > 0) {
         wb_ = std::make_unique<cache::WriteBackBuffer>(
@@ -613,7 +613,7 @@ class System {
       complete_from_cache(r);
       return true;
     }
-    if (read_cache_ != nullptr && read_cache_->contains(r.data)) {
+    if (read_cache_ && read_cache_->contains(r.data)) {
       // The cache must never mask a lost block: when the last disk replica
       // is gone, drop the cached copy and let the ordinary path count the
       // request unavailable — exactly as it would without a cache.
@@ -665,7 +665,7 @@ class System {
     EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kWriteBuffered,
                                          r.id, r.data, home));
     // The buffered copy supersedes any clean cached one.
-    if (read_cache_ != nullptr) read_cache_->erase(r.data);
+    if (read_cache_) read_cache_->erase(r.data);
     complete_from_cache(r);
     if (fresh) arm_destage_deadline(r.data);
     // Opportunistic flush: the home disk is spinning with an empty queue,
@@ -777,7 +777,7 @@ class System {
       m_dirty_occupancy_->add(static_cast<double>(wb_->size()));
     }
     // The block is clean on disk now and demonstrably warm: admit it.
-    if (read_cache_ != nullptr) insert_clean(b);
+    if (read_cache_) insert_clean(b);
   }
 
   // ---- reliability tier ----
@@ -1103,7 +1103,7 @@ class System {
                           0, static_cast<std::uint16_t>(c.request.kind)));
     // Miss path populates the read cache: the block was just fetched from
     // disk and is the most-recently-used thing in the system.
-    if (read_cache_ != nullptr && c.request.is_read) {
+    if (read_cache_ && c.request.is_read) {
       insert_clean(c.request.data);
     }
   }
@@ -1331,9 +1331,9 @@ class System {
   std::vector<RebuildState> rebuilds_;
   std::uint32_t rebuild_epoch_ = 0;
 
-  /// Cache tier; both null (and every hook a single branch) when the config
+  /// Cache tier; both empty (and every hook a single branch) when the config
   /// leaves the tier disabled.
-  std::unique_ptr<cache::BlockCache> read_cache_;
+  std::optional<cache::LruBlockCache> read_cache_;
   std::unique_ptr<cache::WriteBackBuffer> wb_;
   cache::CacheStats cache_stats_{};
   std::size_t high_blocks_ = 0;

@@ -1,4 +1,4 @@
-// Cache & destage tier tests: golden LRU/ARC replacement sequences, the
+// Cache & destage tier tests: golden LRU replacement sequences, the
 // write-back buffer lifecycle, seeded differentials of the dense LRU and
 // write-back buffer against the naive models in reference_cache.hpp, and
 // the power-aware destage path end to end (piggyback on an already-spinning
@@ -105,6 +105,23 @@ TEST(CacheConfig, ExperimentParamsRejectAnInfiniteDramLatency) {
   EXPECT_THROW(p.validate(), InvariantError);
 }
 
+TEST(CacheConfig, DescribeNamesAnEnabledCacheExactly) {
+  // describe() is the `params` field of every emitted row, so its cache
+  // segment is output: pin it byte for byte.
+  runner::ExperimentBuilder b(runner::Workload::kCello);
+  b.requests(100);
+  EXPECT_EQ(runner::describe(b.build()).find("cache["), std::string::npos);
+  CacheConfig cc;
+  cc.capacity_blocks = 1024;
+  cc.dirty_capacity_blocks = 256;
+  cc.memory_watts_per_gib = 0.5;
+  const std::string d = runner::describe(b.cache(cc).build());
+  const std::size_t at = d.find("cache[");
+  ASSERT_NE(at, std::string::npos) << d;
+  EXPECT_EQ(d.substr(at, d.find(']', at) + 1 - at),
+            "cache[lru blocks=1024 dirty=256 mem_w_gib=0.5]");
+}
+
 TEST(CacheConfig, MemoryEnergyChargesBothHalvesOverTheHorizon) {
   CacheConfig c;
   c.capacity_blocks = 1024;        // 1024 * 1 MiB = 1 GiB
@@ -198,130 +215,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{1024}),
                        ::testing::Range(1, 6)));
 
-// -------------------------------------------------------------------- ARC
-
-TEST(ArcCache, GoldenSequenceWithGhostAdaptation) {
-  ArcBlockCache c(2);
-  // Cold fills: 1 promoted to T2 via a hit, 2 lands in T1.
-  EXPECT_EQ(c.insert(1), kInvalidData);  // T1={1}
-  EXPECT_TRUE(c.lookup(1));              // T1={}, T2={1}
-  EXPECT_EQ(c.insert(2), kInvalidData);  // T1={2}, T2={1}
-  EXPECT_EQ(c.t1_size(), 1u);
-  EXPECT_EQ(c.t2_size(), 1u);
-  // Cold miss on a full cache: REPLACE evicts T1's LRU (p=0) into ghost B1.
-  EXPECT_EQ(c.insert(3), 2u);  // T1={3}, T2={1}, B1={2}
-  EXPECT_EQ(c.b1_size(), 1u);
-  EXPECT_FALSE(c.contains(2));
-  // Ghost hit in B1 (Case II): p grows to 1, T2's LRU (1) goes to B2, and 2
-  // returns as a frequency block.
-  EXPECT_EQ(c.insert(2), 1u);  // T1={3}, T2={2}, B1={}, B2={1}
-  EXPECT_EQ(c.target_t1(), 1u);
-  EXPECT_EQ(c.t1_size(), 1u);
-  EXPECT_EQ(c.t2_size(), 1u);
-  EXPECT_EQ(c.b1_size(), 0u);
-  EXPECT_EQ(c.b2_size(), 1u);
-  // Ghost hit in B2 (Case III): p shrinks back to 0, T1's LRU (3) goes to
-  // B1, and 1 returns to T2.
-  EXPECT_EQ(c.insert(1), 3u);  // T1={}, T2={1,2}, B1={3}, B2={}
-  EXPECT_EQ(c.target_t1(), 0u);
-  EXPECT_EQ(c.t1_size(), 0u);
-  EXPECT_EQ(c.t2_size(), 2u);
-  EXPECT_EQ(c.b1_size(), 1u);
-  EXPECT_EQ(c.b2_size(), 0u);
-  EXPECT_TRUE(c.contains(1));
-  EXPECT_TRUE(c.contains(2));
-  EXPECT_FALSE(c.contains(3));   // ghost, not resident
-  EXPECT_FALSE(c.lookup(3));     // ghosts never serve a hit
-}
-
-TEST(ArcCache, ScanResistanceBeatsLru) {
-  // Warm a 4-block working set into T2, then stream 16 cold blocks through.
-  // ARC sacrifices the one-shot scan blocks against each other; LRU loses
-  // the whole working set.
-  ArcBlockCache arc(4);
-  LruBlockCache lru(4, /*num_data=*/128);
-  for (DataId b = 0; b < 4; ++b) {
-    arc.insert(b);
-    arc.lookup(b);  // promote to T2 (seen twice)
-    lru.insert(b);
-    lru.lookup(b);
-  }
-  for (DataId b = 100; b < 116; ++b) {
-    arc.insert(b);
-    lru.insert(b);
-  }
-  int arc_kept = 0;
-  int lru_kept = 0;
-  for (DataId b = 0; b < 4; ++b) {
-    arc_kept += arc.contains(b) ? 1 : 0;
-    lru_kept += lru.contains(b) ? 1 : 0;
-  }
-  EXPECT_GE(arc_kept, 3);
-  EXPECT_EQ(lru_kept, 0);
-}
-
-TEST(ArcCache, EraseDropsResidentsAndGhosts) {
-  ArcBlockCache c(2);
-  c.insert(1);
-  c.insert(2);
-  c.insert(3);  // 1 discarded or ghosted depending on path; 3 resident
-  EXPECT_TRUE(c.erase(3));          // resident -> true
-  EXPECT_FALSE(c.contains(3));
-  EXPECT_FALSE(c.erase(3));         // already gone
-  // Build a ghost and erase it: erase reports false (not resident) but the
-  // directory entry goes away (re-insert is a cold miss, no adaptation).
-  c.insert(4);
-  c.lookup(2);
-  c.insert(5);  // evicts something into a ghost list
-  const std::size_t ghosts = c.b1_size() + c.b2_size();
-  ASSERT_GE(ghosts, 1u);
-}
-
-TEST(ArcCache, GhostHitsAfterEraseDrainsResidentsDoNotEvict) {
-  // Regression: erase() (write-buffer invalidation, lost replicas) can empty
-  // T1 and T2 while B1/B2 still hold ghosts. A later ghost hit (Case II/III)
-  // or a cold miss with |T1|+|B1| == c must then skip REPLACE instead of
-  // popping a victim from an empty resident list.
-  ArcBlockCache c(2);
-  c.insert(1);
-  c.lookup(1);                  // T2={1}
-  c.insert(2);                  // T1={2}, T2={1}
-  EXPECT_EQ(c.insert(3), 2u);   // T1={3}, T2={1}, B1={2}
-  EXPECT_TRUE(c.erase(3));
-  EXPECT_TRUE(c.erase(1));      // residents drained; ghost 2 survives in B1
-  EXPECT_EQ(c.t1_size() + c.t2_size(), 0u);
-  EXPECT_EQ(c.b1_size(), 1u);
-  // Case II ghost hit with spare room: promote, evict nothing.
-  EXPECT_EQ(c.insert(2), kInvalidData);
-  EXPECT_TRUE(c.lookup(2));
-  // Rebuild a B2 ghost the same way, then take the Case III path drained.
-  c.insert(4);                  // T1={4}, T2={2}
-  EXPECT_EQ(c.insert(5), 2u);   // T1={5,4}, T2={}, B2={2}
-  EXPECT_TRUE(c.erase(5));
-  EXPECT_TRUE(c.erase(4));      // residents drained; ghost 2 survives in B2
-  EXPECT_EQ(c.b2_size(), 1u);
-  EXPECT_EQ(c.insert(2), kInvalidData);  // Case III: no eviction
-  EXPECT_TRUE(c.contains(2));
-  // Cold miss with |T1|+|B1| == c but residents below capacity: the B1
-  // ghost is dropped for the newcomer's directory slot, nothing is evicted.
-  c.insert(6);                  // T1={6}, T2={2}
-  EXPECT_EQ(c.insert(7), 6u);   // T1={7}, T2={2}, B1={6}
-  EXPECT_TRUE(c.erase(7));
-  EXPECT_TRUE(c.erase(2));      // residents drained; ghost 6 survives in B1
-  EXPECT_EQ(c.insert(8), kInvalidData);  // T1={8}
-  EXPECT_EQ(c.insert(9), kInvalidData);  // |T1|+|B1| == c path, no victim
-  EXPECT_TRUE(c.contains(8));
-  EXPECT_TRUE(c.contains(9));
-  EXPECT_EQ(c.b1_size(), 0u);   // ghost 6 gave up its slot
-}
-
 TEST(BlockCacheFactory, MakesBothPolicies) {
-  auto lru = BlockCache::make(CachePolicy::kLru, 8, /*num_data=*/16);
-  auto arc = BlockCache::make(CachePolicy::kArc, 8, /*num_data=*/16);
-  EXPECT_STREQ(lru->name(), "lru");
-  EXPECT_STREQ(arc->name(), "arc");
-  EXPECT_EQ(lru->capacity(), 8u);
-  EXPECT_EQ(arc->capacity(), 8u);
+  LruBlockCache lru(8, /*num_data=*/16);
+  EXPECT_STREQ(lru.name(), "lru");
+  EXPECT_EQ(lru.capacity(), 8u);
 }
 
 // ----------------------------------------------------- zero-alloc lookups
@@ -329,27 +226,21 @@ TEST(BlockCacheFactory, MakesBothPolicies) {
 using testing::allocations_during;
 
 TEST(CacheAllocation, SteadyStateLookupsAreAllocationFree) {
-  // Warm both caches to capacity, then hammer hits and resident-promotions:
-  // splice moves list nodes in place, so the steady state allocates nothing.
-  auto lru = BlockCache::make(CachePolicy::kLru, 64, /*num_data=*/64);
-  auto arc = BlockCache::make(CachePolicy::kArc, 64, /*num_data=*/64);
-  for (DataId b = 0; b < 64; ++b) {
-    lru->insert(b);
-    arc->insert(b);
-    arc->lookup(b);
-  }
+  // Warm the cache to capacity, then hammer hits and resident-promotions:
+  // relinking moves nodes in place, so the steady state allocates nothing.
+  LruBlockCache lru(64, /*num_data=*/64);
+  for (DataId b = 0; b < 64; ++b) lru.insert(b);
   std::uint64_t hits = 0;
   const std::uint64_t n = allocations_during([&] {
     for (int round = 0; round < 200; ++round) {
       for (DataId b = 0; b < 64; ++b) {
-        hits += lru->lookup(b) ? 1 : 0;
-        hits += arc->lookup(b) ? 1 : 0;
-        lru->insert(b);  // resident re-insert = promotion, no allocation
+        hits += lru.lookup(b) ? 1 : 0;
+        lru.insert(b);  // resident re-insert = promotion, no allocation
       }
     }
   });
   EXPECT_EQ(n, 0u) << "steady-state lookups allocated";
-  EXPECT_EQ(hits, 2u * 200 * 64);
+  EXPECT_EQ(hits, 200u * 64);
 }
 
 TEST(CacheAllocation, LruMissInsertsWithEvictionAreAllocationFree) {
@@ -884,7 +775,6 @@ TEST(CacheRun, MemoryEnergyIsChargedOverTheHorizon) {
 // repaired disk, Financial-like traffic with 30% writes.
 runner::ExperimentParams tiers_cell(std::size_t requests) {
   CacheConfig cc;
-  cc.policy = cache::CachePolicy::kLru;
   cc.capacity_blocks = 1024;
   cc.dirty_capacity_blocks = 256;
   reliability::ReliabilityConfig rc;

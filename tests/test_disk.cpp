@@ -243,6 +243,27 @@ TEST(Disk, ZeroTransitionTimesDegenerateCleanly) {
   EXPECT_EQ(d.state(), DiskState::Idle);
 }
 
+TEST(Disk, ServiceTimeIgnoresTheDataId) {
+  // The calibrated experiments rely on the average-seek model: identical
+  // service time for every 4 KB request regardless of data id.
+  sim::Simulator sim;
+  DiskPerfParams p;
+  Disk d(0, sim, DiskPowerParams{}, p, DiskState::Idle);
+  std::vector<double> service_times;
+  d.set_completion_callback([&](const Completion& c) {
+    service_times.push_back(c.completion_time - c.service_start);
+  });
+  Request a = make_request(1, 5, 0.0);
+  Request b = make_request(2, 49999, 0.0);
+  a.size_bytes = b.size_bytes = 4096;
+  d.submit(a);
+  d.submit(b);
+  sim.run();
+  ASSERT_EQ(service_times.size(), 2u);
+  EXPECT_DOUBLE_EQ(service_times[0], service_times[1]);
+  EXPECT_DOUBLE_EQ(service_times[0], p.service_seconds(4096));
+}
+
 TEST(DiskStateNames, AreHumanReadable) {
   EXPECT_STREQ(to_string(DiskState::Standby), "standby");
   EXPECT_STREQ(to_string(DiskState::SpinningUp), "spin-up");

@@ -186,7 +186,6 @@ trace::Trace all_tiers_trace() {
 /// and repair.
 runner::ExperimentBuilder all_tiers_builder() {
   cache::CacheConfig cc;
-  cc.policy = cache::CachePolicy::kLru;
   cc.capacity_blocks = 256;
   cc.dirty_capacity_blocks = 64;
   reliability::ReliabilityConfig rc;

@@ -4,6 +4,10 @@
 # compact JSON document (items/sec per benchmark plus the commit hash), so
 # speedups across PRs are *recorded*, not asserted from memory.
 #
+# Each benchmark runs `repetitions` times and the record keeps the median of
+# those runs, so a single noisy run cannot flag an untouched row in a
+# before/after pair.
+#
 # Usage: tools/bench_record.sh [build-dir] [output.json]
 #   build-dir     defaults to build        (must already contain the binaries)
 #   output.json   defaults to BENCH_micro.json at the repo root
@@ -17,6 +21,7 @@
 #     "commit": "<git hash>[-dirty]",
 #     "benchmarks": { "<name>": {"items_per_second": N, "real_time_ns": N}, … }
 #   }
+# where both numbers are the medians over the repetitions.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -37,6 +42,8 @@ if ! git -C "$root" diff --quiet HEAD -- src bench 2>/dev/null; then
   commit="${commit}-dirty"
 fi
 
+repetitions=5
+
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
@@ -48,6 +55,8 @@ reports=()
 for b in "${benches[@]}"; do
   echo "bench_record: running $b" >&2
   "$build/bench/$b" --benchmark_format=json \
+    --benchmark_repetitions="$repetitions" \
+    --benchmark_report_aggregates_only=true \
     ${extra_args[@]+"${extra_args[@]}"} > "$tmpdir/$b.json"
   # A binary whose benchmarks all miss EAS_BENCH_FILTER prints no JSON at
   # all; leave it out of the merge instead of failing to parse it.
@@ -71,12 +80,12 @@ for path in inputs:
     with open(path) as f:
         report = json.load(f)
     for bm in report.get("benchmarks", []):
-        if bm.get("run_type") == "aggregate":
+        if bm.get("aggregate_name") != "median":
             continue
         entry = {"real_time_ns": round(bm["real_time"], 1)}
         if "items_per_second" in bm:
             entry["items_per_second"] = round(bm["items_per_second"])
-        doc["benchmarks"][bm["name"]] = entry
+        doc["benchmarks"][bm["run_name"]] = entry
 doc["benchmarks"] = dict(sorted(doc["benchmarks"].items()))
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=False)
