@@ -41,22 +41,23 @@ int main() {
     int optimal_hits = 0;
     for (int round = 0; round < kRounds; ++round) {
       util::Rng rng(1000 + round);
-      graph::SetCoverInstance inst;
-      inst.num_elements = 14;
+      constexpr std::uint32_t kElements = 14;
+      std::vector<graph::SetSpec> sets;
       for (int s = 0; s < 12; ++s) {
-        graph::SetCoverInstance::Set set;
+        graph::SetSpec set;
         set.weight = rng.uniform(0.2, 5.0);
-        for (std::size_t e = 0; e < inst.num_elements; ++e) {
+        for (std::uint32_t e = 0; e < kElements; ++e) {
           if (rng.bernoulli(0.3)) set.elements.push_back(e);
         }
-        inst.sets.push_back(std::move(set));
+        sets.push_back(std::move(set));
       }
-      graph::SetCoverInstance::Set universal;
+      graph::SetSpec universal;
       universal.weight = 25.0;
-      for (std::size_t e = 0; e < inst.num_elements; ++e) {
+      for (std::uint32_t e = 0; e < kElements; ++e) {
         universal.elements.push_back(e);
       }
-      inst.sets.push_back(std::move(universal));
+      sets.push_back(std::move(universal));
+      const auto inst = graph::make_set_cover(kElements, sets);
 
       const auto greedy = graph::greedy_weighted_set_cover(inst);
       const auto exact = graph::exact_set_cover(inst);

@@ -23,21 +23,19 @@ namespace {
 graph::SetCoverInstance random_cover(std::size_t elements, std::size_t sets,
                                      double density, std::uint64_t seed) {
   util::Rng rng(seed);
-  graph::SetCoverInstance inst;
-  inst.num_elements = elements;
-  inst.sets.resize(sets);
-  for (auto& s : inst.sets) {
+  std::vector<graph::SetSpec> specs(sets);
+  for (auto& s : specs) {
     s.weight = rng.uniform(0.5, 10.0);
-    for (std::size_t e = 0; e < elements; ++e) {
+    for (std::uint32_t e = 0; e < elements; ++e) {
       if (rng.bernoulli(density)) s.elements.push_back(e);
     }
   }
   // One universal set guarantees feasibility.
-  inst.sets.push_back({100.0, {}});
-  for (std::size_t e = 0; e < elements; ++e) {
-    inst.sets.back().elements.push_back(e);
+  specs.push_back({100.0, {}});
+  for (std::uint32_t e = 0; e < elements; ++e) {
+    specs.back().elements.push_back(e);
   }
-  return inst;
+  return graph::make_set_cover(elements, specs);
 }
 
 void BM_GreedySetCover(benchmark::State& state) {

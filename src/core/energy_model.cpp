@@ -19,38 +19,12 @@ double pairwise_energy_consumption(double ti, double tj,
 
 double marginal_energy_cost(const disk::DiskStatus& s, double now,
                             const disk::DiskPowerParams& p) {
-  switch (s.state) {
-    case disk::DiskState::Active:
-    case disk::DiskState::SpinningUp:
-      return 0.0;
-    case disk::DiskState::Standby:
-    case disk::DiskState::SpinningDown:
-      return p.transition_energy() + p.breakeven_seconds() * p.idle_watts;
-    case disk::DiskState::Idle: {
-      const double t_last =
-          s.last_request_time >= 0.0 ? s.last_request_time : s.state_since;
-      const double extension = std::max(0.0, (now - t_last) * p.idle_watts);
-      // Theorem 2 derives the idle weight under 2CPM, where an idle period
-      // never exceeds T_B — so the extension is implicitly bounded by one
-      // full wake cycle. Disks kept idle past breakeven by other policies
-      // (oracle case II, covering-subset pinning) must not look more
-      // expensive than waking a sleeping disk, hence the explicit cap.
-      return std::min(extension,
-                      p.transition_energy() +
-                          p.breakeven_seconds() * p.idle_watts);
-    }
-  }
-  return 0.0;
+  return CostModel(p).energy(s, now);
 }
 
 double composite_cost(const disk::DiskStatus& s, double now,
                       const disk::DiskPowerParams& p, const CostParams& cp) {
-  EAS_REQUIRE_MSG(cp.beta > 0.0, "beta must be positive");
-  EAS_REQUIRE_MSG(cp.alpha >= 0.0 && cp.alpha <= 1.0,
-                "alpha must lie in [0,1], got " << cp.alpha);
-  const double energy = marginal_energy_cost(s, now, p);
-  const double perf = static_cast<double>(s.queued_requests);
-  return energy * cp.alpha / cp.beta + perf * (1.0 - cp.alpha);
+  return CostModel(p, cp).cost(s, now);
 }
 
 }  // namespace eas::core

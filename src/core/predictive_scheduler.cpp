@@ -44,16 +44,16 @@ void PredictiveCostScheduler::note_dispatch(DiskId k, double now) {
 
 DiskId PredictiveCostScheduler::pick(const disk::Request& r,
                                      const SystemView& view) {
-  const auto& locs = view.placement().locations(r.data);
+  const std::span<const DiskId> locs = view.placement().locations(r.data);
   EAS_DCHECK(!locs.empty());
   const fault::FailureView* fv = view.degraded() ? view.failure_view() : nullptr;
   const double now = view.now();
-  const disk::DiskPowerParams& power = view.power_params();
+  const CostModel model(view.power_params(), params_.cost);
   double best_cost = std::numeric_limits<double>::infinity();
   DiskId best = kInvalidDisk;
   for (DiskId k : locs) {
     if (fv != nullptr && !fv->replica_readable(r.data, k)) continue;
-    const double base = composite_cost(view.disk(k), now, power, params_.cost);
+    const double base = model.cost(view.disk(k), now);
     // Backpressure penalty first (identity without a reliability tier),
     // then the predicted-load discount (gamma) and the same dirty-set
     // pressure discount the plain cost scheduler applies (see

@@ -25,13 +25,14 @@ DiskId WriteOffloadManager::route_write(const disk::Request& r,
   }
 
   // The cheapest spinning disk seen so far is the diversion target.
+  const CostModel model(view.power_params(), options_.cost);
+  const double now = view.now();
   DiskId best = kInvalidDisk;
   double best_cost = std::numeric_limits<double>::infinity();
   const auto consider = [&](DiskId k) {
     const disk::DiskStatus& d = view.disk(k);
     if (!is_spinning(d)) return;
-    const double c =
-        composite_cost(d, view.now(), view.power_params(), options_.cost);
+    const double c = model.cost(d, now);
     if (c < best_cost) {
       best_cost = c;
       best = k;

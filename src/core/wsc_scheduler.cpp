@@ -14,99 +14,88 @@ std::string WscBatchScheduler::name() const {
   return os.str();
 }
 
-const graph::SetCoverInstance& WscBatchScheduler::build_instance_into(
-    const std::vector<disk::Request>& batch, const SystemView& view,
-    std::vector<DiskId>& candidate_disks) const {
-  graph::SetCoverInstance& instance = inst_ws_;
-  // Retire the previous instance's element vectors into the spare pool so
-  // their capacity survives sets.clear(). Retiring in reverse hands set i
-  // its own old vector back, so a recurring batch shape stops regrowing.
-  for (auto it = instance.sets.rbegin(); it != instance.sets.rend(); ++it) {
-    it->elements.clear();
-    spare_elements_.push_back(std::move(it->elements));
-  }
-  instance.sets.clear();
+void WscBatchScheduler::build_cover(const std::vector<disk::Request>& batch,
+                                    const SystemView& view) {
+  graph::SetCoverInstance& instance = cover_;
+  instance.weights.clear();
+  instance.element_start.resize(1);
+  instance.element_sets.clear();
+  candidates_.clear();
+  elem_req_.clear();
 
   // Under a degraded view only readable replicas become set members, and a
   // request whose replicas are all gone is excluded from the universe
   // entirely (it cannot be covered; assign() reports it as unavailable).
-  // elem_req_ maps instance element -> batch index; on the healthy path it
-  // is the identity.
   const fault::FailureView* fv =
       view.degraded() ? view.failure_view() : nullptr;
-  elem_req_.clear();
 
-  // The clock, power parameters and placement are fixed for the batch:
-  // read them once, not once per set or request.
+  // The clock, cost model and placement are fixed for the batch: read or
+  // derive them once, not once per set or request. Pure-energy weights
+  // never read the cost parameters, so they are not checked in that mode.
   const placement::PlacementMap& placement = view.placement();
   const double now = view.now();
-  const disk::DiskPowerParams& power = view.power_params();
+  const bool pure_energy = mode_ == WeightMode::kPureEnergy;
+  const CostModel model(view.power_params(),
+                        pure_energy ? CostParams{} : cost_);
 
-  // One set per disk that stores at least one batched request's data. The
-  // dense map assigns set indices in first-encounter order, exactly as the
-  // hashed try_emplace it replaces did.
+  // One set per disk that stores at least one batched request's data, in
+  // first-encounter order.
   constexpr std::uint32_t kNoSet = std::numeric_limits<std::uint32_t>::max();
   if (set_of_disk_.size() < placement.num_disks()) {
     set_of_disk_.resize(placement.num_disks(), kNoSet);
   }
-  candidate_disks.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t e = elem_req_.size();  // tentative element id
-    bool coverable = false;
     for (DiskId k : placement.locations(batch[i].data)) {
       if (fv != nullptr && !fv->replica_readable(batch[i].data, k)) continue;
       std::uint32_t idx = set_of_disk_[k];
       if (idx == kNoSet) {
-        idx = static_cast<std::uint32_t>(instance.sets.size());
+        idx = static_cast<std::uint32_t>(candidates_.size());
         set_of_disk_[k] = idx;
-        auto& set = instance.sets.emplace_back();
-        if (!spare_elements_.empty()) {
-          set.elements = std::move(spare_elements_.back());
-          spare_elements_.pop_back();
-        }
-        candidate_disks.push_back(k);
+        candidates_.push_back(k);
         const disk::DiskStatus& d = view.disk(k);
-        set.weight = mode_ == WeightMode::kPureEnergy
-                         ? marginal_energy_cost(d, now, power)
-                         : composite_cost(d, now, power, cost_);
+        instance.weights.push_back(pure_energy ? model.energy(d, now)
+                                               : model.cost(d, now));
       }
-      instance.sets[idx].elements.push_back(e);
-      coverable = true;
+      instance.element_sets.push_back(idx);
     }
-    if (coverable) elem_req_.push_back(i);  // claims element id e
+    // A request with at least one readable replica claims the next element.
+    const auto filled =
+        static_cast<std::uint32_t>(instance.element_sets.size());
+    if (filled > instance.element_start.back()) {
+      instance.element_start.push_back(filled);
+      elem_req_.push_back(static_cast<std::uint32_t>(i));
+    }
   }
-  instance.num_elements = elem_req_.size();
   // Restore the sentinel for the next batch; only touched entries cost.
-  for (DiskId k : candidate_disks) set_of_disk_[k] = kNoSet;
-  return instance;
+  for (DiskId k : candidates_) set_of_disk_[k] = kNoSet;
+  // Set rows, each in ascending element order.
+  instance.set_start.resize(1);
+  graph::transpose_rows(instance.element_start, instance.element_sets,
+                        candidates_.size(), instance.set_start,
+                        instance.set_elements);
 }
 
 std::vector<DiskId> WscBatchScheduler::assign(
     const std::vector<disk::Request>& batch, const SystemView& view) {
   if (batch.empty()) return {};
 
-  auto& candidate_disks = candidates_ws_;
-  const graph::SetCoverInstance& instance =
-      build_instance_into(batch, view, candidate_disks);
+  build_cover(batch, view);
   const graph::SetCoverSolution& cover =
-      graph::greedy_weighted_set_cover(instance, cover_ws_);
+      graph::greedy_weighted_set_cover(cover_, cover_ws_);
   // Theorem 2 only holds if the chosen disks actually cover the batch.
-  if constexpr (audit_enabled()) graph::check_cover(cover, instance);
+  if constexpr (audit_enabled()) graph::check_cover(cover, cover_);
 
   // Each request goes to the first chosen set (in greedy order) holding its
-  // data — the set that "paid" for covering it. Batch entries outside the
-  // universe (no live replica) stay kInvalidDisk: reported, not asserted.
+  // data — the set that "paid" for covering it, recorded by the greedy as
+  // it covered the element. Batch entries outside the universe (no live
+  // replica) stay kInvalidDisk: reported, not asserted.
   std::vector<DiskId> assignment(batch.size(), kInvalidDisk);  // det-ok: the one per-batch allocation; BatchScheduler::assign returns by value
-  for (std::size_t s : cover.chosen_sets) {
-    for (std::size_t e : instance.sets[s].elements) {
-      const std::size_t i = elem_req_[e];
-      if (assignment[i] == kInvalidDisk) assignment[i] = candidate_disks[s];
-    }
-  }
-  for (std::size_t e = 0; e < instance.num_elements; ++e) {
+  for (std::size_t e = 0; e < elem_req_.size(); ++e) {
     const std::size_t i = elem_req_[e];
-    EAS_ENSURE_MSG(assignment[i] != kInvalidDisk,
+    const std::uint32_t s = cover_ws_.cover_of[e];
+    EAS_ENSURE_MSG(s < candidates_.size(),
                    "set cover left request " << i << " unassigned");
+    assignment[i] = candidates_[s];
     // The assigned disk must hold a replica of the requested data, or the
     // "serviced from a replica" premise of the whole model is broken.
     EAS_AUDIT_MSG(view.placement().stores(batch[i].data, assignment[i]),

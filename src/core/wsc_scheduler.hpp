@@ -35,22 +35,30 @@ class WscBatchScheduler final : public BatchScheduler {
   std::vector<DiskId> assign(const std::vector<disk::Request>& batch,
                              const SystemView& view) override;
 
+  /// The last assign()'s cover: chosen sets in greedy order, as indices
+  /// into that batch's candidate disks, and their total weight.
+  const graph::SetCoverSolution& last_cover() const {
+    return cover_ws_.solution;
+  }
+
   /// Builds the weighted-set-cover instance for a batch (exposed so tests
   /// and the greedy-vs-exact ablation can inspect/solve it directly).
   /// `candidate_disks` receives the disk id behind each instance set.
   graph::SetCoverInstance build_instance(
       const std::vector<disk::Request>& batch, const SystemView& view,
-      std::vector<DiskId>& candidate_disks) const {
-    return build_instance_into(batch, view, candidate_disks);  // copies
+      std::vector<DiskId>& candidate_disks) {
+    build_cover(batch, view);
+    candidate_disks = candidates_;
+    return cover_;  // copies
   }
 
  private:
-  /// Fills the reusable workspace instance and returns a reference to it.
-  /// The reference stays valid until the next build_instance_into call; the
-  /// hot path (assign) solves it before that can happen.
-  const graph::SetCoverInstance& build_instance_into(
-      const std::vector<disk::Request>& batch, const SystemView& view,
-      std::vector<DiskId>& candidate_disks) const;
+  /// Fills cover_, candidates_ and elem_req_ for the batch in one pass:
+  /// each coverable request becomes an element whose sets are its readable
+  /// replicas' disks in replica order; each disk seen becomes a set, priced
+  /// when first seen; the set rows are then a counting-sort transpose.
+  void build_cover(const std::vector<disk::Request>& batch,
+                   const SystemView& view);
 
   double interval_;
   CostParams cost_;
@@ -63,19 +71,17 @@ class WscBatchScheduler final : public BatchScheduler {
   // value. A batch larger than any before it still grows the buffers.
   /// Dense DiskId -> set-index map; entries are restored to the sentinel
   /// after every build, so only touched disks cost anything per batch.
-  mutable std::vector<std::uint32_t> set_of_disk_;
-  /// Workspace instance handed out by build_instance_into.
-  mutable graph::SetCoverInstance inst_ws_;
-  /// Element vectors retired from previous instances, kept to preserve
-  /// their capacity for the next build.
-  mutable std::vector<std::vector<std::size_t>> spare_elements_;
-  /// Greedy scratch and the solution it returns by reference.
-  mutable graph::SetCoverWorkspace cover_ws_;
-  std::vector<DiskId> candidates_ws_;
+  std::vector<std::uint32_t> set_of_disk_;
+  /// The batch's instance, rebuilt in place by build_cover.
+  graph::SetCoverInstance cover_;
+  /// The disk behind each instance set.
+  std::vector<DiskId> candidates_;
   /// Instance element -> batch index. Identity on the healthy path; under a
   /// degraded view, requests with no readable replica are skipped so the
   /// set-cover universe stays feasible.
-  mutable std::vector<std::size_t> elem_req_;
+  std::vector<std::uint32_t> elem_req_;
+  /// Greedy scratch, the solution and each element's covering set.
+  graph::SetCoverWorkspace cover_ws_;
 };
 
 }  // namespace eas::core

@@ -1,5 +1,7 @@
 #include "disk/disk.hpp"
 
+#include <algorithm>
+
 #include "obs/trace_recorder.hpp"
 
 namespace eas::disk {
@@ -101,7 +103,40 @@ void Disk::transition_to(DiskState next) {
 }
 
 void Disk::check_depth() const {
-  EAS_ASSERT(status_.queued_requests == queue_.size() + (in_service_ ? 1 : 0));
+  EAS_ASSERT(status_.queued_requests == queued_ + (in_service_ ? 1 : 0));
+}
+
+void Disk::push_pending(const Pending& p) {
+  if (queued_ > mask_) grow_ring();
+  ring_[(head_ + queued_) & mask_] = p;
+  ++queued_;
+}
+
+const Disk::Pending& Disk::pop_pending() {
+  EAS_DCHECK(queued_ > 0);
+  const Pending& p = ring_[head_];
+  head_ = (head_ + 1) & mask_;
+  --queued_;
+  return p;
+}
+
+void Disk::erase_pending(std::size_t i) {
+  EAS_DCHECK(i < queued_);
+  for (std::size_t j = i; j + 1 < queued_; ++j) {
+    pending_at(j) = pending_at(j + 1);
+  }
+  --queued_;
+}
+
+void Disk::grow_ring() {
+  const std::size_t old = ring_.size();
+  ring_.resize(2 * old);
+  // The entries [head_, old) keep their slots; the wrapped run [0, head_)
+  // comes after them in queue order, so it moves past the old end.
+  std::copy(ring_.begin(),
+            ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+            ring_.begin() + static_cast<std::ptrdiff_t>(old));
+  mask_ = 2 * old - 1;
 }
 
 void Disk::submit(const Request& r) {
@@ -116,7 +151,7 @@ void Disk::submit(const Request& r) {
   const bool disk_was_down = state() == DiskState::Standby ||
                              state() == DiskState::SpinningUp ||
                              state() == DiskState::SpinningDown;
-  queue_.push_back(Pending{r, disk_was_down});
+  push_pending(Pending{r, disk_was_down});
   ++status_.queued_requests;
   check_depth();
   EAS_OBS(sim_.recorder(),
@@ -142,28 +177,30 @@ void Disk::submit(const Request& r) {
   }
 }
 
-std::vector<Request> Disk::take_pending() {
-  std::vector<Request> drained;
-  drained.reserve(queue_.size());
-  for (const Pending& p : queue_) drained.push_back(p.request);
-  queue_.clear();
-  status_.queued_requests -= drained.size();
+void Disk::take_pending(std::vector<Request>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < queued_; ++i) {
+    out.push_back(pending_at(i).request);
+  }
+  status_.queued_requests -= queued_;
+  queued_ = 0;
+  head_ = 0;
   check_depth();
   // The only reason to bounce back from a spin-down was the queued work
   // that just left.
   wake_after_spindown_ = false;
-  return drained;
 }
 
 bool Disk::remove_pending(RequestId id, RequestKind kind) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->request.id == id && it->request.kind == kind) {
-      queue_.erase(it);
+  for (std::size_t i = 0; i < queued_; ++i) {
+    const Request& q = pending_at(i).request;
+    if (q.id == id && q.kind == kind) {
+      erase_pending(i);
       --status_.queued_requests;
       check_depth();
       // Mirror take_pending(): if the removed entry was the only reason to
       // bounce back from an in-flight spin-down, drop the wake.
-      if (queue_.empty()) wake_after_spindown_ = false;
+      if (queued_ == 0) wake_after_spindown_ = false;
       return true;
     }
   }
@@ -171,8 +208,9 @@ bool Disk::remove_pending(RequestId id, RequestKind kind) {
 }
 
 const Request* Disk::oldest_queued_read() const {
-  for (const Pending& p : queue_) {
-    if (p.request.is_read && !is_internal(p.request.kind)) return &p.request;
+  for (std::size_t i = 0; i < queued_; ++i) {
+    const Request& q = pending_at(i).request;
+    if (q.is_read && !is_internal(q.kind)) return &q;
   }
   return nullptr;
 }
@@ -199,7 +237,7 @@ void Disk::spin_down() {
   EAS_REQUIRE_MSG(state() == DiskState::Idle,
                   "spin_down from " << to_string(state()) << " on disk "
                                     << id_);
-  EAS_REQUIRE_MSG(queue_.empty() && !in_service_,
+  EAS_REQUIRE_MSG(queued_ == 0 && !in_service_,
                   "spin_down with queued work on disk " << id_);
   transition_to(DiskState::SpinningDown);
   ++stats_.spin_downs;
@@ -208,7 +246,7 @@ void Disk::spin_down() {
 
 void Disk::on_spinup_done() {
   EAS_CHECK(state() == DiskState::SpinningUp);
-  if (!queue_.empty()) {
+  if (queued_ > 0) {
     start_service();
   } else {
     transition_to(DiskState::Idle);
@@ -227,11 +265,11 @@ void Disk::on_spindown_done() {
 
 void Disk::start_service() {
   EAS_CHECK(!in_service_);
-  EAS_CHECK(!queue_.empty());
+  EAS_CHECK(queued_ > 0);
   if (state() != DiskState::Active) transition_to(DiskState::Active);
-  current_ = queue_.front().request;
-  current_waited_spinup_ = queue_.front().waited_for_spin;
-  queue_.pop_front();
+  const Pending& next = pop_pending();
+  current_ = next.request;
+  current_waited_spinup_ = next.waited_for_spin;
   in_service_ = true;
   current_started_ = sim_.now();
   EAS_OBS(sim_.recorder(),
@@ -262,7 +300,7 @@ void Disk::complete_service() {
 
   // The completion callback may have submitted more work re-entrantly.
   if (!in_service_) {
-    if (!queue_.empty()) {
+    if (queued_ > 0) {
       start_service();
     } else if (state() == DiskState::Active) {
       transition_to(DiskState::Idle);

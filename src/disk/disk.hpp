@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -101,13 +100,13 @@ class Disk {
   /// FCFS once the platters are spinning.
   void submit(const Request& r);
 
-  /// Fault path: removes and returns every queued (not yet in service)
-  /// request, in queue order, so the storage system can fail them over to a
-  /// surviving replica. The in-service transfer, if any, still completes —
-  /// the head already reached the data (documented simplification: a real
-  /// fail-stop would lose it). Any pending wake-after-spin-down is dropped
-  /// with the queue.
-  std::vector<Request> take_pending();
+  /// Fault path: removes every queued (not yet in service) request and
+  /// writes it to `out` (cleared first), in queue order, so the storage
+  /// system can fail them over to a surviving replica. The in-service
+  /// transfer, if any, still completes — the head already reached the data
+  /// (documented simplification: a real fail-stop would lose it). Any
+  /// pending wake-after-spin-down is dropped with the queue.
+  void take_pending(std::vector<Request>& out);
 
   /// Reliability path: removes the first queued (not yet in service) request
   /// with this id and kind — a primary and its hedge copy share an id and
@@ -152,6 +151,26 @@ class Disk {
   /// The row's depth is counted at each queue change; asserts it is right.
   void check_depth() const;
 
+  struct Pending {
+    Request request;
+    // Whether the request arrived while the platters were not spinning (it
+    // will have waited on a power transition when serviced).
+    bool waited_for_spin = false;
+  };
+  /// The queue as a ring: entry i (0 = oldest) and its three edits.
+  Pending& pending_at(std::size_t i) { return ring_[(head_ + i) & mask_]; }
+  const Pending& pending_at(std::size_t i) const {
+    return ring_[(head_ + i) & mask_];
+  }
+  void push_pending(const Pending& p);
+  /// Removes the oldest entry; the reference stays valid until the next
+  /// push.
+  const Pending& pop_pending();
+  /// Removes entry i, shifting the younger entries one step forward.
+  void erase_pending(std::size_t i);
+  /// Doubles the ring, keeping the entries in queue order.
+  void grow_ring();
+
   DiskId id_;
   sim::Simulator& sim_;
   DiskPowerParams power_;
@@ -161,13 +180,14 @@ class Disk {
   DiskStatus& status_;
   sim::SimTime accounted_until_ = 0.0;
 
-  struct Pending {
-    Request request;
-    // Whether the request arrived while the platters were not spinning (it
-    // will have waited on a power transition when serviced).
-    bool waited_for_spin = false;
-  };
-  std::deque<Pending> queue_;
+  /// FCFS queue in one ring buffer whose size is a power of two. It starts
+  /// at kInitialRing slots, doubles when full and never shrinks, so a disk
+  /// that has seen its peak depth queues without allocating.
+  static constexpr std::size_t kInitialRing = 16;
+  std::vector<Pending> ring_ = std::vector<Pending>(kInitialRing);
+  std::size_t mask_ = kInitialRing - 1;  ///< ring_.size() - 1
+  std::size_t head_ = 0;    ///< ring_ index of the oldest entry
+  std::size_t queued_ = 0;  ///< entries in the ring
   bool in_service_ = false;
   Request current_{};
   sim::SimTime current_started_ = 0.0;

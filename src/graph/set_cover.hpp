@@ -12,30 +12,73 @@
 //    ablations and solver cross-validation on small instances.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace eas::graph {
 
+/// An instance in compressed rows, held both ways round: set -> elements
+/// (what a chosen set covers) and element -> sets (whose fresh counts drop
+/// when an element is covered). The batch scheduler fills the element rows
+/// straight from its batch and transposes them; make_set_cover builds an
+/// instance from per-set lists.
 struct SetCoverInstance {
-  /// Universe is {0, 1, ..., num_elements-1}.
-  std::size_t num_elements = 0;
+  /// One weight per set; each must be >= 0.
+  std::vector<double> weights;
+  /// Set s holds set_elements[set_start[s] .. set_start[s + 1]).
+  std::vector<std::uint32_t> set_start = {0};
+  std::vector<std::uint32_t> set_elements;
+  /// Element e lies in element_sets[element_start[e] .. element_start[e +
+  /// 1]). The universe is {0, 1, ..., num_elements() - 1}.
+  std::vector<std::uint32_t> element_start = {0};
+  std::vector<std::uint32_t> element_sets;
 
-  struct Set {
-    double weight = 0.0;  ///< must be >= 0
-    std::vector<std::size_t> elements;
-  };
-  std::vector<Set> sets;
+  std::size_t num_sets() const { return set_start.size() - 1; }
+  std::size_t num_elements() const { return element_start.size() - 1; }
 
-  /// Throws InvariantError on out-of-range elements or negative weights.
+  std::span<const std::uint32_t> elements(std::size_t s) const {
+    return {set_elements.data() + set_start[s],
+            set_elements.data() + set_start[s + 1]};
+  }
+  std::span<const std::uint32_t> sets_of(std::size_t e) const {
+    return {element_sets.data() + element_start[e],
+            element_sets.data() + element_start[e + 1]};
+  }
+
+  /// Throws InvariantError on mismatched rows, out-of-range elements or
+  /// negative weights.
   void validate() const;
 
   /// True when every element appears in at least one set.
   bool feasible() const;
 };
 
+/// One set as a weight and a member list, for building instances by hand.
+struct SetSpec {
+  double weight = 0.0;
+  std::vector<std::uint32_t> elements;
+};
+
+/// The instance with universe {0 .. num_elements - 1} and these sets, in
+/// order. Element rows list sets ascending. An out-of-range member stays in
+/// its set's row, for validate() and the solvers to name, but indexes no
+/// element row.
+SetCoverInstance make_set_cover(std::size_t num_elements,
+                                const std::vector<SetSpec>& sets);
+
+/// Counting-sort transpose of compressed rows: row r's columns are
+/// cols[start[r] .. start[r + 1]). Fills `out_start`/`out_rows` so column
+/// c's rows are out_rows[out_start[c] .. out_start[c + 1]), ascending.
+/// Columns >= num_cols are skipped.
+void transpose_rows(std::span<const std::uint32_t> start,
+                    std::span<const std::uint32_t> cols, std::size_t num_cols,
+                    std::vector<std::uint32_t>& out_start,
+                    std::vector<std::uint32_t>& out_rows);
+
 struct SetCoverSolution {
-  std::vector<std::size_t> chosen_sets;  ///< indices into instance.sets
+  std::vector<std::size_t> chosen_sets;  ///< indices into instance sets
   double total_weight = 0.0;
 
   bool covers(const SetCoverInstance& instance) const;
@@ -52,33 +95,45 @@ void check_cover(const SetCoverSolution& sol, const SetCoverInstance& instance);
 /// interval) keep one workspace alive so warm solves allocate nothing: every
 /// buffer, the solution included, keeps its capacity across calls.
 struct SetCoverWorkspace {
-  /// Element -> sets CSR, one entry per (set, element) occurrence:
-  /// element e's sets are sets_of[row[e] .. row[e + 1]).
-  std::vector<std::size_t> row;
-  std::vector<std::size_t> sets_of;
-  /// Per set: still-uncovered occurrences, and weight / fresh while > 0.
-  std::vector<std::size_t> fresh;
-  std::vector<double> ratio;
-  /// Sets that may still cover something, in ascending index.
-  std::vector<std::size_t> live;
-  std::vector<char> covered;
+  /// cover_of's entry for an element no chosen set holds.
+  static constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
+
+  /// A set's greedy key as of when it was last keyed, packed so that the
+  /// greedy order is the order of (ratio_bits, rank): the ratio
+  /// weight / fresh as the bits of a non-negative double, which order as
+  /// the doubles do, then rank = (~fresh << 32) | set, so more fresh
+  /// elements and then a lower index come first.
+  struct Candidate {
+    std::uint64_t ratio_bits;
+    std::uint64_t rank;
+  };
+
+  /// Per set: still-uncovered occurrences.
+  std::vector<std::uint32_t> fresh;
+  /// Min-heap of candidates, one per set that still covers something. A
+  /// key only worsens as its set's fresh count drops, so an entry whose
+  /// count has since dropped is re-keyed when it reaches the top.
+  std::vector<Candidate> heap;
+  /// Per element: the chosen set that covered it first — the earliest in
+  /// greedy order that holds it. Valid after a solve.
+  std::vector<std::uint32_t> cover_of;
   SetCoverSolution solution;
 };
 
 /// Greedy H_n-approximation: repeatedly select the set minimising
 /// weight / (newly covered elements); zero-weight sets are free and picked
 /// first. Throws InvariantError if the instance is infeasible, has a
-/// negative weight or names an out-of-range element.
+/// negative weight, names an out-of-range element or has mismatched rows.
 ///
 /// Each round takes the lexicographic minimum of (ratio, -fresh count, set
-/// index) over the live sets, in one scan. The counts are exact, not
-/// recounted: covering an element decrements every set that holds it, via
-/// the element -> sets CSR. The chosen sequence is bit-identical to the
-/// full recount-per-round rule.
+/// index) over the sets that still cover something, from a lazily re-keyed
+/// heap. The counts are exact, not recounted: covering an element
+/// decrements every set that holds it, via the instance's element rows. The
+/// chosen sequence is bit-identical to the full recount-per-round rule.
 SetCoverSolution greedy_weighted_set_cover(const SetCoverInstance& instance);
 
-/// As above, solving into `ws.solution` and returning it. The reference
-/// stays valid until the next solve with `ws`.
+/// As above, solving into `ws.solution` (and `ws.cover_of`) and returning
+/// it. The reference stays valid until the next solve with `ws`.
 const SetCoverSolution& greedy_weighted_set_cover(
     const SetCoverInstance& instance, SetCoverWorkspace& ws);
 

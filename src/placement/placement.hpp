@@ -11,9 +11,12 @@
 // distinct uniformly-random other disks — the fault-tolerance-style spread.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
@@ -24,13 +27,24 @@ class PlacementMap {
   /// `locations[b]` lists the disks storing data b; the first entry is the
   /// original location, the rest are replicas. Throws InvariantError if any
   /// list is empty, contains duplicates, or references a disk out of range.
-  PlacementMap(DiskId num_disks, std::vector<std::vector<DiskId>> locations);
+  PlacementMap(DiskId num_disks,
+               const std::vector<std::vector<DiskId>>& locations);
+
+  /// The same map in compressed rows: data b's disks are
+  /// `disks[offsets[b] .. offsets[b + 1])`, original first. Validated as
+  /// above; `offsets` must start at 0, never decrease and end at
+  /// disks.size().
+  PlacementMap(DiskId num_disks, std::vector<std::uint32_t> offsets,
+               std::vector<DiskId> disks);
 
   DiskId num_disks() const { return num_disks_; }
-  DataId num_data() const { return static_cast<DataId>(locations_.size()); }
+  DataId num_data() const { return static_cast<DataId>(offsets_.size() - 1); }
 
   /// All replica locations of `b` (original first).
-  const std::vector<DiskId>& locations(DataId b) const;
+  std::span<const DiskId> locations(DataId b) const {
+    EAS_CHECK_MSG(b < num_data(), "unknown data id " << b);
+    return {disks_.data() + offsets_[b], disks_.data() + offsets_[b + 1]};
+  }
 
   /// The original (primary) location of `b`.
   DiskId original(DataId b) const { return locations(b).front(); }
@@ -40,15 +54,22 @@ class PlacementMap {
 
   /// True if disk k holds a copy of data b (linear scan; replica lists are
   /// tiny — the paper sweeps factors 1..5).
-  bool stores(DataId b, DiskId k) const;
+  bool stores(DataId b, DiskId k) const {
+    const std::span<const DiskId> locs = locations(b);
+    return std::find(locs.begin(), locs.end(), k) != locs.end();
+  }
 
   /// Number of distinct data items with a copy on each disk; used by tests
   /// to verify the configured skew.
   std::vector<std::size_t> per_disk_data_counts() const;
 
  private:
+  /// Checks every row against the constructor contract.
+  void validate() const;
+
   DiskId num_disks_;
-  std::vector<std::vector<DiskId>> locations_;
+  std::vector<std::uint32_t> offsets_;  ///< num_data() + 1 row starts
+  std::vector<DiskId> disks_;           ///< every row, back to back
 };
 
 /// Configuration for the paper's evaluation placement.

@@ -11,22 +11,19 @@ CoveringSubsetPolicy::CoveringSubsetPolicy(
     : threshold_policy_(threshold_seconds) {
   // Elements = data items, sets = disks, unit weights: the classic
   // covering-subset construction.
-  graph::SetCoverInstance instance;
-  instance.num_elements = placement.num_data();
+  std::vector<graph::SetSpec> sets;
   std::vector<DiskId> disk_of_set;
-  std::vector<std::vector<std::size_t>> per_disk(placement.num_disks());
+  std::vector<std::vector<std::uint32_t>> per_disk(placement.num_disks());
   for (DataId b = 0; b < placement.num_data(); ++b) {
     for (DiskId k : placement.locations(b)) per_disk[k].push_back(b);
   }
   for (DiskId k = 0; k < placement.num_disks(); ++k) {
     if (per_disk[k].empty()) continue;
-    graph::SetCoverInstance::Set s;
-    s.weight = 1.0;
-    s.elements = std::move(per_disk[k]);
-    instance.sets.push_back(std::move(s));
+    sets.push_back({1.0, std::move(per_disk[k])});
     disk_of_set.push_back(k);
   }
-  const auto cover = graph::greedy_weighted_set_cover(instance);
+  const auto cover = graph::greedy_weighted_set_cover(
+      graph::make_set_cover(placement.num_data(), sets));
   for (std::size_t s : cover.chosen_sets) covering_.insert(disk_of_set[s]);
 }
 

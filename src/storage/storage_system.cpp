@@ -1118,7 +1118,9 @@ class System {
       rebuilds_[k].active = false;
       view_->set_rebuild_pin(sim_.now(), k, false);
     }
-    for (const disk::Request& r : disks_[k]->take_pending()) {
+    std::vector<disk::Request> drained;  // a disk failure is rare: no scratch
+    disks_[k]->take_pending(drained);
+    for (const disk::Request& r : drained) {
       switch (r.kind) {
         case disk::RequestKind::kDestage:
           // Queued destage writes die with the disk; their blocks are still

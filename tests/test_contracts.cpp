@@ -140,12 +140,7 @@ TEST(SimulatorContracts, RunUntilCannotRewindTheClock) {
 
 namespace {
 graph::SetCoverInstance small_instance() {
-  graph::SetCoverInstance instance;
-  instance.num_elements = 4;
-  instance.sets.push_back({1.0, {0, 1}});
-  instance.sets.push_back({1.0, {2}});
-  instance.sets.push_back({1.0, {3}});
-  return instance;
+  return graph::make_set_cover(4, {{1.0, {0, 1}}, {1.0, {2}}, {1.0, {3}}});
 }
 }  // namespace
 
@@ -174,9 +169,8 @@ TEST(CoverContracts, OutOfRangeSetIsNamed) {
 }
 
 TEST(CoverContracts, InfeasibleInstanceIsRejectedUpFront) {
-  graph::SetCoverInstance instance;
-  instance.num_elements = 2;
-  instance.sets.push_back({1.0, {0}});  // nothing covers element 1
+  // Nothing covers element 1.
+  const auto instance = graph::make_set_cover(2, {{1.0, {0}}});
   expect_contract_failure(
       [&] { graph::greedy_weighted_set_cover(instance); },
       {"precondition violated", "infeasible"});

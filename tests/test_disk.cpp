@@ -128,6 +128,51 @@ TEST(Disk, FcfsOrderWithinTheQueue) {
   EXPECT_EQ(order, (std::vector<RequestId>{1, 2, 3, 4, 5}));
 }
 
+// The queue is a ring that doubles when full. Serving from the front while
+// the back refills wraps it, and growing a wrapped ring must keep queue
+// order; a middle removal shifts within it, and take_pending drains it
+// oldest first.
+TEST(Disk, QueueKeepsFcfsOrderAcrossRingWrapAndGrowth) {
+  sim::Simulator sim;
+  Disk d(0, sim, test_power(), test_perf(), DiskState::Idle);
+  std::vector<RequestId> order;
+  d.set_completion_callback(
+      [&](const Completion& c) { order.push_back(c.request.id); });
+  std::vector<RequestId> expected;
+  RequestId next = 0;
+  // Each round queues more than it serves, so the front advances while the
+  // ring grows past 16, 32 and 64 slots with its entries wrapped.
+  for (int round = 0; round < 8; ++round) {
+    for (int k = 0; k < 12; ++k) {
+      d.submit(make_request(next, 0, sim.now()));
+      expected.push_back(next++);
+    }
+    sim.run_until(sim.now() + 0.02);  // a couple of completions
+  }
+  // Remove two queued entries from the middle.
+  const RequestId gone_a = expected[60];
+  const RequestId gone_b = expected[61 + 7];
+  ASSERT_TRUE(d.remove_pending(gone_a, RequestKind::kForeground));
+  ASSERT_TRUE(d.remove_pending(gone_b, RequestKind::kForeground));
+  ASSERT_FALSE(d.remove_pending(gone_a, RequestKind::kForeground));
+  std::erase(expected, gone_a);
+  std::erase(expected, gone_b);
+  // Serve a few more, then drain the queue by fault.
+  std::vector<Request> taken;
+  sim.run_until(sim.now() + 0.05);
+  const std::size_t served = order.size();
+  d.take_pending(taken);
+  ASSERT_FALSE(taken.empty());
+  sim.run();
+  // The one in service when the queue was taken still completes. What was
+  // served, then what was taken, is the submission order.
+  ASSERT_EQ(order.size(), served + 1);
+  std::vector<RequestId> served_then_taken = order;
+  for (const Request& r : taken) served_then_taken.push_back(r.id);
+  EXPECT_EQ(served_then_taken, expected);
+  EXPECT_EQ(d.queued_requests(), 0u);
+}
+
 TEST(Disk, QueuedRequestsCountsInService) {
   sim::Simulator sim;
   Disk d(0, sim, test_power(), test_perf(), DiskState::Idle);

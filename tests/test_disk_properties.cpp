@@ -217,7 +217,9 @@ TEST(DiskQueueDepthProperty, RowDepthMatchesTheCountKeptByTheTest) {
           erase_live(id, kind);
         }
       } else if (op == 6) {
-        for (const Request& r : d.take_pending()) {
+        std::vector<Request> taken;
+        d.take_pending(taken);
+        for (const Request& r : taken) {
           ASSERT_TRUE(erase_live(r.id, r.kind)) << "took request " << r.id;
         }
       } else {

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +46,7 @@
 #include "core/mwis_scheduler.hpp"
 #include "core/wsc_scheduler.hpp"
 #include "disk/params.hpp"
+#include "fault/failure_view.hpp"
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
@@ -668,24 +670,22 @@ graph::SetCoverInstance random_cover(std::size_t elements, std::size_t sets,
                                      double density, bool tie_heavy,
                                      std::uint64_t seed) {
   util::Rng rng(seed);
-  graph::SetCoverInstance inst;
-  inst.num_elements = elements;
-  inst.sets.resize(sets);
-  for (auto& s : inst.sets) {
+  std::vector<graph::SetSpec> specs(sets);
+  for (auto& s : specs) {
     // Tie-heavy instances quantise weights and set sizes so many sets share
     // the exact (ratio, fresh) key and selection hinges on the index rule.
     s.weight = tie_heavy ? static_cast<double>(rng.uniform_int(0, 2))
                          : rng.uniform(0.5, 10.0);
-    for (std::size_t e = 0; e < elements; ++e) {
+    for (std::uint32_t e = 0; e < elements; ++e) {
       if (rng.bernoulli(density)) s.elements.push_back(e);
     }
   }
   // One universal set guarantees feasibility.
-  inst.sets.push_back({100.0, {}});
-  for (std::size_t e = 0; e < elements; ++e) {
-    inst.sets.back().elements.push_back(e);
+  specs.push_back({100.0, {}});
+  for (std::uint32_t e = 0; e < elements; ++e) {
+    specs.back().elements.push_back(e);
   }
-  return inst;
+  return graph::make_set_cover(elements, specs);
 }
 
 class SetCoverDiffTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -712,28 +712,27 @@ TEST_P(SetCoverDiffTest, HeapMatchesReferenceScanExactly) {
 /// empty, and a replica can be listed twice in one set.
 graph::SetCoverInstance wsc_shaped_cover(std::uint64_t seed) {
   util::Rng rng(seed);
-  graph::SetCoverInstance inst;
-  inst.num_elements = 1 + rng.next_below(128);
-  inst.sets.resize(4 + rng.next_below(60));
-  for (auto& set : inst.sets) {
+  const auto elements = static_cast<std::uint32_t>(1 + rng.next_below(128));
+  std::vector<graph::SetSpec> sets(4 + rng.next_below(60));
+  for (auto& set : sets) {
     const std::uint64_t kind = rng.next_below(8);
     set.weight = kind < 4   ? 13.5  // standby: the common, tied weight
                  : kind == 4 ? 0.0  // free: already paid for this interval
                  : kind == 5 ? 2.25
                              : rng.uniform(0.1, 20.0);
   }
-  for (std::size_t e = 0; e < inst.num_elements; ++e) {
+  for (std::uint32_t e = 0; e < elements; ++e) {
     const std::uint64_t copies = 1 + rng.next_below(3);
     for (std::uint64_t c = 0; c < copies; ++c) {
-      auto& set = inst.sets[rng.next_below(inst.sets.size())];
+      auto& set = sets[rng.next_below(sets.size())];
       set.elements.push_back(e);
       if (rng.bernoulli(0.05)) set.elements.push_back(e);
     }
   }
   const auto at = static_cast<std::ptrdiff_t>(
-      rng.next_below(inst.sets.size() + 1));
-  inst.sets.insert(inst.sets.begin() + at, {0.0, {}});
-  return inst;
+      rng.next_below(sets.size() + 1));
+  sets.insert(sets.begin() + at, {0.0, {}});
+  return graph::make_set_cover(elements, sets);
 }
 
 TEST_P(SetCoverDiffTest, WscShapedInstancesMatchTheReferenceScan) {
@@ -751,6 +750,172 @@ TEST_P(SetCoverDiffTest, WscShapedInstancesMatchTheReferenceScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SetCoverDiffTest,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// --- batch tick: flat build + greedy vs the reference tick -----------------
+
+/// The batch tick as it was written before its flat build, kept here as the
+/// oracle: sets in first-encounter order over readable replicas, each priced
+/// by the free Eq. 5/6 functions, solved by the reference scan, and each
+/// request assigned to the first chosen set (in greedy order) holding it.
+struct ReferenceTick {
+  std::vector<DiskId> candidates;
+  graph::SetCoverSolution cover;
+  std::vector<DiskId> assignment;
+};
+
+ReferenceTick reference_tick(const std::vector<disk::Request>& batch,
+                             const core::SystemView& view,
+                             const core::CostParams& cost, bool pure_energy) {
+  ReferenceTick t;
+  const fault::FailureView* fv =
+      view.degraded() ? view.failure_view() : nullptr;
+  std::vector<graph::SetSpec> sets;
+  std::vector<std::size_t> elem_req;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto e = static_cast<std::uint32_t>(elem_req.size());
+    bool coverable = false;
+    for (DiskId k : view.placement().locations(batch[i].data)) {
+      if (fv != nullptr && !fv->replica_readable(batch[i].data, k)) continue;
+      const auto it = std::find(t.candidates.begin(), t.candidates.end(), k);
+      const auto s = static_cast<std::size_t>(it - t.candidates.begin());
+      if (it == t.candidates.end()) {
+        t.candidates.push_back(k);
+        const disk::DiskStatus& d = view.disk(k);
+        sets.push_back(
+            {pure_energy
+                 ? core::marginal_energy_cost(d, view.now(),
+                                              view.power_params())
+                 : core::composite_cost(d, view.now(), view.power_params(),
+                                        cost),
+             {}});
+      }
+      sets[s].elements.push_back(e);
+      coverable = true;
+    }
+    if (coverable) elem_req.push_back(i);
+  }
+  const auto inst = graph::make_set_cover(elem_req.size(), sets);
+  t.cover = graph::greedy_weighted_set_cover_reference(inst);
+  t.assignment.assign(batch.size(), kInvalidDisk);
+  for (std::size_t s : t.cover.chosen_sets) {
+    for (std::uint32_t e : inst.elements(s)) {
+      const std::size_t i = elem_req[e];
+      if (t.assignment[i] == kInvalidDisk) t.assignment[i] = t.candidates[s];
+    }
+  }
+  return t;
+}
+
+/// Seeded fleet states. Tie-heavy fleets use only standby, active and
+/// spinning-up disks with empty queues, so most sets weigh exactly the wake
+/// cost or exactly 0 and the greedy's tie rules decide the cover.
+void scramble_rows(std::vector<disk::DiskStatus>& rows, double now,
+                   bool tie_heavy, util::Rng& rng) {
+  constexpr disk::DiskState kStates[] = {
+      disk::DiskState::Standby, disk::DiskState::Active,
+      disk::DiskState::SpinningUp, disk::DiskState::Idle,
+      disk::DiskState::SpinningDown};
+  for (auto& r : rows) {
+    r.state = kStates[rng.next_below(tie_heavy ? 3 : 5)];
+    r.state_since = rng.uniform(0.0, now);
+    // Some disks never served a request; some last served one "after" now.
+    r.last_request_time =
+        rng.bernoulli(0.2) ? -1.0 : rng.uniform(0.0, now + 5.0);
+    r.queued_requests =
+        tie_heavy ? 0 : static_cast<std::size_t>(rng.next_below(4));
+  }
+}
+
+TEST(WscTickDiff, MatchesTheReferenceTickOn2400SeededBatches) {
+  std::size_t batches = 0;
+  std::size_t degraded = 0;
+  std::size_t uncoverable = 0;
+  for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
+    util::Rng rng(seed * 7919);
+    const auto num_disks = static_cast<DiskId>(2 + rng.next_below(30));
+    const auto rf = static_cast<unsigned>(
+        1 + rng.next_below(std::min<DiskId>(5, num_disks)));
+    const auto num_data = static_cast<DataId>(1 + rng.next_below(300));
+    std::vector<std::vector<DiskId>> lists(num_data);
+    for (auto& locs : lists) {
+      while (locs.size() < rf) {
+        const auto k = static_cast<DiskId>(rng.next_below(num_disks));
+        if (std::find(locs.begin(), locs.end(), k) == locs.end()) {
+          locs.push_back(k);
+        }
+      }
+    }
+    testing::ScriptedFleet fleet(
+        placement::PlacementMap(num_disks, std::move(lists)));
+    const double now = rng.uniform(1.0, 200.0);
+    fleet.view.set_now(now);
+    const bool tie_heavy = rng.bernoulli(0.5);
+    scramble_rows(fleet.rows, now, tie_heavy, rng);
+
+    // A third of the fleets are degraded: dead disks and lost ranges, so
+    // some replicas are unreadable and some requests have none left.
+    fault::FailureView fv(num_disks);
+    if (seed % 3 == 0) {
+      for (DiskId k = 0; k < num_disks; ++k) {
+        if (rng.bernoulli(0.25)) {
+          fv.set_health(0.0, k, fault::DiskHealth::kDown);
+        }
+        if (rng.bernoulli(0.2)) {
+          const auto lo = static_cast<DataId>(rng.next_below(num_data));
+          fv.add_lost_range(0.0, k, lo,
+                            lo + static_cast<DataId>(rng.next_below(40)));
+        }
+      }
+      fleet.view.set_failure_view(&fv);
+      if (fleet.view.degraded()) ++degraded;
+    }
+
+    constexpr double kAlphas[] = {0.0, 0.2, 0.5, 1.0};
+    const core::CostParams cost{kAlphas[rng.next_below(4)],
+                                rng.bernoulli(0.5) ? 100.0 : 1.0};
+    const bool pure_energy = rng.bernoulli(0.3);
+    core::WscBatchScheduler sched(
+        0.1, cost,
+        pure_energy ? core::WscBatchScheduler::WeightMode::kPureEnergy
+                    : core::WscBatchScheduler::WeightMode::kCompositeCost);
+
+    // Two batches through one scheduler, so the second runs on the first's
+    // warm scratch.
+    for (int round = 0; round < 2; ++round) {
+      const std::string tag = "seed " + std::to_string(seed) + " round " +
+                              std::to_string(round);
+      std::vector<disk::Request> batch(1 + rng.next_below(256));
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        batch[i].id = i;
+        // The same data twice in one batch, often.
+        batch[i].data = i > 0 && rng.bernoulli(0.2)
+                            ? batch[rng.next_below(i)].data
+                            : static_cast<DataId>(rng.next_below(num_data));
+      }
+      const std::vector<DiskId> assignment = sched.assign(batch, fleet.view);
+      const graph::SetCoverSolution cover = sched.last_cover();
+      std::vector<DiskId> candidates;
+      sched.build_instance(batch, fleet.view, candidates);
+
+      const ReferenceTick ref = reference_tick(batch, fleet.view, cost,
+                                               pure_energy);
+      ASSERT_EQ(candidates, ref.candidates) << tag;
+      ASSERT_EQ(cover.chosen_sets, ref.cover.chosen_sets) << tag;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cover.total_weight),
+                std::bit_cast<std::uint64_t>(ref.cover.total_weight))
+          << tag;
+      ASSERT_EQ(assignment, ref.assignment) << tag;
+      uncoverable += static_cast<std::size_t>(
+          std::count(assignment.begin(), assignment.end(), kInvalidDisk));
+      ++batches;
+    }
+  }
+  EXPECT_EQ(batches, 2400u);
+  // The degraded fleets did exercise unreadable replicas and requests with
+  // none left.
+  EXPECT_GT(degraded, 300u);
+  EXPECT_GT(uncoverable, 0u);
+}
 
 /// The InvariantError message of `solve`, or "" if it did not throw one.
 template <typename Solve>
@@ -770,13 +935,16 @@ TEST(SetCoverValidation, FusedPassRejectsWhatValidateAndFeasibleReject) {
     const char* says;
   };
   const std::vector<Bad> bad = {
-      {"negative weight", {2, {{1.0, {0, 1}}, {-1.0, {1}}}},
+      {"negative weight",
+       graph::make_set_cover(2, {{1.0, {0, 1}}, {-1.0, {1}}}),
        "set 1 has negative weight -1"},
-      {"out of range", {2, {{1.0, {0, 1}}, {1.0, {1, 2}}}},
+      {"out of range", graph::make_set_cover(2, {{1.0, {0, 1}}, {1.0, {1, 2}}}),
        "set 1 contains out-of-range element 2"},
-      {"infeasible", {3, {{1.0, {0, 2}}}}, "set cover instance is infeasible"},
+      {"infeasible", graph::make_set_cover(3, {{1.0, {0, 2}}}),
+       "set cover instance is infeasible"},
       // Validation comes first, as validate() runs before feasible().
-      {"both", {3, {{-2.0, {0}}}}, "set 0 has negative weight -2"},
+      {"both", graph::make_set_cover(3, {{-2.0, {0}}}),
+       "set 0 has negative weight -2"},
   };
   graph::SetCoverWorkspace ws;
   for (const Bad& b : bad) {

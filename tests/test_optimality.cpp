@@ -180,16 +180,16 @@ TEST_P(BatchSetCoverTest, Theorem2ExactCoverEqualsBruteForceBatchEnergy) {
   const double horizon = 1.0 + power.breakeven_seconds() +
                          power.spindown_seconds + power.spinup_seconds;
 
-  graph::SetCoverInstance cover;
-  cover.num_elements = n;
+  std::vector<graph::SetSpec> sets;
   for (DiskId k = 0; k < num_disks; ++k) {
-    graph::SetCoverInstance::Set s;
+    graph::SetSpec s;
     s.weight = power.max_request_energy();
-    for (std::size_t e = 0; e < n; ++e) {
+    for (std::uint32_t e = 0; e < n; ++e) {
       if (placement.stores(trace[e].data, k)) s.elements.push_back(e);
     }
-    if (!s.elements.empty()) cover.sets.push_back(std::move(s));
+    if (!s.elements.empty()) sets.push_back(std::move(s));
   }
+  const auto cover = graph::make_set_cover(n, sets);
   const auto exact = graph::exact_set_cover(cover);
   ASSERT_TRUE(exact.has_value());
 

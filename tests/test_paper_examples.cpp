@@ -62,18 +62,18 @@ TEST(PaperBatchExample, WscInstanceMatchesTheFigure) {
   const auto trace = example_batch_trace();
   const auto placement = example_placement();
 
-  graph::SetCoverInstance instance;
-  instance.num_elements = trace.size();
+  std::vector<graph::SetSpec> sets;
   std::vector<DiskId> disks;
   for (DiskId k = 0; k < 4; ++k) {
-    graph::SetCoverInstance::Set s;
+    graph::SetSpec s;
     s.weight = example_power().max_request_energy();
-    for (std::size_t e = 0; e < trace.size(); ++e) {
+    for (std::uint32_t e = 0; e < trace.size(); ++e) {
       if (placement.stores(trace[e].data, k)) s.elements.push_back(e);
     }
-    instance.sets.push_back(std::move(s));
+    sets.push_back(std::move(s));
     disks.push_back(k);
   }
+  const auto instance = graph::make_set_cover(trace.size(), sets);
 
   const auto exact = graph::exact_set_cover(instance);
   ASSERT_TRUE(exact.has_value());

@@ -7,6 +7,8 @@
 
 #include "placement/placement.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/zipf.hpp"
 
 namespace eas::placement {
 namespace {
@@ -39,6 +41,31 @@ TEST(PlacementMap, RejectsDuplicateReplicas) {
 TEST(PlacementMap, RejectsUnknownDataId) {
   PlacementMap map(2, {{0}});
   EXPECT_THROW(map.locations(5), InvariantError);
+}
+
+// The compressed-row constructor enforces the same contract as the nested
+// lists, plus well-formed row offsets.
+TEST(PlacementMap, CompressedRowsRejectWhatNestedListsReject) {
+  // Empty list: data 1's row is empty.
+  EXPECT_THROW(PlacementMap(2, {0, 1, 1}, {0}), InvariantError);
+  // Duplicate disk.
+  EXPECT_THROW(PlacementMap(3, {0, 2}, {1, 1}), InvariantError);
+  // Out-of-range disk.
+  EXPECT_THROW(PlacementMap(2, {0, 2}, {0, 2}), InvariantError);
+  // Offsets that do not start at 0, run backwards or miss the end.
+  EXPECT_THROW(PlacementMap(2, {1, 1}, {0}), InvariantError);
+  EXPECT_THROW(PlacementMap(2, {0, 2, 1, 2}, {0, 1}), InvariantError);
+  EXPECT_THROW(PlacementMap(2, {0, 1}, {0, 1}), InvariantError);
+  EXPECT_THROW(PlacementMap(2, {}, {}), InvariantError);
+  // No disks at all.
+  EXPECT_THROW(PlacementMap(0, {0}, {}), InvariantError);
+  // Unknown data id.
+  const PlacementMap map(2, {0, 1, 3}, {1, 0, 1});
+  EXPECT_EQ(map.num_data(), 2u);
+  EXPECT_EQ(map.original(1), 0u);
+  EXPECT_THROW(map.locations(2), InvariantError);
+  // A duplicate is named per row: the same disk in two rows is fine.
+  EXPECT_NO_THROW(PlacementMap(2, {0, 1, 2}, {1, 1}));
 }
 
 TEST(PlacementMap, PerDiskDataCountsSumToTotalCopies) {
@@ -74,15 +101,61 @@ TEST(ZipfPlacement, DeterministicInSeed) {
   const auto a = make_zipf_placement(cfg);
   const auto b = make_zipf_placement(cfg);
   for (DataId d = 0; d < a.num_data(); ++d) {
-    EXPECT_EQ(a.locations(d), b.locations(d));
+    EXPECT_TRUE(std::ranges::equal(a.locations(d), b.locations(d)));
   }
   cfg.seed = 78;
   const auto c = make_zipf_placement(cfg);
   bool any_diff = false;
   for (DataId d = 0; d < a.num_data(); ++d) {
-    if (a.locations(d) != c.locations(d)) any_diff = true;
+    if (!std::ranges::equal(a.locations(d), c.locations(d))) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+/// The §4.2 builder as nested per-data lists, drawing from the generator
+/// in the same order as make_zipf_placement: the reference its compressed
+/// rows must reproduce.
+std::vector<std::vector<DiskId>> nested_zipf_lists(
+    const ZipfPlacementConfig& cfg) {
+  util::Rng rng(cfg.seed);
+  std::vector<DiskId> rank_to_disk(cfg.num_disks);
+  for (DiskId k = 0; k < cfg.num_disks; ++k) rank_to_disk[k] = k;
+  rng.shuffle(rank_to_disk);
+  util::ZipfSampler zipf(cfg.num_disks, cfg.zipf_z);
+  std::vector<std::vector<DiskId>> locations(cfg.num_data);
+  for (auto& locs : locations) {
+    locs.push_back(rank_to_disk[zipf.sample(rng)]);
+    while (locs.size() < cfg.replication_factor) {
+      const auto k = static_cast<DiskId>(rng.next_below(cfg.num_disks));
+      if (std::find(locs.begin(), locs.end(), k) == locs.end()) {
+        locs.push_back(k);
+      }
+    }
+  }
+  return locations;
+}
+
+TEST(ZipfPlacement, CompressedRowsMatchTheNestedListBuild) {
+  for (unsigned rf = 1; rf <= 5; ++rf) {
+    for (double z : {0.0, 1.0}) {
+      ZipfPlacementConfig cfg;
+      cfg.num_disks = 30;
+      cfg.num_data = 3000;
+      cfg.replication_factor = rf;
+      cfg.zipf_z = z;
+      cfg.seed = 40 + rf;
+      const auto lists = nested_zipf_lists(cfg);
+      const PlacementMap nested(cfg.num_disks, lists);
+      const PlacementMap flat = make_zipf_placement(cfg);
+      ASSERT_EQ(flat.num_data(), lists.size());
+      for (DataId b = 0; b < flat.num_data(); ++b) {
+        ASSERT_TRUE(std::ranges::equal(flat.locations(b), lists[b]))
+            << "rf " << rf << " z " << z << " data " << b;
+        ASSERT_TRUE(std::ranges::equal(flat.locations(b), nested.locations(b)));
+      }
+      EXPECT_EQ(flat.per_disk_data_counts(), nested.per_disk_data_counts());
+    }
+  }
 }
 
 TEST(ZipfPlacement, OriginalsAreSkewedAtZ1) {

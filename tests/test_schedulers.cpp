@@ -155,11 +155,11 @@ TEST(WscBatchScheduler, BuildInstanceExposesCandidatesAndWeights) {
       sched.build_instance({request_for(0), request_for(3)}, fleet.view,
                            candidates);
   // b1 -> {d1}; b4 -> {d3, d4}: three candidate disks.
-  EXPECT_EQ(inst.num_elements, 2u);
-  EXPECT_EQ(inst.sets.size(), 3u);
+  EXPECT_EQ(inst.num_elements(), 2u);
+  EXPECT_EQ(inst.num_sets(), 3u);
   EXPECT_EQ(candidates.size(), 3u);
-  for (const auto& s : inst.sets) {
-    EXPECT_DOUBLE_EQ(s.weight, example_power().max_request_energy());
+  for (const double w : inst.weights) {
+    EXPECT_DOUBLE_EQ(w, example_power().max_request_energy());
   }
 }
 

@@ -2,6 +2,7 @@
 // cross-validation between the two solvers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/set_cover.hpp"
@@ -11,32 +12,52 @@
 namespace eas::graph {
 namespace {
 
-SetCoverInstance simple_instance() {
-  SetCoverInstance inst;
-  inst.num_elements = 4;
-  inst.sets = {
-      {1.0, {0, 1}},
-      {1.0, {2, 3}},
-      {2.5, {0, 1, 2, 3}},
-      {0.4, {1}},
-  };
-  return inst;
-}
+const std::vector<SetSpec> kSimpleSets = {
+    {1.0, {0, 1}},
+    {1.0, {2, 3}},
+    {2.5, {0, 1, 2, 3}},
+    {0.4, {1}},
+};
+
+SetCoverInstance simple_instance() { return make_set_cover(4, kSimpleSets); }
 
 TEST(SetCoverInstance, ValidateCatchesBadInput) {
-  SetCoverInstance inst;
-  inst.num_elements = 2;
-  inst.sets = {{1.0, {0, 2}}};
-  EXPECT_THROW(inst.validate(), InvariantError);
-  inst.sets = {{-1.0, {0}}};
-  EXPECT_THROW(inst.validate(), InvariantError);
+  EXPECT_THROW(make_set_cover(2, {{1.0, {0, 2}}}).validate(), InvariantError);
+  EXPECT_THROW(make_set_cover(2, {{-1.0, {0}}}).validate(), InvariantError);
+  // Rows that disagree with each other are refused too.
+  SetCoverInstance mismatched = make_set_cover(2, {{1.0, {0, 1}}});
+  mismatched.weights.push_back(1.0);
+  EXPECT_THROW(mismatched.validate(), InvariantError);
+  EXPECT_THROW(greedy_weighted_set_cover(mismatched), InvariantError);
+  // An element row naming a set that does not exist.
+  SetCoverInstance stray = make_set_cover(1, {{1.0, {0}}});
+  stray.element_sets[0] = 7;
+  EXPECT_THROW(stray.validate(), InvariantError);
+  EXPECT_THROW(greedy_weighted_set_cover(stray), InvariantError);
 }
 
 TEST(SetCoverInstance, FeasibilityDetection) {
-  auto inst = simple_instance();
-  EXPECT_TRUE(inst.feasible());
-  inst.num_elements = 5;  // element 4 uncovered
-  EXPECT_FALSE(inst.feasible());
+  EXPECT_TRUE(simple_instance().feasible());
+  // element 4 uncovered
+  EXPECT_FALSE(make_set_cover(5, kSimpleSets).feasible());
+}
+
+TEST(SetCoverInstance, BuildsBothRowDirections) {
+  const auto inst = simple_instance();
+  ASSERT_EQ(inst.num_sets(), 4u);
+  ASSERT_EQ(inst.num_elements(), 4u);
+  for (std::size_t s = 0; s < kSimpleSets.size(); ++s) {
+    EXPECT_TRUE(std::ranges::equal(inst.elements(s), kSimpleSets[s].elements))
+        << "set " << s;
+    EXPECT_EQ(inst.weights[s], kSimpleSets[s].weight);
+  }
+  // Element rows list sets ascending.
+  const std::vector<std::vector<std::uint32_t>> sets_of = {
+      {0, 2}, {0, 2, 3}, {1, 2}, {1, 2}};
+  for (std::size_t e = 0; e < sets_of.size(); ++e) {
+    EXPECT_TRUE(std::ranges::equal(inst.sets_of(e), sets_of[e]))
+        << "element " << e;
+  }
 }
 
 TEST(GreedySetCover, CoversEverythingAtReasonableCost) {
@@ -48,14 +69,12 @@ TEST(GreedySetCover, CoversEverythingAtReasonableCost) {
 }
 
 TEST(GreedySetCover, PrefersCostEffectiveSets) {
-  SetCoverInstance inst;
-  inst.num_elements = 3;
-  inst.sets = {
-      {3.0, {0, 1, 2}},  // ratio 1.0
-      {0.5, {0}},        // ratio 0.5
-      {0.5, {1}},
-      {0.5, {2}},
-  };
+  const auto inst = make_set_cover(3, {
+                                          {3.0, {0, 1, 2}},  // ratio 1.0
+                                          {0.5, {0}},        // ratio 0.5
+                                          {0.5, {1}},
+                                          {0.5, {2}},
+                                      });
   const auto sol = greedy_weighted_set_cover(inst);
   EXPECT_TRUE(sol.covers(inst));
   EXPECT_NEAR(sol.total_weight, 1.5, 1e-12);
@@ -63,29 +82,23 @@ TEST(GreedySetCover, PrefersCostEffectiveSets) {
 }
 
 TEST(GreedySetCover, ZeroWeightSetsAreFree) {
-  SetCoverInstance inst;
-  inst.num_elements = 3;
-  inst.sets = {
-      {0.0, {0, 1}},
-      {5.0, {0, 1, 2}},
-      {1.0, {2}},
-  };
+  const auto inst = make_set_cover(3, {
+                                          {0.0, {0, 1}},
+                                          {5.0, {0, 1, 2}},
+                                          {1.0, {2}},
+                                      });
   const auto sol = greedy_weighted_set_cover(inst);
   EXPECT_TRUE(sol.covers(inst));
   EXPECT_NEAR(sol.total_weight, 1.0, 1e-12);
 }
 
 TEST(GreedySetCover, ThrowsOnInfeasible) {
-  SetCoverInstance inst;
-  inst.num_elements = 2;
-  inst.sets = {{1.0, {0}}};
+  const auto inst = make_set_cover(2, {{1.0, {0}}});
   EXPECT_THROW(greedy_weighted_set_cover(inst), InvariantError);
 }
 
 TEST(GreedySetCover, HandlesDuplicateElementsWithinASet) {
-  SetCoverInstance inst;
-  inst.num_elements = 2;
-  inst.sets = {{1.0, {0, 0, 1}}};
+  const auto inst = make_set_cover(2, {{1.0, {0, 0, 1}}});
   const auto sol = greedy_weighted_set_cover(inst);
   EXPECT_TRUE(sol.covers(inst));
   EXPECT_EQ(sol.chosen_sets.size(), 1u);
@@ -98,15 +111,12 @@ TEST(ExactSetCover, FindsTheOptimum) {
 }
 
 TEST(ExactSetCover, ReturnsNulloptOnInfeasible) {
-  SetCoverInstance inst;
-  inst.num_elements = 3;
-  inst.sets = {{1.0, {0, 1}}};
+  const auto inst = make_set_cover(3, {{1.0, {0, 1}}});
   EXPECT_FALSE(exact_set_cover(inst).has_value());
 }
 
 TEST(ExactSetCover, RefusesOversizedInstances) {
-  SetCoverInstance inst;
-  inst.num_elements = 100;
+  const auto inst = make_set_cover(100, {});
   EXPECT_THROW(exact_set_cover(inst, 24), InvariantError);
 }
 
@@ -114,24 +124,25 @@ class RandomSetCoverTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomSetCoverTest, GreedyIsFeasibleAndWithinLnNOfExact) {
   util::Rng rng(GetParam());
-  SetCoverInstance inst;
-  inst.num_elements = 12;
+  constexpr std::uint32_t kElements = 12;
+  std::vector<SetSpec> sets;
   const int num_sets = 10;
   for (int s = 0; s < num_sets; ++s) {
-    SetCoverInstance::Set set;
+    SetSpec set;
     set.weight = rng.uniform(0.1, 5.0);
-    for (std::size_t e = 0; e < inst.num_elements; ++e) {
+    for (std::uint32_t e = 0; e < kElements; ++e) {
       if (rng.bernoulli(0.35)) set.elements.push_back(e);
     }
-    inst.sets.push_back(std::move(set));
+    sets.push_back(std::move(set));
   }
   // Guarantee feasibility with one expensive universal set.
-  SetCoverInstance::Set universal;
+  SetSpec universal;
   universal.weight = 20.0;
-  for (std::size_t e = 0; e < inst.num_elements; ++e) {
+  for (std::uint32_t e = 0; e < kElements; ++e) {
     universal.elements.push_back(e);
   }
-  inst.sets.push_back(std::move(universal));
+  sets.push_back(std::move(universal));
+  const auto inst = make_set_cover(kElements, sets);
 
   const auto greedy = greedy_weighted_set_cover(inst);
   const auto exact = exact_set_cover(inst);
