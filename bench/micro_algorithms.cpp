@@ -1,8 +1,9 @@
 // Micro-benchmarks: combinatorial kernels (set cover, GWMIN, conflict-graph
-// construction, offline refinement, Zipf sampling).
+// construction, offline refinement, Zipf sampling, response quantiles).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
+#include "stats/summary.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -190,6 +192,32 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample)->Arg(180)->Arg(32768);
+
+/// RunResult::to_json's response read: the mean and p50/p90/p99/max of a
+/// fresh, never-queried store of duplicate-heavy samples (2,000 distinct
+/// millisecond values, like quantised service times). The copy that makes
+/// each iteration's store fresh is not timed.
+void BM_ResponseQuantiles(benchmark::State& state) {
+  util::Rng rng(29);
+  stats::SampleStore samples;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    samples.add(1e-3 * static_cast<double>(rng.next_below(2000)));
+  }
+  constexpr double kQs[] = {0.5, 0.90, 0.99, 1.0};
+  double out[std::size(kQs)] = {};
+  for (auto _ : state) {
+    state.PauseTiming();
+    stats::SampleStore fresh = samples;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(fresh.mean());
+    fresh.quantiles(kQs, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ResponseQuantiles)->Arg(1 << 20);
 
 }  // namespace
 

@@ -178,9 +178,9 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
       try {
         storage::RunResult r =
             run_cell(*specs[i], cell.params, *cell.trace, *cell.placement);
-        // Materialize the SampleStore's lazy sort cache while the result is
-        // still thread-confined, so later concurrent readers of the
-        // (logically const) result do not race on it.
+        // Sort the SampleStore's buffer in place while the result is still
+        // thread-confined, so later concurrent readers of the (logically
+        // const) result only read it.
         if (!r.response_times.empty()) r.response_times.sorted();
         out.result = std::move(r);
         out.status = CellStatus::kOk;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/pages.hpp"
 
 namespace eas::stats {
 
@@ -53,66 +54,67 @@ double SummaryStats::cv() const {
   return m == 0.0 ? 0.0 : stddev() / m;
 }
 
+SampleStore::~SampleStore() {
+  util::release_pages(samples_.data(), samples_.capacity() * sizeof(double));
+}
+
 void SampleStore::add(double x) {
   samples_.push_back(x);
-  state_ = Cache::kStale;
+  sum_ += x;
+  if (order_ == Order::kSorted) order_ = Order::kPermuted;
 }
 
 SampleStore& SampleStore::operator+=(const SampleStore& other) {
+  EAS_REQUIRE_MSG(other.order_ == Order::kInsertion,
+                  "cannot merge a queried SampleStore");
+  for (double x : other.samples_) sum_ += x;
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  state_ = samples_.empty() ? Cache::kSorted : Cache::kStale;
+  if (order_ == Order::kSorted && !other.empty()) order_ = Order::kPermuted;
   return *this;
 }
 
-double SampleStore::mean() const {
-  if (samples_.empty()) return 0.0;
-  double acc = 0.0;
-  for (double s : samples_) acc += s;
-  return acc / static_cast<double>(samples_.size());
-}
-
 const std::vector<double>& SampleStore::sorted() const {
-  if (state_ != Cache::kSorted) {
-    // A permuted cache already holds every sample; only a stale one needs
-    // the copy.
-    if (state_ == Cache::kStale) {
-      cache_.assign(samples_.begin(), samples_.end());
-    }
-    std::sort(cache_.begin(), cache_.end());
-    state_ = Cache::kSorted;
+  if (order_ != Order::kSorted) {
+    std::sort(samples_.begin(), samples_.end());
+    order_ = Order::kSorted;
   }
-  return cache_;
+  return samples_;
 }
 
-double SampleStore::quantile(double q) const {
+void SampleStore::quantiles(std::span<const double> qs,
+                            std::span<double> out) const {
   EAS_REQUIRE_MSG(!samples_.empty(), "quantile of empty store");
-  EAS_REQUIRE_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
+  EAS_REQUIRE(out.size() == qs.size());
   const std::size_t n = samples_.size();
-  if (n == 1) return samples_.front();
-  const double pos = q * static_cast<double>(n - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (state_ == Cache::kSorted) {
-    if (lo + 1 >= n) return cache_.back();
-    return cache_[lo] * (1.0 - frac) + cache_[lo + 1] * frac;
+  const auto at = [this](std::size_t i) {
+    return samples_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  const bool ordered = order_ == Order::kSorted;
+  if (!ordered) order_ = Order::kPermuted;
+  // Unsorted, samples_[from, n) holds order statistics from..n-1.
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const double q = qs[i];
+    EAS_REQUIRE_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
+    EAS_REQUIRE_MSG(i == 0 || q >= qs[i - 1],
+                    "quantiles must ascend: " << qs[i - 1] << " then " << q);
+    const double pos = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    if (lo + 1 >= n) {
+      out[i] = ordered ? samples_.back()
+                       : *std::max_element(at(from), samples_.end());
+      continue;
+    }
+    if (!ordered && lo >= from) {
+      std::nth_element(at(from), at(lo), samples_.end());
+    }
+    from = lo + 1;
+    const double above = ordered ? samples_[lo + 1]
+                                 : *std::min_element(at(from), samples_.end());
+    out[i] = samples_[lo] * (1.0 - frac) + above * frac;
   }
-  // Selection instead of a sort: order statistic lo lands at cache_[lo]
-  // with everything above it in cache_[lo + 1, n), whose minimum is order
-  // statistic lo + 1. Values, not positions, enter the interpolation, so
-  // the result matches the sorted path exactly.
-  if (state_ == Cache::kStale) {
-    cache_.assign(samples_.begin(), samples_.end());
-    state_ = Cache::kPermuted;
-  }
-  const auto first = cache_.begin();
-  if (lo + 1 >= n) return *std::max_element(first, cache_.end());
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(lo),
-                   cache_.end());
-  const double above =
-      *std::min_element(first + static_cast<std::ptrdiff_t>(lo + 1),
-                        cache_.end());
-  return cache_[lo] * (1.0 - frac) + above * frac;
 }
 
 double SampleStore::fraction_above(double x) const {

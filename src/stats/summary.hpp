@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace eas::stats {
@@ -42,54 +43,64 @@ class SummaryStats {
   double max_ = 0.0;
 };
 
-/// Stores every sample for exact quantiles and inverse-CDF dumps.
+/// Stores every sample, once, for exact quantiles and inverse-CDF dumps.
+/// Queries reorder the one buffer in place; mean() reads a running sum.
+/// Destruction hands a large buffer's pages back (util::release_pages).
 class SampleStore {
  public:
+  SampleStore() = default;
+  SampleStore(const SampleStore&) = default;
+  SampleStore(SampleStore&&) noexcept = default;
+  SampleStore& operator=(const SampleStore&) = default;
+  SampleStore& operator=(SampleStore&&) noexcept = default;
+  ~SampleStore();
+
   void add(double x);
   void reserve(std::size_t n) { samples_.reserve(n); }
-  /// Appends the other store's samples in their insertion order (so merging
-  /// shards in a fixed order keeps mean() bit-reproducible).
+  /// Appends `other`'s samples, continuing the sum over them in insertion
+  /// order, so a fixed merge order keeps mean() bit-reproducible. `other`
+  /// must not have been queried: a query reorders its buffer.
   SampleStore& operator+=(const SampleStore& other);
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
-  double mean() const;
+  /// The insertion-order sum of the samples over count(); O(1).
+  double mean() const {
+    return empty() ? 0.0 : sum_ / static_cast<double>(count());
+  }
 
   /// Exact quantile by linear interpolation between order statistics;
-  /// q in [0, 1]. Must not be called on an empty store. Indexes the sorted
-  /// cache when it is built; otherwise selects the two order statistics
-  /// (std::nth_element, then a min over the part above) in the cache
-  /// buffer, O(n) per call instead of an O(n log n) sort. Either way the
-  /// result is the same double.
-  double quantile(double q) const;
+  /// q in [0, 1]. Must not be called on an empty store.
+  double quantile(double q) const {
+    double v = 0.0;
+    quantiles({&q, 1}, {&v, 1});
+    return v;
+  }
   double median() const { return quantile(0.5); }
   double p90() const { return quantile(0.90); }
   double p99() const { return quantile(0.99); }
+
+  /// quantile(qs[i]) into out[i] for ascending `qs`, in one pass: each
+  /// selection runs above the last one's order statistic, or a sorted buffer
+  /// is indexed. Both read the same two values, so give the same double.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
 
   /// Fraction of samples strictly greater than x — the paper's
   /// P[response time > x] inverse CDF (Fig 12).
   double fraction_above(double x) const;
 
-  /// All samples in ascending order (lazily built, cached). The insertion
-  /// order of `samples_` is never disturbed, so mean() sums in completion
-  /// order and is reproducible bit-for-bit regardless of whether quantiles
-  /// were queried first. The lazy build, like quantile()'s selection in the
-  /// same buffer, is not thread-safe: callers sharing a store across
-  /// threads must materialize the cache once (call sorted()) while still
-  /// single-threaded — SweepRunner does this before publishing a result.
+  /// All samples in ascending order, sorted in place once. Like quantile(),
+  /// it mutates the buffer, so a store shared across threads is sorted()
+  /// first while single-threaded (SweepRunner does so before publishing a
+  /// result); after that every query only reads.
   const std::vector<double>& sorted() const;
 
  private:
-  /// What `cache_` holds relative to `samples_`.
-  enum class Cache : unsigned char {
-    kStale,     ///< nothing usable: samples were added since
-    kPermuted,  ///< the samples in some order (quantile() selected in it)
-    kSorted,    ///< the samples in ascending order
-  };
+  enum class Order : unsigned char { kInsertion, kPermuted, kSorted };
 
-  std::vector<double> samples_;  ///< insertion (completion) order
-  mutable std::vector<double> cache_;
-  mutable Cache state_ = Cache::kSorted;
+  mutable std::vector<double> samples_;
+  double sum_ = 0.0;  ///< in insertion order
+  mutable Order order_ = Order::kInsertion;
 };
 
 }  // namespace eas::stats

@@ -7,8 +7,9 @@
 //
 // This binary also links the counting operator new shim (alloc_counter.cpp)
 // to pin the zero-allocation promises literally: cache lookups and
-// miss-inserts, warm write-back cycles, and a tiers cell's per-request
-// allocations at run level.
+// miss-inserts, warm write-back cycles, and the tiers and online cells'
+// per-request allocations at run level, and the online cell's bytes per
+// request (one response double).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -812,22 +813,50 @@ std::uint64_t tiers_cell_allocations(std::size_t requests) {
                                     trace::make_synthetic_trace(tc));
 }
 
-/// Allocations of one run_cell of the end-to-end benchmark's online cell
-/// shape: Cello-like reads, 180 disks, rf 3, 2CPM, no tiers.
-std::uint64_t online_cell_allocations(std::size_t requests) {
+/// The end-to-end benchmark's online cell shape: Cello-like reads, 180
+/// disks, rf 3, 2CPM, no tiers.
+runner::ExperimentParams online_cell(std::size_t requests) {
   runner::ExperimentBuilder b(runner::Workload::kCello);
   b.requests(requests).disks(180).replication(3);
-  trace::SyntheticTraceConfig tc = trace::cello_like_config(1);
-  tc.num_requests = requests;
-  return heuristic_cell_allocations(b.build(),
-                                    trace::make_synthetic_trace(tc));
+  return b.build();
 }
 
-/// Allocations per request between an N- and a 2N-request run: what N more
-/// steady-state requests cost. Signed, because growth that depends on the
-/// traffic (a disk queue passing its peak depth) can land in either run.
-double allocations_per_extra_request(std::uint64_t once, std::uint64_t twice,
-                                     std::size_t n) {
+trace::Trace online_trace(std::size_t requests) {
+  trace::SyntheticTraceConfig tc = trace::cello_like_config(1);
+  tc.num_requests = requests;
+  return trace::make_synthetic_trace(tc);
+}
+
+/// Allocations of one run_cell of online_cell(requests).
+std::uint64_t online_cell_allocations(std::size_t requests) {
+  return heuristic_cell_allocations(online_cell(requests),
+                                    online_trace(requests));
+}
+
+/// Bytes allocated by one run_cell of online_cell(requests) plus what its
+/// result's readers allocate: to_json(true) and the in-place sort of the
+/// response samples. Trace and placement are built outside the count.
+std::uint64_t online_cell_bytes(std::size_t requests) {
+  const runner::ExperimentParams p = online_cell(requests);
+  const trace::Trace trace = online_trace(requests);
+  const auto placement = runner::make_shared_placement(p);
+  std::size_t json_size = 0;
+  const std::uint64_t bytes = testing::bytes_during([&] {
+    storage::RunResult r = runner::run_cell(
+        runner::SchedulerRegistry::global(), "heuristic", p, trace, *placement);
+    json_size = r.to_json(true).size();
+    EXPECT_EQ(r.response_times.sorted().size(), r.total_requests);
+  });
+  EXPECT_GT(json_size, 0u);
+  return bytes;
+}
+
+/// Allocations (or bytes) per request between an N- and a 2N-request run:
+/// what N more steady-state requests cost. Signed, because growth that
+/// depends on the traffic (a disk queue passing its peak depth) can land in
+/// either run.
+double per_extra_request(std::uint64_t once, std::uint64_t twice,
+                         std::size_t n) {
   return (static_cast<double>(twice) - static_cast<double>(once)) /
          static_cast<double>(n);
 }
@@ -840,7 +869,7 @@ TEST(CacheRun, TiersCellAllocatesLittlePerSteadyStateRequest) {
   constexpr std::size_t kN = 20000;
   const std::uint64_t once = tiers_cell_allocations(kN);
   const std::uint64_t twice = tiers_cell_allocations(2 * kN);
-  const double per_request = allocations_per_extra_request(once, twice, kN);
+  const double per_request = per_extra_request(once, twice, kN);
   RecordProperty("allocations_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, 0.001)
       << once << " allocations for " << kN << " requests, " << twice
@@ -853,11 +882,28 @@ TEST(CacheRun, OnlineCellAllocatesLittlePerSteadyStateRequest) {
   constexpr std::size_t kN = 20000;
   const std::uint64_t once = online_cell_allocations(kN);
   const std::uint64_t twice = online_cell_allocations(2 * kN);
-  const double per_request = allocations_per_extra_request(once, twice, kN);
+  const double per_request = per_extra_request(once, twice, kN);
   RecordProperty("allocations_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, 0.001)
       << once << " allocations for " << kN << " requests, " << twice
       << " for " << 2 * kN;
+}
+
+// Run-level memory pin: a run holds each response sample once, in a buffer
+// sized for the trace before the first arrival, and reading the result's
+// quantiles and sorted samples copies none of them. So N more requests cost
+// one double each, plus what the rest of the run allocates per request
+// (nothing once warm, per the allocation pins above). A doubling store
+// would add ~1-3 doubles per request and a selection copy one more.
+TEST(CacheRun, OnlineCellHoldsEachResponseSampleOnce) {
+  constexpr std::size_t kN = 20000;
+  const std::uint64_t once = online_cell_bytes(kN);
+  const std::uint64_t twice = online_cell_bytes(2 * kN);
+  const double per_request = per_extra_request(once, twice, kN);
+  RecordProperty("bytes_per_request", std::to_string(per_request));
+  EXPECT_LE(per_request, 8.5)
+      << once << " bytes for " << kN << " requests, " << twice << " for "
+      << 2 * kN;
 }
 
 // --------------------------------------------- scheduler & policy coupling

@@ -5,12 +5,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
 #include "util/check.hpp"
+#include "util/pages.hpp"
 #include "util/rng.hpp"
 
 namespace eas::stats {
@@ -118,8 +120,8 @@ TEST(SampleStore, MeanMatchesSum) {
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
 }
 
-// quantile() selects in the cache buffer while it is unsorted and indexes
-// it once sorted() has run; the two paths must agree bit for bit.
+// quantile() selects in the buffer while it is unsorted and indexes it once
+// sorted() has run; the two paths must agree bit for bit.
 struct StoreShape {
   std::string name;
   std::vector<double> samples;
@@ -203,6 +205,226 @@ TEST(SampleStore, AddAfterSelectionInvalidatesTheCache) {
   EXPECT_EQ(s.median(), 2.5);
   s.add(0.0);
   EXPECT_EQ(s.sorted(), (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
+}
+
+// --- differential: SampleStore against a naive reference -------------------
+//
+// The reference keeps the samples in an insertion-order vector, sums them in
+// that order for the mean and reads quantiles from a sorted copy. The pools
+// add signed zeros, subnormals and values near 1e300 to store_shapes(), so
+// summing in any other order changes the mean's bits.
+
+std::vector<StoreShape> differential_pools() {
+  std::vector<StoreShape> pools = store_shapes();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  pools.push_back({"signed-zeros", {0.0, -0.0, 0.0, -0.0, 0.25, -0.25, tiny}});
+  pools.push_back({"subnormals",
+                   {tiny, 3 * tiny, -7 * tiny, 1000 * tiny, -0.0,
+                    std::numeric_limits<double>::min(), 0.5 * tiny}});
+  pools.push_back({"near-1e300",
+                   {1e300, -1e300, 1.7e300, -3.1e299, 1.0, 3.0, -0.0, 1e-300}});
+  return pools;
+}
+
+struct NaiveStore {
+  std::vector<double> xs;  // insertion order
+
+  double mean() const {
+    if (xs.empty()) return 0.0;
+    double acc = 0.0;
+    for (double x : xs) acc += x;
+    return acc / static_cast<double>(xs.size());
+  }
+  std::vector<double> sorted() const {
+    std::vector<double> s = xs;
+    std::sort(s.begin(), s.end());
+    return s;
+  }
+  double quantile(double q) const {
+    const std::vector<double> s = sorted();
+    const double pos = q * static_cast<double>(s.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    if (lo + 1 >= s.size()) return s.back();
+    return s[lo] * (1.0 - frac) + s[lo + 1] * frac;
+  }
+  double fraction_above(double x) const {
+    if (xs.empty()) return 0.0;
+    const auto above = std::count_if(xs.begin(), xs.end(),
+                                     [x](double v) { return v > x; });
+    return static_cast<double>(above) / static_cast<double>(xs.size());
+  }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// An order statistic's bits, except that the sign of a zero is unspecified:
+// std::sort and std::nth_element leave equal values (0.0 == -0.0) in any
+// order, so which zero lands at a position differs between any two orders.
+::testing::AssertionResult same_order_statistic(double got, double want) {
+  if (bits(got) == bits(want) || (got == 0.0 && want == 0.0)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << got << " vs " << want;
+}
+
+TEST(SampleStoreDiff, MatchesTheNaiveReferenceOnSeededOpSequences) {
+  const std::vector<StoreShape> pools = differential_pools();
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    for (const StoreShape& pool : pools) {
+      util::Rng rng(seed * 1000 + pool.samples.size());
+      const auto draw = [&] {
+        return pool.samples[rng.next_below(pool.samples.size())];
+      };
+      const auto draw_q = [&] {
+        switch (rng.next_below(4)) {
+          case 0: return 0.0;
+          case 1: return 1.0;
+          default: return rng.next_double();
+        }
+      };
+      SampleStore store;
+      NaiveStore ref;
+      for (int op = 0; op < 80; ++op) {
+        const std::string where = pool.name + " seed " +
+                                  std::to_string(seed) + " op " +
+                                  std::to_string(op);
+        switch (rng.next_below(8)) {
+          case 0:
+          case 1: {
+            const int k = 1 + static_cast<int>(rng.next_below(8));
+            for (int i = 0; i < k; ++i) {
+              const double x = draw();
+              store.add(x);
+              ref.xs.push_back(x);
+            }
+            break;
+          }
+          case 2:
+            ASSERT_EQ(bits(store.mean()), bits(ref.mean())) << where;
+            break;
+          case 3:
+            if (ref.xs.empty()) {
+              EXPECT_THROW(store.quantile(0.5), InvariantError) << where;
+            } else {
+              const double q = draw_q();
+              ASSERT_TRUE(same_order_statistic(store.quantile(q),
+                                               ref.quantile(q)))
+                  << where << " q=" << q;
+            }
+            break;
+          case 4: {
+            if (ref.xs.empty()) break;
+            std::vector<double> qs(1 + rng.next_below(5));
+            for (double& q : qs) q = draw_q();
+            std::sort(qs.begin(), qs.end());
+            std::vector<double> got(qs.size());
+            store.quantiles(qs, got);
+            for (std::size_t i = 0; i < qs.size(); ++i) {
+              ASSERT_TRUE(same_order_statistic(got[i], ref.quantile(qs[i])))
+                  << where << " q=" << qs[i];
+            }
+            break;
+          }
+          case 5: {
+            const std::vector<double> want = ref.sorted();
+            const std::vector<double>& got = store.sorted();
+            ASSERT_EQ(got.size(), want.size()) << where;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              ASSERT_TRUE(same_order_statistic(got[i], want[i]))
+                  << where << " i=" << i;
+            }
+            break;
+          }
+          case 6: {
+            const double x = draw();
+            ASSERT_EQ(bits(store.fraction_above(x)),
+                      bits(ref.fraction_above(x)))
+                << where << " x=" << x;
+            break;
+          }
+          default: {
+            // A shard that was never queried, possibly empty.
+            SampleStore shard;
+            const auto k = rng.next_below(6);
+            for (std::uint64_t i = 0; i < k; ++i) {
+              const double x = draw();
+              shard.add(x);
+              ref.xs.push_back(x);
+            }
+            store += shard;
+            break;
+          }
+        }
+        ASSERT_EQ(store.count(), ref.xs.size()) << where;
+      }
+      EXPECT_EQ(bits(store.mean()), bits(ref.mean()))
+          << pool.name << " seed " << seed;
+    }
+  }
+}
+
+TEST(SampleStore, QuantilesRejectDescendingOrOutOfRangeQs) {
+  const SampleStore s = store_of({3.0, 1.0, 2.0, 4.0});
+  double out[2] = {};
+  const double descending[] = {0.9, 0.5};
+  EXPECT_THROW(s.quantiles(descending, out), InvariantError);
+  const double out_of_range[] = {0.5, 1.5};
+  EXPECT_THROW(s.quantiles(out_of_range, out), InvariantError);
+  const double one[] = {0.5};
+  EXPECT_THROW(s.quantiles(one, out), InvariantError);  // sizes differ
+  const double repeated[] = {0.5, 0.5};
+  s.quantiles(repeated, out);
+  EXPECT_EQ(out[0], 2.5);
+  EXPECT_EQ(out[1], 2.5);
+}
+
+// A store above util::kReleaseMinBytes hands its pages back when destroyed;
+// moves and copies must leave exactly one owner per buffer, so no live
+// store reads a released page.
+TEST(SampleStore, LargeStoreSurvivesCopiesAndMoves) {
+  constexpr std::size_t kN = 2 * util::kReleaseMinBytes / sizeof(double);
+  SampleStore a;
+  a.reserve(kN);
+  for (std::size_t i = 0; i < kN; ++i) a.add(static_cast<double>(kN - i));
+  const double mean = a.mean();
+  SampleStore copy = a;
+  SampleStore moved = std::move(a);
+  { const SampleStore gone = copy; }
+  SampleStore assigned;
+  assigned = std::move(copy);
+  for (const SampleStore* s : {&moved, &assigned}) {
+    EXPECT_EQ(s->count(), kN);
+    EXPECT_EQ(bits(s->mean()), bits(mean));
+    EXPECT_EQ(s->quantile(1.0), static_cast<double>(kN));
+    EXPECT_EQ(s->sorted().front(), 1.0);
+  }
+}
+
+TEST(ReleasePages, ZeroesOnlyTheWholePagesInsideTheSpan) {
+  std::vector<unsigned char> buf(3 * util::kReleaseMinBytes, 0xab);
+  // The span starts 1 byte past and ends 1 byte short of a 64 KiB boundary,
+  // so both ends sit in partial pages for any page size up to 64 KiB.
+  constexpr std::size_t kAlign = std::size_t{1} << 16;
+  const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+  const std::size_t from = kAlign - addr % kAlign + 1;
+  const std::size_t len = 2 * util::kReleaseMinBytes + kAlign - 2;
+  util::release_pages(buf.data() + from, len);
+  // The partial pages at either end are not released.
+  EXPECT_EQ(buf[from], 0xab);
+  EXPECT_EQ(buf[from + len - 1], 0xab);
+  EXPECT_EQ(buf.front(), 0xab);
+  EXPECT_EQ(buf.back(), 0xab);
+#if defined(__linux__)
+  EXPECT_EQ(buf[from + util::kReleaseMinBytes], 0);
+#endif
+}
+
+TEST(ReleasePages, LeavesSpansBelowTheMinimumAlone) {
+  std::vector<unsigned char> buf(util::kReleaseMinBytes, 0xcd);
+  util::release_pages(buf.data(), buf.size() - 1);
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                          [](unsigned char c) { return c == 0xcd; }));
 }
 
 TEST(Histogram, CountsLandInTheRightBins) {
@@ -311,6 +533,24 @@ TEST(ShardMerge, SampleStoreMergeAfterSortedQueryStaysCorrect) {
   a += b;
   EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.median(), 1.5);
+}
+
+TEST(ShardMerge, SampleStoreRejectsAQueriedRightHandStore) {
+  // A query reorders the buffer, so the insertion order mean() sums in is
+  // gone; a queried left-hand store merges as before.
+  SampleStore a = store_of({1.0, 2.0});
+  SampleStore selected = store_of({3.0, 1.0});
+  EXPECT_EQ(selected.median(), 2.0);
+  EXPECT_THROW(a += selected, InvariantError);
+  SampleStore sorted = store_of({3.0, 1.0});
+  sorted.sorted();
+  EXPECT_THROW(a += sorted, InvariantError);
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(a.median(), 1.5);
+  a += store_of({0.5, 4.0});
+  EXPECT_EQ(a.count(), 4u);
+  EXPECT_EQ(a.mean(), (1.0 + 2.0 + 0.5 + 4.0) / 4.0);
+  EXPECT_EQ(a.median(), 1.5);
 }
 
 TEST(ShardMerge, HistogramFoldIsBinWise) {
