@@ -830,6 +830,7 @@ TEST(WscTickDiff, MatchesTheReferenceTickOn2400SeededBatches) {
   std::size_t batches = 0;
   std::size_t degraded = 0;
   std::size_t uncoverable = 0;
+  std::size_t small_batches = 0;
   for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
     util::Rng rng(seed * 7919);
     const auto num_disks = static_cast<DiskId>(2 + rng.next_below(30));
@@ -884,7 +885,11 @@ TEST(WscTickDiff, MatchesTheReferenceTickOn2400SeededBatches) {
     for (int round = 0; round < 2; ++round) {
       const std::string tag = "seed " + std::to_string(seed) + " round " +
                               std::to_string(round);
-      std::vector<disk::Request> batch(1 + rng.next_below(256));
+      // Half the batches hold 1-4 requests, the common tick of a batch
+      // run at the paper's arrival rates; the rest 1-256.
+      const bool small = rng.bernoulli(0.5);
+      std::vector<disk::Request> batch(1 + rng.next_below(small ? 4 : 256));
+      small_batches += batch.size() <= 4 ? 1 : 0;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch[i].id = i;
         // The same data twice in one batch, often.
@@ -911,6 +916,7 @@ TEST(WscTickDiff, MatchesTheReferenceTickOn2400SeededBatches) {
     }
   }
   EXPECT_EQ(batches, 2400u);
+  EXPECT_GT(small_batches, 1100u);
   // The degraded fleets did exercise unreadable replicas and requests with
   // none left.
   EXPECT_GT(degraded, 300u);

@@ -409,6 +409,24 @@ TEST(DelayLane, DeduplicatesByDelayBits) {
   EXPECT_THROW(sim.schedule_on(99, [] {}), InvariantError);
 }
 
+TEST(DelayLane, TryDelayLaneReportsAFullTableInsteadOfThrowing) {
+  Simulator sim;
+  const auto first = sim.try_delay_lane(1.0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(sim.delay_lane(1.0), *first);  // one table, one dedup rule
+  std::size_t lanes = 1;
+  for (int i = 2; sim.try_delay_lane(static_cast<double>(i)).has_value(); ++i) {
+    ++lanes;
+    ASSERT_LT(lanes, 100000u);
+  }
+  EXPECT_GT(lanes, 100u);
+  // Delays that already have a lane still resolve; a new one does not.
+  EXPECT_EQ(sim.try_delay_lane(1.0), first);
+  EXPECT_FALSE(sim.try_delay_lane(0.5).has_value());
+  EXPECT_THROW(sim.delay_lane(0.5), InvariantError);
+  EXPECT_THROW(sim.try_delay_lane(-1.0), InvariantError);
+}
+
 TEST(DelayLane, RejectsANonFiniteDelayAtSetUp) {
   // An infinite delay would otherwise pass set-up and abort the run at the
   // first schedule_on, whose time is no longer finite.

@@ -38,10 +38,11 @@ struct Entry {
 /// A seeded event program over queue Q. A sorted arrival list on a coarse
 /// time grid is streamed through the arrival lane, and every handler
 /// spawns events through schedule_at, schedule_in (zero delays included)
-/// and 1-4 delay lanes (zero delay and delays on the grid included, so
+/// and 1-12 delay lanes (zero delay and delays on the grid included, so
 /// events tie across all three), then cancels pending, fired or its own
-/// handles. Every choice is a pure function of (seed, event id), so two
-/// queues that fire the same events in the same order log the same entries.
+/// handles, or the head of a lane. Every choice is a pure function of
+/// (seed, event id), so two queues that fire the same events in the same
+/// order log the same entries.
 template <typename Q>
 class Program {
  public:
@@ -52,11 +53,18 @@ class Program {
                                      splitmix(seed ^ (0x300 + i)) % 16));
     }
     std::stable_sort(arrivals_.begin(), arrivals_.end());
-    static constexpr double kDelays[] = {0.0, 0.25, 0.5, 0.75, 1.0, 0.1};
-    const std::size_t lanes = 1 + splitmix(seed ^ 0x77) % 4;
+    // Twelve distinct delays; a stride coprime to 12 walks them without
+    // repeats, so a program gets as many kernel lanes as it draws.
+    static constexpr double kDelays[] = {0.0,   0.25,  0.5,   0.75,
+                                         1.0,   0.1,   0.125, 0.375,
+                                         0.625, 0.875, 0.3,   0.0625};
+    const std::size_t lanes = 1 + splitmix(seed ^ 0x77) % 12;
+    const std::size_t first = splitmix(seed ^ 0x900) % 12;
     for (std::size_t j = 0; j < lanes; ++j) {
-      delays_.push_back(kDelays[splitmix(seed ^ (0x900 + j)) % 6]);
+      delays_.push_back(kDelays[(first + 5 * j) % 12]);
     }
+    armed_.resize(lanes);
+    front_.resize(lanes);
   }
 
   std::vector<Entry> run() {
@@ -88,6 +96,8 @@ class Program {
   }
 
   std::size_t ties() const { return ties_; }
+  std::size_t head_cancels() const { return head_cancels_; }
+  std::size_t lanes() const { return delays_.size(); }
 
  private:
   using Handle = decltype(std::declval<Q&>().schedule_in(0.0, [] {}));
@@ -121,7 +131,8 @@ class Program {
 
   /// Spawns 0-3 events and makes 0-2 cancels, all decided by the bits of
   /// `k`: a cancel targets the running event's own handle, one of the last
-  /// few handles (often still pending) or any earlier one (often fired).
+  /// few handles (often still pending), any earlier one (often fired) or
+  /// the oldest pending event of a lane, which is that lane's head.
   void act(std::uint64_t k, std::uint64_t self) {
     const std::uint64_t spawn = k % 4;
     for (std::uint64_t j = 0; j < spawn && handles_.size() < 300; ++j) {
@@ -134,20 +145,31 @@ class Program {
       } else if (pick < 10) {
         handles_.push_back(q_->schedule_in(grid, fire));
       } else {
-        handles_.push_back(q_->schedule_on(lanes_[pick % lanes_.size()], fire));
+        const std::size_t lane = splitmix(k ^ (0x40 + j)) % lanes_.size();
+        armed_[lane].push_back(id);
+        handles_.push_back(q_->schedule_on(lanes_[lane], fire));
       }
     }
     const std::uint64_t cancels = (k >> 16) % 3;
     for (std::uint64_t c = 0; c < cancels && !handles_.empty(); ++c) {
       const std::uint64_t r = splitmix(k ^ c);
       const std::size_t n = handles_.size();
-      std::uint64_t target;
-      if (r % 4 == 0 && self != kNoSelf) {
+      std::uint64_t target = n - 1 - (r >> 8) % std::min<std::size_t>(n, 6);
+      if (r % 8 < 2 && self != kNoSelf) {
         target = self;
-      } else if (r % 4 == 1) {
+      } else if (r % 8 == 2 || r % 8 == 3) {
         target = (r >> 8) % n;
-      } else {
-        target = n - 1 - (r >> 8) % std::min<std::size_t>(n, 6);
+      } else if (r % 8 >= 6) {
+        const std::size_t lane = (r >> 8) % armed_.size();
+        std::size_t& f = front_[lane];
+        while (f < armed_[lane].size() &&
+               !q_->pending(handles_[armed_[lane][f]])) {
+          ++f;
+        }
+        if (f < armed_[lane].size()) {
+          target = armed_[lane][f];
+          ++head_cancels_;
+        }
       }
       const bool was_pending = q_->pending(handles_[target]);
       mark('c', target, q_->cancel(handles_[target]) ? 1 : 0,
@@ -161,8 +183,13 @@ class Program {
   Q* q_ = nullptr;
   std::vector<decltype(std::declval<Q&>().delay_lane(0.0))> lanes_;
   std::vector<Handle> handles_;
+  /// Per program lane: the ids armed on it, in arming order, and the index
+  /// of the first one that may still be pending.
+  std::vector<std::vector<std::uint64_t>> armed_;
+  std::vector<std::size_t> front_;
   std::vector<Entry> log_;
   std::size_t ties_ = 0;
+  std::size_t head_cancels_ = 0;
 };
 
 TEST(ReferenceQueue, SimulatorMatchesTheReferenceOn800Programs) {
@@ -170,6 +197,8 @@ TEST(ReferenceQueue, SimulatorMatchesTheReferenceOn800Programs) {
   std::size_t live_cancels = 0;
   std::size_t dead_cancels = 0;
   std::size_t fires = 0;
+  std::size_t head_cancels = 0;
+  std::size_t lanes_seen[13] = {};
   for (std::uint64_t seed = 1; seed <= 800; ++seed) {
     Program<ReferenceQueue> reference(seed);
     Program<Simulator> kernel(seed);
@@ -187,12 +216,17 @@ TEST(ReferenceQueue, SimulatorMatchesTheReferenceOn800Programs) {
       fires += got[i].what == 'f' ? 1 : 0;
     }
     ties += kernel.ties();
+    head_cancels += kernel.head_cancels();
+    ++lanes_seen[kernel.lanes()];
   }
   // The programs really are tie-heavy and cancel both live and dead events.
   EXPECT_GT(ties, 25000u);
   EXPECT_GT(live_cancels, 50000u);
   EXPECT_GT(dead_cancels, 50000u);
   EXPECT_GT(fires, 100000u);
+  // Lane heads are cancelled often, and every lane count from 1 to 12 runs.
+  EXPECT_GT(head_cancels, 20000u);
+  for (std::size_t l = 1; l <= 12; ++l) EXPECT_GT(lanes_seen[l], 30u) << l;
 }
 
 }  // namespace
