@@ -306,9 +306,11 @@ class System {
     disks_.reserve(placement.num_disks());
     disk_ptrs_.reserve(placement.num_disks());
     for (DiskId k = 0; k < placement.num_disks(); ++k) {
+      // Block-sized transfers (every synthetic read, every destage write)
+      // complete through one delay lane shared by the fleet.
       disks_.push_back(std::make_unique<disk::Disk>(
           k, sim_, config_.power, config_.perf, config_.initial_state,
-          &status_[k]));
+          &status_[k], config_.cache.block_bytes));
       disk_ptrs_.push_back(disks_.back().get());
       disks_.back()->set_completion_callback(
           [this](const disk::Completion& c) { on_completion(c); });

@@ -139,6 +139,47 @@ TEST(RunOnline, DeterministicForFixedSeeds) {
   EXPECT_DOUBLE_EQ(a.mean_response(), b.mean_response());
 }
 
+// Disks bind their one service lane at construction, for the block size,
+// so a trace with more request sizes than the kernel has lanes adds none.
+// Lane or heap, a completion fires at the same time in the same order, so
+// which size rides the lane changes no output bit.
+TEST(RunOnline, OutputDoesNotDependOnWhichSizeRidesTheServiceLane) {
+  const auto placement = small_placement(8, 64, 2, 3);
+  std::vector<trace::TraceRecord> recs;
+  // Every other request is 4 KiB; the rest take 400 other sizes.
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const std::uint32_t bytes = i % 2 == 0 ? 4096 : 4096 + 512 * (i % 800);
+    recs.push_back({0.004 * i, static_cast<DataId>(i % 64), bytes, true});
+  }
+  const trace::Trace trace(std::move(recs));
+  auto run_with_lane = [&](unsigned long lane_bytes) {
+    auto cfg = small_config();
+    cfg.cache.block_bytes = lane_bytes;
+    core::CostFunctionScheduler sched;
+    power::FixedThresholdPolicy policy;
+    return storage::run_online(cfg, placement, trace, sched, policy);
+  };
+  const auto none = run_with_lane(1);  // no request has this size
+  ASSERT_EQ(none.total_requests, trace.size());
+  for (const unsigned long bytes : {4096ul, 4096ul + 512 * 7}) {
+    const auto r = run_with_lane(bytes);
+    EXPECT_EQ(r.total_requests, trace.size()) << bytes;
+    EXPECT_EQ(r.total_energy(), none.total_energy()) << bytes;
+    EXPECT_EQ(r.mean_response(), none.mean_response()) << bytes;
+    EXPECT_EQ(r.horizon, none.horizon) << bytes;
+    EXPECT_EQ(r.total_spin_ups(), none.total_spin_ups()) << bytes;
+    ASSERT_EQ(r.disk_stats.size(), none.disk_stats.size());
+    for (std::size_t k = 0; k < r.disk_stats.size(); ++k) {
+      EXPECT_EQ(r.disk_stats[k].requests_served,
+                none.disk_stats[k].requests_served)
+          << bytes << " disk " << k;
+      EXPECT_EQ(r.disk_stats[k].total_seconds(),
+                none.disk_stats[k].total_seconds())
+          << bytes << " disk " << k;
+    }
+  }
+}
+
 TEST(RunBatch, QueueingDelayIsBoundedByOneInterval) {
   const auto cfg = small_config();
   const auto placement = small_placement(8, 32, 2, 1);
