@@ -10,9 +10,9 @@
 #include "core/write_offload.hpp"
 #include "placement/placement.hpp"
 #include "power/fixed_threshold.hpp"
+#include "runner/emit.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/synthetic.hpp"
-#include "util/table.hpp"
 
 using namespace eas;
 
@@ -35,8 +35,8 @@ int main() {
   std::cout << "workload: " << trace.size() << " requests, "
             << trace.size() - trace.reads_only().size() << " writes\n\n";
 
-  util::Table t({"configuration", "norm_energy", "spin_ups", "mean_resp_ms",
-                 "diverted_writes"});
+  runner::ResultTable t("", {"configuration", "norm_energy", "spin_ups",
+                             "mean_resp_ms", "diverted_writes"});
   auto report = [&](const std::string& label, const storage::RunResult& r,
                     const core::WriteOffloadManager& offloader) {
     t.row()
@@ -76,7 +76,7 @@ int main() {
                                      offloader),
            offloader);
   }
-  t.print(std::cout);
+  t.emit_table(std::cout);
   std::cout << "\nWrite off-loading keeps sleeping home disks asleep by "
                "parking fresh blocks on already-spinning disks; reads of "
                "diverted blocks follow them until the home disk's next "

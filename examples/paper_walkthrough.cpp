@@ -12,8 +12,8 @@
 #include "disk/params.hpp"
 #include "graph/mwis.hpp"
 #include "placement/placement.hpp"
+#include "runner/emit.hpp"
 #include "trace/trace.hpp"
-#include "util/table.hpp"
 
 using namespace eas;
 
@@ -81,7 +81,7 @@ int main() {
   core::ConflictGraphOptions gopts;
   gopts.successor_horizon = 2;
   const auto graph = core::build_conflict_graph(offline, placement, p, gopts);
-  util::Table t({"node", "X(i,j,k)", "weight (J)"});
+  runner::ResultTable t("", {"node", "X(i,j,k)", "weight (J)"});
   for (std::uint32_t v = 0; v < graph.size(); ++v) {
     const core::SavingNode n = graph.node(v);
     t.row()
@@ -90,7 +90,7 @@ int main() {
               "," + std::to_string(n.k + 1) + ")")
         .cell(n.weight, 0);
   }
-  t.print(std::cout);
+  t.emit_table(std::cout);
   std::cout << "conflict edges: " << graph.num_edges() << "\n";
 
   const auto exact = graph::exact_mwis(graph.to_weighted_graph());

@@ -9,9 +9,9 @@
 #include "core/cost_scheduler.hpp"
 #include "placement/placement.hpp"
 #include "power/fixed_threshold.hpp"
+#include "runner/emit.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/synthetic.hpp"
-#include "util/table.hpp"
 
 using namespace eas;
 
@@ -34,8 +34,8 @@ int main() {
   std::cout << "60 disks, rf=3, " << tcfg.num_requests
             << " bursty requests; breakeven T_B = " << breakeven << " s\n\n";
 
-  util::Table t({"alpha", "threshold", "norm_energy", "mean_resp_ms",
-                 "p99_resp_ms", "spin_cycles"});
+  runner::ResultTable t("", {"alpha", "threshold", "norm_energy",
+                             "mean_resp_ms", "p99_resp_ms", "spin_cycles"});
   for (double alpha : {0.0, 0.2, 0.5, 1.0}) {
     for (double threshold_factor : {0.5, 1.0, 2.0}) {
       core::CostFunctionScheduler sched(core::CostParams{alpha, 100.0});
@@ -51,7 +51,7 @@ int main() {
           .cell(static_cast<long long>(r.total_spin_ups()));
     }
   }
-  t.print(std::cout);
+  t.emit_table(std::cout);
   std::cout << "\nReading the frontier: alpha trades response time for "
                "energy (0 = pure performance, 1 = pure energy); thresholds "
                "below the breakeven spin down eagerly and pay extra wake "

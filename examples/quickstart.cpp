@@ -12,9 +12,9 @@
 #include "core/cost_scheduler.hpp"
 #include "placement/placement.hpp"
 #include "power/fixed_threshold.hpp"
+#include "runner/emit.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/synthetic.hpp"
-#include "util/table.hpp"
 
 using namespace eas;
 
@@ -51,7 +51,7 @@ int main() {
       storage::run_online(system, placement, trace, energy_aware, p2);
 
   // 5. Compare.
-  util::Table t({"metric", "static", "energy-aware heuristic"});
+  runner::ResultTable t("", {"metric", "static", "energy-aware heuristic"});
   t.row()
       .cell("energy (kJ)")
       .cell(baseline.total_energy() / 1e3, 1)
@@ -72,7 +72,7 @@ int main() {
       .cell("p99 response (ms)")
       .cell(baseline.response_times.p99() * 1e3, 1)
       .cell(improved.response_times.p99() * 1e3, 1);
-  t.print(std::cout);
+  t.emit_table(std::cout);
 
   const double saved = 100.0 * (1.0 - improved.total_energy() /
                                           baseline.total_energy());

@@ -25,10 +25,10 @@
 #include "placement/placement.hpp"
 #include "power/covering_subset.hpp"
 #include "power/fixed_threshold.hpp"
+#include "runner/emit.hpp"
 #include "storage/storage_system.hpp"
 #include "trace/parsers.hpp"
 #include "trace/synthetic.hpp"
-#include "util/table.hpp"
 
 using namespace eas;
 
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  util::Table r({"metric", "value"});
+  runner::ResultTable r("", {"metric", "value"});
   r.row().cell("scheduler").cell(result.scheduler_name);
   r.row().cell("power policy").cell(result.policy_name);
   r.row().cell("requests served").cell(
@@ -184,6 +184,6 @@ int main(int argc, char** argv) {
     r.row().cell("p99 response (ms)").cell(result.response_times.p99() * 1e3, 2);
     r.row().cell("max response (s)").cell(result.response_times.quantile(1.0), 2);
   }
-  r.print(std::cout);
+  r.emit_table(std::cout);
   return 0;
 }

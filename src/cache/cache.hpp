@@ -135,9 +135,9 @@ struct CacheStats {
   /// footprint_bytes · W/GiB · horizon, filled at finish().
   double memory_energy_joules = 0.0;
 
+  std::uint64_t hits() const { return hits_clean + hits_dirty; }
   double hit_ratio() const {
-    const std::uint64_t hits = hits_clean + hits_dirty;
-    return lookups > 0 ? static_cast<double>(hits) /
+    return lookups > 0 ? static_cast<double>(hits()) /
                              static_cast<double>(lookups)
                        : 0.0;
   }

@@ -6,24 +6,6 @@
 
 namespace eas::fault {
 
-const char* to_string(DiskHealth h) {
-  switch (h) {
-    case DiskHealth::kUp: return "up";
-    case DiskHealth::kDown: return "down";
-    case DiskHealth::kRebuilding: return "rebuilding";
-  }
-  return "?";
-}
-
-const char* to_string(ScriptedFault::Kind k) {
-  switch (k) {
-    case ScriptedFault::Kind::kFailStop: return "fail-stop";
-    case ScriptedFault::Kind::kTransient: return "transient";
-    case ScriptedFault::Kind::kLatentSector: return "latent-sector";
-  }
-  return "?";
-}
-
 void FaultProfile::validate(DiskId num_disks) const {
   EAS_REQUIRE_MSG(mttf_seconds >= 0.0, "negative mttf " << mttf_seconds);
   EAS_REQUIRE_MSG(mttr_seconds >= 0.0, "negative mttr " << mttr_seconds);

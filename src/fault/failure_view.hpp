@@ -28,8 +28,6 @@ enum class DiskHealth : std::uint8_t {
   kRebuilding = 2,  ///< back online, replaying lost data: internal I/O only
 };
 
-const char* to_string(DiskHealth h);
-
 class FailureView {
  public:
   explicit FailureView(DiskId num_disks);

@@ -45,8 +45,6 @@ struct ScriptedFault {
   DataId data_hi = 0;  ///< kLatentSector only (inclusive)
 };
 
-const char* to_string(ScriptedFault::Kind k);
-
 /// Complete fault configuration for one run. Default-constructed == no
 /// faults: enabled() is false and the whole degraded path is compiled out of
 /// the run (null FailureView, zero overhead, bit-identical results).

@@ -1,26 +1,16 @@
 #include "runner/emit.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iomanip>
 #include <sstream>
 #include <string_view>
+#include <variant>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/table.hpp"
 
 namespace eas::runner {
-
-const char* to_string(EmitFormat f) {
-  switch (f) {
-    case EmitFormat::kTable:
-      return "table";
-    case EmitFormat::kCsv:
-      return "csv";
-    case EmitFormat::kJson:
-      return "json";
-  }
-  return "?";
-}
 
 EmitFormat emit_format_from_env(EmitFormat fallback) {
   const char* env = std::getenv("EAS_EMIT");
@@ -115,12 +105,28 @@ void ResultTable::emit(std::ostream& os, EmitFormat format) const {
 
 void ResultTable::emit_table(std::ostream& os) const {
   if (!title_.empty()) os << "=== " << title_ << " ===\n";
-  util::Table t(columns_);
+  // Left-aligned columns two spaces apart, each as wide as its widest cell,
+  // under an underlined header.
+  std::vector<std::size_t> widths;
+  for (const auto& c : columns_) widths.push_back(c.size());
   for (const auto& r : rows_) {
-    t.row();
-    for (const auto& c : r) t.cell(c.text);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      widths[i] = std::max(widths[i], r[i].text.size());
+    }
   }
-  t.print(os);
+  const auto print = [&](std::size_t i, const std::string& v) {
+    os << std::left << std::setw(static_cast<int>(widths[i])) << v
+       << (i + 1 < widths.size() ? "  " : "\n");
+  };
+  for (std::size_t i = 0; i < columns_.size(); ++i) print(i, columns_[i]);
+  std::size_t total = 2 * (widths.size() - 1);
+  for (const std::size_t w : widths) total += w;
+  os << std::string(total, '-') << '\n';
+  for (const auto& r : rows_) {
+    for (std::size_t i = 0; i < columns_.size(); ++i) {
+      print(i, i < r.size() ? r[i].text : std::string());
+    }
+  }
 }
 
 namespace {
@@ -247,19 +253,6 @@ const CellResult* fault_free_twin(const std::vector<CellResult>& results,
 
 void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
                 EmitFormat format) {
-  // Each tier's columns appear only when some OK cell actually enabled it,
-  // so tier-free sweep output is byte-identical to the historical schema
-  // (the golden tests pin this).
-  bool any_faults = false;
-  bool any_cache = false;
-  bool any_reliability = false;
-  for (const auto& r : results) {
-    if (r.status != CellStatus::kOk) continue;
-    any_faults = any_faults || r.result.faults_enabled;
-    any_cache = any_cache || r.result.cache_enabled;
-    any_reliability = any_reliability || r.result.reliability_enabled;
-  }
-
   if (format == EmitFormat::kJson) {
     util::JsonWriter w(os);
     w.begin_array();
@@ -290,21 +283,19 @@ void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
     return;
   }
 
+  // Each tier's columns appear only when some OK cell enabled it, so
+  // tier-free sweep output keeps the historical schema byte for byte.
   std::vector<std::string> columns = {
       "index", "tag", "scheduler", "status", "wall_s", "peak_rss_kib",
       "total_energy_j", "mean_resp_s", "spin_up+down"};
-  if (any_faults) {
-    columns.insert(columns.end(),
-                   {"unavailable", "mean_degraded_s", "rebuild_bytes",
-                    "energy_delta_j"});
-  }
-  if (any_cache) {
-    columns.insert(columns.end(),
-                   {"hit_ratio", "destaged", "mem_energy_j"});
-  }
-  if (any_reliability) {
-    columns.insert(columns.end(),
-                   {"deadline_miss", "retries", "hedge_wins", "shed"});
+  std::vector<const storage::TierReport*> shown;
+  for (const storage::TierReport& tier : storage::kTierReports) {
+    if (std::any_of(results.begin(), results.end(), [&](const CellResult& r) {
+          return r.status == CellStatus::kOk && r.result.*tier.enabled;
+        })) {
+      shown.push_back(&tier);
+      for (const storage::TierStat& c : tier.columns) columns.push_back(c.name);
+    }
   }
   ResultTable t("sweep cells", std::move(columns));
   for (const auto& r : results) {
@@ -320,40 +311,21 @@ void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
         .cell(ok ? r.result.mean_response() : 0.0, 4)
         .cell(ok ? r.result.total_spin_ups() + r.result.total_spin_downs()
                  : 0);
-    if (any_faults) {
-      const fault::FaultStats& fs = r.result.fault_stats;
-      t.cell(ok ? fs.unavailable_requests : 0)
-          .cell(ok ? fs.mean_time_in_degraded() : 0.0, 4)
-          .cell(ok ? fs.rebuild_bytes : 0);
-      const CellResult* twin =
-          ok && r.result.faults_enabled ? fault_free_twin(results, r) : nullptr;
-      if (twin != nullptr) {
-        t.cell(r.result.total_energy() - twin->result.total_energy());
-      } else {
-        t.cell("");  // no fault-free twin in this sweep (or fault-free row)
-      }
-    }
-    if (any_cache) {
-      const cache::CacheStats& cs = r.result.cache_stats;
-      if (ok && r.result.cache_enabled) {
-        t.cell(cs.hit_ratio(), 4)
-            .cell(cs.destaged_blocks)
-            .cell(cs.memory_energy_joules);
-      } else {
-        // Cache-off cell in a mixed sweep: blank, not a measured zero
-        // (same convention as the fault columns above).
-        t.cell("").cell("").cell("");
-      }
-    }
-    if (any_reliability) {
-      const reliability::ReliabilityStats& rs = r.result.reliability_stats;
-      if (ok && r.result.reliability_enabled) {
-        t.cell(rs.deadline_misses)
-            .cell(rs.retries)
-            .cell(rs.hedge_wins)
-            .cell(rs.shed);
-      } else {
-        t.cell("").cell("").cell("").cell("");
+    // A cell that did not run holds an empty result: zeros, where shown.
+    for (const storage::TierReport* tier : shown) {
+      const bool on = ok && r.result.*tier->enabled;
+      for (const storage::TierStat& c : tier->columns) {
+        const CellResult* twin =
+            on && c.value == nullptr ? fault_free_twin(results, r) : nullptr;
+        if (twin != nullptr) {  // energy_delta_j
+          t.cell(r.result.total_energy() - twin->result.total_energy());
+        } else if (c.value == nullptr || (!on && tier->blank_when_off)) {
+          t.cell("");  // no twin, or the tier is off: blank, not a zero
+        } else if (const auto v = c.value(r.result); v.index() == 0) {
+          t.cell(std::get<std::uint64_t>(v));  // a count
+        } else {
+          t.cell(std::get<double>(v), c.precision);
+        }
       }
     }
   }

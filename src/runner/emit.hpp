@@ -4,11 +4,12 @@
 // Every bench builds the series its figure plots into a ResultTable and
 // emits it in one of three stable formats: the aligned text table the
 // paper-comparison docs quote (default), CSV for spreadsheet/plotting
-// pipelines, or JSON for programmatic consumers. A sweep's raw cells go out
-// through emit_cells in the same formats; its observability artifacts
-// through write_chrome_trace and merged_metrics. The CSV/JSON schemas are
-// covered by golden tests — changing them is a breaking change for
-// downstream plotting scripts.
+// pipelines, or JSON for programmatic consumers; the examples print their
+// tables untitled. A sweep's raw cells go out through emit_cells in the
+// same formats, with each tier's columns taken from storage::kTierReports;
+// its observability artifacts through write_chrome_trace and
+// merged_metrics. The CSV/JSON schemas are covered by golden tests —
+// changing them is a breaking change for downstream plotting scripts.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,6 @@ namespace eas::runner {
 
 /// The three renderings. Schemas are golden-tested.
 enum class EmitFormat { kTable, kCsv, kJson };
-
-const char* to_string(EmitFormat f);
 
 /// EAS_EMIT=table|csv|json, else `fallback` (unknown values fall back too
 /// so a typo cannot silently hide a figure).
@@ -57,7 +56,8 @@ class ResultTable {
   std::size_t num_rows() const { return rows_.size(); }
 
   void emit(std::ostream& os, EmitFormat format) const;
-  /// "=== title ===" header + the aligned util::Table rendering.
+  /// "=== title ===" header (none for an empty title) + the columns
+  /// left-aligned two spaces apart under an underlined header.
   void emit_table(std::ostream& os) const;
   /// "# title" comment, header line, one row per line (RFC 4180 quoting).
   void emit_csv(std::ostream& os) const;
@@ -83,7 +83,8 @@ class ResultTable {
 /// Raw per-cell dump of a sweep — one record per cell with its identity
 /// (index, tag, scheduler), execution metadata (status, wall seconds, peak
 /// RSS) and the full RunResult serialization. The JSON form embeds
-/// RunResult::to_json(); the CSV/table forms emit the headline metrics.
+/// RunResult::to_json(); the CSV/table forms emit the headline metrics,
+/// then the columns of each tier some OK cell enabled.
 void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
                 EmitFormat format);
 

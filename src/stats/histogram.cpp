@@ -1,7 +1,6 @@
 #include "stats/histogram.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -66,18 +65,6 @@ double Histogram::quantile_estimate(double q) const {
     if (acc >= target) return bin_mid(b);
   }
   return bin_mid(counts_.size() - 1);
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  double cum = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    cum += static_cast<double>(counts_[b]);
-    os << bin_lower(b) << '\t' << bin_upper(b) << '\t' << counts_[b] << '\t'
-       << (total_ ? cum / static_cast<double>(total_) : 0.0) << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace eas::stats

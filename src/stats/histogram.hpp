@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace eas::stats {
@@ -38,9 +37,6 @@ class Histogram {
 
   /// Approximate quantile from bin midpoints; q in [0,1].
   double quantile_estimate(double q) const;
-
-  /// Rows of "lower upper count cumulative_fraction" for dumping.
-  std::string to_string() const;
 
  private:
   std::size_t bin_for(double value) const;

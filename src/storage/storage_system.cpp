@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "cache/block_cache.hpp"
 #include "cache/write_back.hpp"
@@ -95,72 +97,14 @@ std::string RunResult::to_json(bool include_disks) const {
   }
   w.end_object();
 
-  // Only fault-injected runs carry the faults object; the fault-free schema
-  // stays byte-identical to what it was before the subsystem existed.
-  if (faults_enabled) {
-    w.key("faults");
+  // Each tier's object exists only in runs that enabled it.
+  for (const TierReport& t : kTierReports) {
+    if (!(this->*t.enabled)) continue;
+    w.key(t.key);
     w.begin_object();
-    w.field("disk_failures", fault_stats.disk_failures);
-    w.field("transient_timeouts", fault_stats.transient_timeouts);
-    w.field("latent_sector_events", fault_stats.latent_sector_events);
-    w.field("repairs", fault_stats.repairs);
-    w.field("unavailable_requests", fault_stats.unavailable_requests);
-    w.field("failovers", fault_stats.failovers);
-    w.field("rebuilds_completed", fault_stats.rebuilds_completed);
-    w.field("rebuild_bytes", fault_stats.rebuild_bytes);
-    w.field("rebuild_items_lost", fault_stats.rebuild_items_lost);
-    w.field("degraded_seconds", fault_stats.degraded_seconds);
-    w.field("degraded_episodes", fault_stats.degraded_episodes);
-    w.field("mean_time_in_degraded", fault_stats.mean_time_in_degraded());
-    w.end_object();
-  }
-
-  // Same rule for the cache tier and write off-loading: their objects exist
-  // only in runs that enabled them, so everything else keeps the old schema
-  // byte for byte.
-  if (cache_enabled) {
-    w.key("cache");
-    w.begin_object();
-    w.field("lookups", cache_stats.lookups);
-    w.field("hits_clean", cache_stats.hits_clean);
-    w.field("hits_dirty", cache_stats.hits_dirty);
-    w.field("misses", cache_stats.misses);
-    w.field("hit_ratio", cache_stats.hit_ratio());
-    w.field("insertions", cache_stats.insertions);
-    w.field("evictions", cache_stats.evictions);
-    w.field("writes_buffered", cache_stats.writes_buffered);
-    w.field("writes_through", cache_stats.writes_through);
-    w.field("destage_batches", cache_stats.destage_batches);
-    w.field("destaged_blocks", cache_stats.destaged_blocks);
-    w.field("destage_piggyback", cache_stats.destage_piggyback);
-    w.field("destage_forced", cache_stats.destage_forced);
-    w.field("dirty_redirected", cache_stats.dirty_redirected);
-    w.field("dirty_lost", cache_stats.dirty_lost);
-    w.field("lost_copies_dropped", cache_stats.lost_copies_dropped);
-    w.field("memory_energy_joules", cache_stats.memory_energy_joules);
-    w.end_object();
-  }
-  if (reliability_enabled) {
-    w.key("reliability");
-    w.begin_object();
-    w.field("deadline_misses", reliability_stats.deadline_misses);
-    w.field("retries", reliability_stats.retries);
-    w.field("hedges_issued", reliability_stats.hedges_issued);
-    w.field("hedge_wins", reliability_stats.hedge_wins);
-    w.field("shed", reliability_stats.shed);
-    w.field("writes_degraded", reliability_stats.writes_degraded);
-    w.field("abandoned", reliability_stats.abandoned);
-    w.end_object();
-  }
-  if (write_offload_enabled) {
-    w.key("write_offload");
-    w.begin_object();
-    w.field("writes_total", write_offload_stats.writes_total);
-    w.field("writes_home", write_offload_stats.writes_home);
-    w.field("writes_diverted", write_offload_stats.writes_diverted);
-    w.field("writes_woke_home", write_offload_stats.writes_woke_home);
-    w.field("reads_redirected", write_offload_stats.reads_redirected);
-    w.field("reclaims", write_offload_stats.reclaims);
+    for (const TierStat& f : t.fields) {
+      std::visit([&](auto v) { w.field(f.name, v); }, f.value(*this));
+    }
     w.end_object();
   }
 
@@ -190,6 +134,104 @@ std::string RunResult::to_json(bool include_disks) const {
 
 namespace {
 
+using cache::CacheStats;
+using core::WriteOffloadStats;
+using fault::FaultStats;
+using reliability::ReliabilityStats;
+
+// Table reader: `Get` names a field or accessor of one tier's stats struct,
+// and that struct's type picks the RunResult member it reads.
+template <typename M, typename Stats>
+Stats stats_type(M Stats::*);
+template <auto Get>
+TierValue stat(const RunResult& r) {
+  const auto all = std::tie(r.fault_stats, r.cache_stats, r.reliability_stats,
+                            r.write_offload_stats);
+  return std::invoke(Get, std::get<const decltype(stats_type(Get))&>(all));
+}
+
+}  // namespace
+
+const std::vector<TierReport> kTierReports = {
+    {"faults", &RunResult::faults_enabled,
+     {{"disk_failures", stat<&FaultStats::disk_failures>},
+      {"transient_timeouts", stat<&FaultStats::transient_timeouts>},
+      {"latent_sector_events", stat<&FaultStats::latent_sector_events>},
+      {"repairs", stat<&FaultStats::repairs>},
+      {"unavailable_requests", stat<&FaultStats::unavailable_requests>},
+      {"failovers", stat<&FaultStats::failovers>},
+      {"rebuilds_completed", stat<&FaultStats::rebuilds_completed>},
+      {"rebuild_bytes", stat<&FaultStats::rebuild_bytes>},
+      {"rebuild_items_lost", stat<&FaultStats::rebuild_items_lost>},
+      {"degraded_seconds", stat<&FaultStats::degraded_seconds>},
+      {"degraded_episodes", stat<&FaultStats::degraded_episodes>},
+      {"mean_time_in_degraded", stat<&FaultStats::mean_time_in_degraded>}},
+     {{"unavailable", stat<&FaultStats::unavailable_requests>},
+      {"mean_degraded_s", stat<&FaultStats::mean_time_in_degraded>, 4},
+      {"rebuild_bytes", stat<&FaultStats::rebuild_bytes>},
+      {"energy_delta_j"}},
+     // Both also sit in the fixed prelude; only their values are the tier's.
+     {{"failovers", stat<&FaultStats::failovers>},
+      {"unavailable_requests", stat<&FaultStats::unavailable_requests>}},
+     /*blank_when_off=*/false},
+    {"cache", &RunResult::cache_enabled,
+     {{"lookups", stat<&CacheStats::lookups>},
+      {"hits_clean", stat<&CacheStats::hits_clean>},
+      {"hits_dirty", stat<&CacheStats::hits_dirty>},
+      {"misses", stat<&CacheStats::misses>},
+      {"hit_ratio", stat<&CacheStats::hit_ratio>},
+      {"insertions", stat<&CacheStats::insertions>},
+      {"evictions", stat<&CacheStats::evictions>},
+      {"writes_buffered", stat<&CacheStats::writes_buffered>},
+      {"writes_through", stat<&CacheStats::writes_through>},
+      {"destage_batches", stat<&CacheStats::destage_batches>},
+      {"destaged_blocks", stat<&CacheStats::destaged_blocks>},
+      {"destage_piggyback", stat<&CacheStats::destage_piggyback>},
+      {"destage_forced", stat<&CacheStats::destage_forced>},
+      {"dirty_redirected", stat<&CacheStats::dirty_redirected>},
+      {"dirty_lost", stat<&CacheStats::dirty_lost>},
+      {"lost_copies_dropped", stat<&CacheStats::lost_copies_dropped>},
+      {"memory_energy_joules", stat<&CacheStats::memory_energy_joules>}},
+     {{"hit_ratio", stat<&CacheStats::hit_ratio>, 4},
+      {"destaged", stat<&CacheStats::destaged_blocks>},
+      {"mem_energy_j", stat<&CacheStats::memory_energy_joules>}},
+     {{"cache_hits", stat<&CacheStats::hits>},
+      {"cache_misses", stat<&CacheStats::misses>},
+      {"cache_writes_buffered", stat<&CacheStats::writes_buffered>},
+      {"destage_batches", stat<&CacheStats::destage_batches>},
+      {"destaged_blocks", stat<&CacheStats::destaged_blocks>},
+      {"dirty_occupancy"},
+      {"cache_hit_ratio", stat<&CacheStats::hit_ratio>},
+      {"cache_memory_energy_joules", stat<&CacheStats::memory_energy_joules>}}},
+    {"reliability", &RunResult::reliability_enabled,
+     {{"deadline_misses", stat<&ReliabilityStats::deadline_misses>},
+      {"retries", stat<&ReliabilityStats::retries>},
+      {"hedges_issued", stat<&ReliabilityStats::hedges_issued>},
+      {"hedge_wins", stat<&ReliabilityStats::hedge_wins>},
+      {"shed", stat<&ReliabilityStats::shed>},
+      {"writes_degraded", stat<&ReliabilityStats::writes_degraded>},
+      {"abandoned", stat<&ReliabilityStats::abandoned>}},
+     {{"deadline_miss", stat<&ReliabilityStats::deadline_misses>},
+      {"retries", stat<&ReliabilityStats::retries>},
+      {"hedge_wins", stat<&ReliabilityStats::hedge_wins>},
+      {"shed", stat<&ReliabilityStats::shed>}},
+     {{"deadline_misses", stat<&ReliabilityStats::deadline_misses>},
+      {"retries", stat<&ReliabilityStats::retries>},
+      {"hedges_issued", stat<&ReliabilityStats::hedges_issued>},
+      {"hedge_wins", stat<&ReliabilityStats::hedge_wins>},
+      {"shed_requests", stat<&ReliabilityStats::shed>},
+      {"abandoned_requests", stat<&ReliabilityStats::abandoned>}}},
+    {"write_offload", &RunResult::write_offload_enabled,
+     {{"writes_total", stat<&WriteOffloadStats::writes_total>},
+      {"writes_home", stat<&WriteOffloadStats::writes_home>},
+      {"writes_diverted", stat<&WriteOffloadStats::writes_diverted>},
+      {"writes_woke_home", stat<&WriteOffloadStats::writes_woke_home>},
+      {"reads_redirected", stat<&WriteOffloadStats::reads_redirected>},
+      {"reclaims", stat<&WriteOffloadStats::reclaims>}}},
+};
+
+namespace {
+
 /// The live system: Fig 1's component wiring around the event kernel, plus
 /// (when the config carries a fault profile) the degraded-mode machinery:
 /// queue drain + failover on disk death, unavailability accounting, and a
@@ -209,6 +251,9 @@ class System {
     config_.obs.validate();
     config_.cache.validate();
     config_.reliability.validate();
+    result_.faults_enabled = config_.fault.enabled();
+    result_.cache_enabled = config_.cache.enabled;
+    result_.reliability_enabled = config_.reliability.enabled;
     if (config_.obs.trace.enabled) {
       recorder_ = std::make_shared<obs::TraceRecorder>(config_.obs.trace);
       sim_.set_recorder(recorder_.get());
@@ -235,31 +280,14 @@ class System {
         metrics_->summary(std::string("disk_seconds_") +
                           disk::to_string(static_cast<disk::DiskState>(s)));
       }
-      // Cache metrics come after the fixed prelude and only exist for
-      // cache-enabled runs, so the cache-off registry stays schema-stable.
-      if (config_.cache.enabled) {
-        metrics_->counter("cache_hits");
-        metrics_->counter("cache_misses");
-        metrics_->counter("cache_writes_buffered");
-        metrics_->counter("destage_batches");
-        metrics_->counter("destaged_blocks");
-        m_dirty_occupancy_ = metrics_->summary("dirty_occupancy");
-        metrics_->gauge("cache_hit_ratio");
-        metrics_->gauge("cache_memory_energy_joules");
-      }
-      // Reliability metrics follow the same enabled-only rule, after the
-      // cache block, so existing registries stay schema-stable.
-      if (config_.reliability.enabled) {
-        metrics_->counter("deadline_misses");
-        metrics_->counter("retries");
-        metrics_->counter("hedges_issued");
-        metrics_->counter("hedge_wins");
-        metrics_->counter("shed_requests");
-        metrics_->counter("abandoned_requests");
-      }
+      // Each enabled tier's metrics follow the fixed prelude, so the
+      // registry of a run without it stays schema-stable.
+      publish_tier_metrics(result_);
     }
     if (config_.cache.enabled) {
       dram_lane_ = sim_.delay_lane(config_.cache.dram_latency_seconds);
+      // The tier table registered it in its slot; the run feeds it live.
+      if (metrics_) m_dirty_occupancy_ = metrics_->summary("dirty_occupancy");
       if (config_.cache.capacity_blocks > 0) {
         read_cache_.emplace(config_.cache.capacity_blocks,
                             placement.num_data());
@@ -481,7 +509,7 @@ class System {
   RunResult finish(const std::string& scheduler_name) {
     sim_.run();
     const double horizon = std::max(sim_.now(), last_completion_);
-    RunResult r;
+    RunResult r = std::move(result_);
     r.scheduler_name = scheduler_name;
     r.policy_name = policy_.name();
     r.horizon = horizon;
@@ -497,7 +525,6 @@ class System {
       const auto [secs, episodes] = view_->finalize_degraded(horizon);
       stats().degraded_seconds = secs;
       stats().degraded_episodes = episodes;
-      r.faults_enabled = true;
       r.fault_stats = injector_->stats();
     }
     if (config_.cache.enabled) {
@@ -505,13 +532,9 @@ class System {
       // traffic; charging it here keeps the energy story honest.
       cache_stats_.memory_energy_joules =
           config_.cache.memory_energy_joules(horizon);
-      r.cache_enabled = true;
       r.cache_stats = cache_stats_;
     }
-    if (config_.reliability.enabled) {
-      r.reliability_enabled = true;
-      r.reliability_stats = rel_stats_;
-    }
+    if (config_.reliability.enabled) r.reliability_stats = rel_stats_;
     if (metrics_ != nullptr) publish_metrics(r);
     r.trace_recorder = recorder_;
     r.metrics = metrics_;
@@ -547,29 +570,7 @@ class System {
     set("batches_formed", batch_seq_);
     set("spin_ups", r.total_spin_ups());
     set("spin_downs", r.total_spin_downs());
-    if (r.faults_enabled) {
-      set("failovers", r.fault_stats.failovers);
-      set("unavailable_requests", r.fault_stats.unavailable_requests);
-    }
-    if (r.cache_enabled) {
-      const cache::CacheStats& cs = r.cache_stats;
-      set("cache_hits", cs.hits_clean + cs.hits_dirty);
-      set("cache_misses", cs.misses);
-      set("cache_writes_buffered", cs.writes_buffered);
-      set("destage_batches", cs.destage_batches);
-      set("destaged_blocks", cs.destaged_blocks);
-      *metrics_->gauge("cache_hit_ratio") = cs.hit_ratio();
-      *metrics_->gauge("cache_memory_energy_joules") = cs.memory_energy_joules;
-    }
-    if (r.reliability_enabled) {
-      const reliability::ReliabilityStats& rs = r.reliability_stats;
-      set("deadline_misses", rs.deadline_misses);
-      set("retries", rs.retries);
-      set("hedges_issued", rs.hedges_issued);
-      set("hedge_wins", rs.hedge_wins);
-      set("shed_requests", rs.shed);
-      set("abandoned_requests", rs.abandoned);
-    }
+    publish_tier_metrics(r);
     for (int s = 0; s < disk::kNumDiskStates; ++s) {
       stats::SummaryStats* per_state = metrics_->summary(
           std::string("disk_seconds_") +
@@ -582,6 +583,23 @@ class System {
     *metrics_->gauge("energy_per_request_joules") =
         completed_ > 0 ? r.total_energy() / static_cast<double>(completed_)
                        : 0.0;
+  }
+
+  /// Registers, in table order, the metrics of every tier `r` enables and
+  /// publishes their values; at construction those are still zero.
+  void publish_tier_metrics(const RunResult& r) {
+    for (const TierReport& t : kTierReports) {
+      if (!(r.*t.enabled)) continue;
+      for (const TierStat& m : t.metrics) {
+        if (m.value == nullptr) {
+          metrics_->summary(m.name);  // fed live
+        } else if (const TierValue v = m.value(r); v.index() == 0) {  // count
+          *metrics_->counter(m.name) = std::get<std::uint64_t>(v);
+        } else {
+          *metrics_->gauge(m.name) = std::get<double>(v);
+        }
+      }
+    }
   }
 
   // ---- replica selection ----
@@ -1396,6 +1414,10 @@ class System {
   /// Per-disk count of planned hedges whose timer is still running; the
   /// power policy probes this to keep the alternate warm through the window.
   std::vector<std::uint64_t> hedge_pins_;
+
+  /// What finish() returns. Its tier flags are set at construction, where
+  /// the metric registry walks the tier table.
+  RunResult result_;
 };
 
 disk::Request make_request(RequestId id, const trace::TraceRecord& rec) {

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -58,23 +59,14 @@ struct RunResult {
   stats::SampleStore response_times;
   std::uint64_t total_requests = 0;
   std::uint64_t requests_waited_spinup = 0;
-  /// Set when the run's SystemConfig carried an enabled fault profile; the
-  /// "faults" JSON object and availability columns exist only then, so
-  /// fault-free output is byte-identical to the pre-fault schema.
+  /// One flag and one stats struct per tier (see kTierReports). System sets
+  /// the first three flags; run_online_mixed sets write_offload_enabled.
   bool faults_enabled = false;
   fault::FaultStats fault_stats{};
-  /// Same enabled-only emission rule for the cache tier: the "cache" JSON
-  /// object and hit/destage/memory-energy columns exist only when the run's
-  /// SystemConfig carried an enabled CacheConfig.
   bool cache_enabled = false;
   cache::CacheStats cache_stats{};
-  /// Same enabled-only emission rule for the reliability tier: the
-  /// "reliability" JSON object and deadline/retry/hedge/shed columns exist
-  /// only when the run's SystemConfig carried an enabled ReliabilityConfig.
   bool reliability_enabled = false;
   reliability::ReliabilityStats reliability_stats{};
-  /// And for §2.1 write off-loading: run_online_mixed sets this so diverted/
-  /// reclaimed counters land in the same JSON as cache destage counters.
   bool write_offload_enabled = false;
   core::WriteOffloadStats write_offload_stats{};
   /// Present only when the run's ObsConfig asked for them; to_json() does
@@ -99,6 +91,33 @@ struct RunResult {
   /// Keys are schema-stable — downstream consumers rely on them.
   std::string to_json(bool include_disks = false) const;
 };
+
+/// A number a tier reports: a count or a real.
+using TierValue = std::variant<std::uint64_t, double>;
+
+/// A JSON field, sweep column or metric of a tier. A count metric is a
+/// counter and a real one a gauge; with no `value`, a metric is a summary
+/// the run feeds and a column is the sweep's energy gap to the fault-free twin.
+struct TierStat {
+  const char* name;
+  TierValue (*value)(const RunResult&) = nullptr;
+  int precision = 3;  ///< aligned-table decimals of a real column
+};
+
+/// Everything one tier adds to a run's output, written once.
+struct TierReport {
+  const char* key;  ///< its object's key in RunResult::to_json
+  bool RunResult::*enabled;
+  std::vector<TierStat> fields;  ///< its JSON object, in order
+  std::vector<TierStat> columns = {};
+  std::vector<TierStat> metrics = {};
+  bool blank_when_off = true;  ///< sweep rows without the tier: not zeros
+};
+
+/// The tiers in output order. RunResult::to_json, runner::emit_cells and the
+/// run's metrics each walk it; a tier's output exists only where its flag is
+/// set (sweep columns: on some OK cell), so tier-free output keeps its schema.
+extern const std::vector<TierReport> kTierReports;
 
 /// Executes `trace` with an online scheduler: each request is dispatched to
 /// a disk the moment it arrives (§2.2 online model).

@@ -1,11 +1,11 @@
-// Tests for the string utilities and the table formatter.
+// Tests for the string utilities and the result table's plain helpers.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "runner/emit.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace eas::util {
 namespace {
@@ -80,47 +80,31 @@ TEST(ToLower, LowersAsciiOnly) {
   EXPECT_EQ(to_lower("AbC-12"), "abc-12");
 }
 
-TEST(Table, AlignsColumnsAndUnderlinesHeader) {
-  Table t({"name", "v"});
-  t.row().cell("long-name").cell(1);
-  t.row().cell("x").cell(12345);
-  const std::string s = t.to_string();
-  std::istringstream is(s);
-  std::string header, underline, row1, row2;
-  std::getline(is, header);
-  std::getline(is, underline);
-  std::getline(is, row1);
-  std::getline(is, row2);
-  EXPECT_EQ(header.find("name"), 0u);
-  EXPECT_EQ(underline.find_first_not_of('-'), std::string::npos);
-  // Both value cells start at the same column.
-  EXPECT_EQ(row1.find('1'), row2.find('1'));
-}
-
-TEST(Table, FormatsDoublesWithRequestedPrecision) {
-  Table t({"x"});
-  t.row().cell(3.14159, 2);
-  EXPECT_NE(t.to_string().find("3.14"), std::string::npos);
-  EXPECT_EQ(t.to_string().find("3.142"), std::string::npos);
-}
-
-TEST(Table, RejectsTooManyCells) {
-  Table t({"only"});
-  t.row().cell("a");
-  EXPECT_THROW(t.cell("b"), InvariantError);
-}
-
-TEST(Table, RejectsCellBeforeRow) {
-  Table t({"h"});
+// The aligned rendering, row-width checks and cell precision are pinned by
+// the EmitterGolden tests; these cover what those do not.
+TEST(ResultTable, RejectsCellBeforeRow) {
+  runner::ResultTable t("", {"h"});
   EXPECT_THROW(t.cell("x"), InvariantError);
 }
 
-TEST(Table, CountsRows) {
-  Table t({"h"});
+TEST(ResultTable, CountsRows) {
+  runner::ResultTable t("", {"h"});
   EXPECT_EQ(t.num_rows(), 0u);
   t.row().cell("a");
   t.row().cell("b");
   EXPECT_EQ(t.num_rows(), 2u);
+}
+
+// The examples print through an untitled table: no "===" line.
+TEST(ResultTable, UntitledTablePrintsNoTitleLine) {
+  runner::ResultTable t("", {"metric", "v"});
+  t.row().cell("energy (kJ)").cell(1.25, 1);
+  std::ostringstream os;
+  t.emit_table(os);
+  EXPECT_EQ(os.str(),
+            "metric       v  \n"
+            "----------------\n"
+            "energy (kJ)  1.2\n");
 }
 
 }  // namespace
